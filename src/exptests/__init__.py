@@ -18,8 +18,7 @@ from .nulldist import (CovarianceHandle, NullCalibration, calibrate_critical_val
 from .powersim import (BootstrapTuning, PowerCell, bootstrap_select_a,
                        estimate_power, estimate_power_adaptive)
 from .slopes import SlopeReport, efficiency, efficiency_curve, slope_coefficient
-from .statistics import (StatisticId, StatValue, evaluate, evaluate_many,
-                         stat_LD, stat_MD, vn_process)
+from .statistics import StatisticId, StatValue, evaluate, evaluate_many, vn_process
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

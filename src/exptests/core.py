@@ -14,7 +14,7 @@ ordered pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,41 +23,24 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class RngStream:
-    """A splittable random source identified by (seed, stream).
+    """A splittable random source identified by (seed, stream, key).
 
-    Identical (seed, stream) pairs reproduce identical variates; distinct
-    stream indices yield statistically independent generators.  Concurrent
-    tasks must each receive their own stream index.
+    Identical identities reproduce identical variates; distinct stream
+    indices or spawn keys yield statistically independent generators.
+    Concurrent tasks must each receive their own stream index or substream.
     """
 
     seed: int
     stream: int = 0
+    key: tuple = ()  # substream indices, outermost first
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
+        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,) + self.key)
         return np.random.default_rng(ss)
 
     def substream(self, index: int) -> "RngStream":
         """Derive a child stream; children of distinct indices are independent."""
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, index))
-        return _SpawnedStream(self.seed, self.stream, ss)
-
-
-class _SpawnedStream(RngStream):
-    """Internal: an RngStream whose seed sequence carries a longer spawn key."""
-
-    def __init__(self, seed, stream, seed_sequence):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream", stream)
-        object.__setattr__(self, "_ss", seed_sequence)
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self._ss)
-
-    def substream(self, index: int) -> "RngStream":
-        key = self._ss.spawn_key + (index,)
-        return _SpawnedStream(self.seed, self.stream,
-                              np.random.SeedSequence(self.seed, spawn_key=key))
+        return RngStream(self.seed, self.stream, self.key + (int(index),))
 
 
 def min_pair_weights(n: int) -> np.ndarray:
@@ -88,21 +71,26 @@ class ScaledSample:
         return self.values.size
 
 
-def scale_sample(raw) -> ScaledSample:
-    """Scale a raw positive sample to unit mean.
+def check_positive(x: np.ndarray) -> np.ndarray:
+    """Return x, a 1-D sample or a 2-D (replicates, n) batch of samples.
 
-    Raises DomainError naming the first offending index if the input is empty
-    or contains a non-positive (or non-finite) entry.
+    Raises DomainError if a sample is empty, or naming the first entry that is
+    not a positive finite real: by its index in a sample, by row and column
+    in a batch.
     """
-    x = np.asarray(raw, dtype=float)
-    if x.ndim != 1:
-        x = x.reshape(-1)
-    if x.size == 0:
+    if x.shape[-1] == 0:
         raise DomainError("empty sample")
-    bad = ~(x > 0) | ~np.isfinite(x)
+    bad = ~((x > 0) & (x < np.inf))
     if bad.any():
-        idx = int(np.argmax(bad))
-        raise DomainError(f"sample entry at index {idx} is not a positive real: {x[idx]!r}")
+        at = np.unravel_index(np.argmax(bad), x.shape)
+        where = f"index {at[0]}" if x.ndim == 1 else f"row {at[0]}, column {at[1]}"
+        raise DomainError(f"sample entry at {where} is not a positive real: {float(x[at])!r}")
+    return x
+
+
+def scale_sample(raw) -> ScaledSample:
+    """Scale a raw positive sample to unit mean (checked by check_positive)."""
+    x = check_positive(np.asarray(raw, dtype=float).reshape(-1))
     y = x / x.mean()
     order = np.argsort(y, kind="stable")
     return ScaledSample(values=y, sorted_values=y[order],

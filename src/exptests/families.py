@@ -36,6 +36,12 @@ EULER_GAMMA = float(np.euler_gamma)
 DEFAULT_EMNW_BETA = 3.0
 
 
+def _clamped_inverse_cdf(family, gen, theta, size):
+    # keep u strictly inside (0,1) so inverse-cdf values stay positive
+    u = np.maximum(gen.random(size=size), 1e-300)
+    return family.inverse_cdf(u, theta)
+
+
 @dataclass(frozen=True)
 class AlternativeFamily:
     id: str
@@ -48,6 +54,7 @@ class AlternativeFamily:
     mu_prime0: Optional[float] = None  # d/dtheta mean at theta=0 (local families)
     uses_theta: bool = True
     closed_upper: bool = False  # whether the upper domain end is attainable
+    sampler: Callable = _clamped_inverse_cdf  # sampler(family, gen, theta, size)
 
     def contains(self, theta: float) -> bool:
         if not self.uses_theta:
@@ -102,6 +109,7 @@ def _make_families():
         mean_analytic=lambda th: th + 1.0,
         deriv0=lambda x: np.exp(-x) * (np.log(x) + EULER_GAMMA),
         mu_prime0=1.0,
+        sampler=lambda fam, gen, th, size: gen.gamma(th + 1.0, size=size),
     )
 
     fams["lfr"] = AlternativeFamily(
@@ -135,6 +143,7 @@ def _make_families():
         cdf=lambda x, th=None: special.erf(x / math.sqrt(2.0)),
         inverse_cdf=lambda u, th=None: math.sqrt(2.0) * special.erfinv(u),
         mean_analytic=lambda th=None: math.sqrt(2.0 / math.pi),
+        sampler=lambda fam, gen, th, size: np.abs(gen.standard_normal(size=size)),
     )
 
     fams["uniform"] = AlternativeFamily(
@@ -176,6 +185,7 @@ def _make_families():
         inverse_cdf=lambda u, th: np.exp(th * math.sqrt(2.0)
                                          * special.erfinv(2 * np.asarray(u, float) - 1)),
         mean_analytic=lambda th: math.exp(th * th / 2.0),
+        sampler=lambda fam, gen, th, size: np.exp(th * gen.standard_normal(size=size)),
     )
 
     fams["dhillon"] = AlternativeFamily(
@@ -248,13 +258,4 @@ def sample_alternative(family, theta, n: int, rng: RngStream) -> np.ndarray:
         family = get_family(family)
     theta = _check_theta(family, theta)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    size = n
-    if family.id == "gamma":
-        return gen.gamma(theta + 1.0, size=size)
-    if family.id == "halfnormal":
-        return np.abs(gen.standard_normal(size=size))
-    if family.id == "lognormal":
-        return np.exp(theta * gen.standard_normal(size=size))
-    # keep u strictly inside (0,1) so inverse-cdf values stay positive
-    u = np.maximum(gen.random(size=size), 1e-300)
-    return family.inverse_cdf(u, theta)
+    return family.sampler(family, gen, theta, n)

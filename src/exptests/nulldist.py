@@ -23,6 +23,7 @@ import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from scipy.special import expi
 from .core import RngStream
 from .errors import DomainError, NumericsError
 from .numeric import exp_measure_nodes, maximize_log_grid
-from .statistics import StatisticId, evaluate_many
+from .statistics import StatisticId, evaluate, evaluate_many, ld_upper_bound
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +97,8 @@ def sup_variance(a: float) -> CovarianceHandle:
     """Maximize K(t, t; a) over t > 0 (grid scan + golden section)."""
     if not (a > 0):
         raise DomainError(f"tuning parameter a must be positive, got {a}")
-    hi = max(40.0 / a, 4.0)
-    val, argt = maximize_log_grid(lambda t: covariance_K(t, t, a), 1e-4, hi,
-                                  ngrid=512, tol=1e-10, vectorized=True)
+    (val,), (argt,) = maximize_log_grid(lambda t: covariance_K(t, t, a), 1e-4,
+                                        ld_upper_bound(a), tol=1e-10)
     return CovarianceHandle(a=a, sup_variance=float(val), argmax_t=float(argt))
 
 
@@ -188,9 +188,6 @@ class EigenDelta:
     trace: tuple  # ((n_nodes, estimate), ...)
 
 
-_DELTA1_CACHE: Dict[float, EigenDelta] = {}
-
-
 def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
     """Nystrom approximation of delta1 with Gauss-Legendre nodes in the
     Exp(1) probability scale (u = 1 - e^{-x}); spectrally convergent."""
@@ -199,6 +196,7 @@ def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
+@lru_cache(maxsize=None)
 def largest_eigenvalue_delta1(a: float,
                               ladder: Sequence[int] = (120, 240, 480),
                               rel_tol: float = 1e-4) -> EigenDelta:
@@ -206,14 +204,10 @@ def largest_eigenvalue_delta1(a: float,
 
     Runs the Gauss-Legendre Nystrom ladder and requires the two finest rungs
     to agree within rel_tol relative; raises NumericsError with the trace on
-    non-convergence.  Results are cached per tuning parameter.
+    non-convergence.  Results are cached per argument list; failures are not.
     """
     if not (a > 0):
         raise DomainError(f"tuning parameter a must be positive, got {a}")
-    key = float(a)
-    cached = _DELTA1_CACHE.get(key)
-    if cached is not None and len(cached.trace) >= len(ladder):
-        return cached
     trace = tuple((n, gl_nystrom_delta1(a, n)) for n in ladder)
     est = trace[-1][1]
     prev = trace[-2][1] if len(trace) > 1 else est
@@ -221,9 +215,7 @@ def largest_eigenvalue_delta1(a: float,
         raise NumericsError(
             f"delta1 ladder did not converge for a={a}: "
             f"{[(n, f'{d:.8g}') for n, d in trace]}", trace=trace)
-    result = EigenDelta(a=key, delta1=est, trace=trace)
-    _DELTA1_CACHE[key] = result
-    return result
+    return EigenDelta(a=float(a), delta1=est, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +289,12 @@ def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
     """Monte Carlo p-value (1 + #{null >= observed}) / (replicates + 1).
 
     `observed` overrides the statistic value (used for sentinel checks);
-    by default it is computed from the sample.
+    by default it is computed from the sample, which needs n >= 2 as
+    calibration does.
     """
-    from .statistics import evaluate
     x = np.asarray(raw, dtype=float)
+    if x.size < 2:
+        raise DomainError("sample size must be at least 2")
     if observed is None:
         observed = evaluate(stat, x).value
     null_values = simulate_null_statistics(stat, x.size, replicates, rng,

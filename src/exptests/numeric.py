@@ -37,37 +37,40 @@ def exp_measure_nodes(n):
     return -np.log1p(-u), w
 
 
-def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8, vectorized=False):
-    """Maximize f over [lo, hi]: log-spaced grid scan + golden-section refinement.
+def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
+    """Maximize every row of f over [lo, hi]: a log-spaced grid scan, then
+    golden-section refinement of the bracket around each row's best grid point.
 
-    Returns (max value, argmax).  The returned value is never below the best
-    grid value.  f must accept scalars; with vectorized=True the grid scan is
-    done in one call.
+    f maps t of shape (1, k) (the grid) or (rows, 1) (one probe per row) to
+    values of shape (rows, k).  Returns (max values, argmax), each of shape
+    (rows,).  A returned value is never below its row's best grid value.
+    All rows take the golden-section steps that shrink the widest of their
+    brackets below tol.
     """
     ts = np.geomspace(lo, hi, ngrid)
-    vs = f(ts) if vectorized else np.array([f(t) for t in ts])
-    i = int(np.argmax(vs))
-    best_grid_v, best_grid_t = float(vs[i]), float(ts[i])
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, ngrid - 1)]
+    vs = f(ts[None, :])
+    i = np.argmax(vs, axis=1)
+    best_v, best_t = vs[np.arange(i.size), i], ts[i]
+    a = ts[np.maximum(i - 1, 0)]
+    b = ts[np.minimum(i + 1, ngrid - 1)]
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1 = float(f(np.array([x1]))[0] if vectorized else f(x1))
-    f2 = float(f(np.array([x2]))[0] if vectorized else f(x2))
-    while b - a > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = float(f(np.array([x1]))[0] if vectorized else f(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = float(f(np.array([x2]))[0] if vectorized else f(x2))
-    if f1 >= f2 and f1 > best_grid_v:
-        return f1, x1
-    if f2 > f1 and f2 > best_grid_v:
-        return f2, x2
-    return best_grid_v, best_grid_t
+    f1 = f(x1[:, None])[:, 0]
+    f2 = f(x2[:, None])[:, 0]
+    widest = float(np.max(b - a))
+    for _ in range(int(np.ceil(np.log(tol / widest) / np.log(GOLDEN))) + 1
+                   if widest > tol else 0):
+        left = f1 >= f2  # the maximum lies in [a, x2]
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x1, x2 = (np.where(left, b - GOLDEN * (b - a), x2),
+                  np.where(left, x1, a + GOLDEN * (b - a)))
+        fp = f(np.where(left, x1, x2)[:, None])[:, 0]
+        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
+    up = f1 >= f2
+    refined_v, refined_t = np.where(up, f1, f2), np.where(up, x1, x2)
+    better = refined_v > best_v
+    return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
 
 
 def ei_scaled(z):

@@ -34,7 +34,8 @@ from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
                       maximize_log_grid, panel_gauss_nodes)
 from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
 from .statistics import (StatisticId, kernel_ad, kernel_bh, kernel_cvm,
-                         kernel_he, kernel_hm1, kernel_hm2, kernel_w)
+                         kernel_he, kernel_hm1, kernel_hm2, kernel_w,
+                         ld_upper_bound)
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -164,14 +165,12 @@ def slope_LD(a: float, family, refine: int = 1) -> float:
     gpx = gp(xs) * ws
 
     def inner_sq(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = phi1_tilde(xs[None, :], t[:, None], a) @ gpx
+        vals = phi1_tilde(xs, t[..., None], a) @ gpx
         return vals * vals
 
-    hi = max(40.0 / a, 4.0)
-    sup_i, _ = maximize_log_grid(inner_sq, 1e-4, hi, ngrid=512 * refine,
-                                 tol=1e-10, vectorized=True)
-    return sup_i / sup_variance(a).sup_variance
+    (sup_i,), _ = maximize_log_grid(inner_sq, 1e-4, ld_upper_bound(a),
+                                    ngrid=512 * refine, tol=1e-10)
+    return float(sup_i) / sup_variance(a).sup_variance
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +240,10 @@ def slope_J_family(name: str, a: float, family, refine: int = 1) -> float:
 
 @lru_cache(maxsize=None)
 def _ks_tail_coefficient() -> float:
-    val, _ = maximize_log_grid(
+    (val,), _ = maximize_log_grid(
         lambda x: np.exp(-2 * x) * (np.exp(x) - x * x - 1.0),
-        1e-3, 40.0, ngrid=2048, tol=1e-12, vectorized=True)
-    return 1.0 / val
+        1e-3, 40.0, ngrid=2048, tol=1e-12)
+    return 1.0 / float(val)
 
 
 def slope_KS(family, refine: int = 1) -> float:
@@ -260,14 +259,15 @@ def slope_KS(family, refine: int = 1) -> float:
             x = np.asarray(x, dtype=float)
             return np.abs(fam.cdf(x * mu, th) + np.expm1(-x))
 
-        val, _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512 * refine,
-                                   tol=1e-10, vectorized=True)
-        return val
+        (val,), _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512 * refine,
+                                      tol=1e-10)
+        return float(val)
 
     v = [b_of(th) / th for th in (0.02, 0.01, 0.005)]
     r1 = v[1] + (v[1] - v[0])
     r2 = v[2] + (v[2] - v[1])
-    b1 = r2 + (r2 - r1) / 1.0
+    # halving theta leaves an O(theta^2) remainder after the first step
+    b1 = r2 + (r2 - r1) / 3.0
     return _ks_tail_coefficient() * b1 * b1
 
 

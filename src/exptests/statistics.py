@@ -7,12 +7,15 @@ Two groups live here:
   X and 2 min(X1, X2) are equidistributed iff X is exponential;
 * a battery of classical and Laplace-transform competitors (EP, CO, GINI,
   MO, KS, CVM, AD, BH, HE, W, HM1, HM2, MP, JP, JD) used for power and
-  efficiency comparisons.
+  efficiency comparisons (Henze & Meintanis 2005, Metrika 61).
 
 Every statistic is scale-free: it is computed from Y_i = X_i / mean(X).
-Integral-type statistics are evaluated through exact closed forms or O(n^2)
-kernel sums; numeric quadrature of the defining integrals is kept only as a
-test oracle.
+Each one has a single batched kernel in the `_KERNELS` table, mapping the
+scaled rows y (r, n), their ascending sort z and the tuning parameter a to
+the r statistic values.  `evaluate_many` feeds it row chunks under one
+element budget and `evaluate` is its one-row case.  Integral-type statistics
+are evaluated through exact closed forms or O(n^2) kernel sums; numeric
+quadrature of the defining integrals is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from typing import Optional
 import numpy as np
 from scipy.special import expi
 
-from .core import ScaledSample, min_pair_weights, scale_sample
+from .core import ScaledSample, check_positive, min_pair_weights
 from .errors import DomainError
-from .numeric import GOLDEN, maximize_log_grid
+from .numeric import maximize_log_grid
 
 EULER_GAMMA = float(np.euler_gamma)
+
+# elements per (rows, n, n) temporary: fixes the rows of an evaluate_many
+# chunk and the grid points per LD scan step
+ELEMENT_BUDGET = 1_000_000
 
 TUNED_STATISTICS = frozenset({"MD", "LD", "BH", "HE", "W", "HM1", "HM2",
                               "MP", "JP", "JD"})
@@ -71,30 +78,40 @@ class StatValue:
 # MD / LD: pair-minimum Laplace transform statistics
 # ---------------------------------------------------------------------------
 
-def stat_MD(s: ScaledSample, a: float) -> float:
+def _md(y, z, a):
     """Weighted L2 distance between the sample Laplace transform and the
     V-empirical transform of 2 min(Y_i, Y_j), integrated against e^{-at}.
 
-    Closed form via int_0^inf e^{-(a+c)t} dt = 1/(a+c); O(n^2).
+    Closed form via int_0^inf e^{-(a+c)t} dt = 1/(a+c); O(n^2) per row.
     """
-    _check_a(a)
-    y = s.values
-    z = s.sorted_values
-    w = s.min_weights
-    n = y.size
-    t1 = np.sum(1.0 / (y[:, None] + y[None, :] + a)) / n**2
-    t2 = np.sum(w[None, :] / (y[:, None] + 2.0 * z[None, :] + a)) / n
-    t3 = np.sum(np.outer(w, w) / (2.0 * z[:, None] + 2.0 * z[None, :] + a))
-    return float(t1 - 2.0 * t2 + t3)
+    n = y.shape[1]
+    w = min_pair_weights(n)
+    t1 = np.sum(1.0 / (y[:, :, None] + y[:, None, :] + a), axis=(1, 2)) / n**2
+    t2 = np.sum(w[None, None, :] / (y[:, :, None] + 2 * z[:, None, :] + a),
+                axis=(1, 2)) / n
+    t3 = np.sum(np.outer(w, w)[None, :, :]
+                / (2 * z[:, :, None] + 2 * z[:, None, :] + a), axis=(1, 2))
+    return t1 - 2 * t2 + t3
+
+
+def _vn(y, z, a, t):
+    """Difference of the two empirical transforms of each row of y (z sorted)
+    at t, which broadcasts against (rows, k); damped by e^{-at}."""
+    t = t[..., None]
+    l1 = np.exp(-t * y[:, None, :]).mean(axis=-1)
+    e2 = np.exp(-2.0 * t * z[:, None, :])
+    # one 2-D product: a stacked matmul rounds differently, and l1 - l2 cancels
+    l2 = (e2.reshape(-1, y.shape[1]) @ min_pair_weights(y.shape[1])).reshape(e2.shape[:-1])
+    return (l1 - l2) * np.exp(-a * t[..., 0])
 
 
 def vn_process(s: ScaledSample, a: float, t) -> float:
     """Difference of the two empirical transforms at t, damped by e^{-at}."""
-    _check_a(a)
+    if not (a > 0):
+        raise DomainError(f"tuning parameter a must be positive, got {a}")
     t = np.asarray(t, dtype=float)
-    l1 = np.exp(-np.multiply.outer(t, s.values)).mean(axis=-1)
-    l2 = np.exp(-2.0 * np.multiply.outer(t, s.sorted_values)) @ s.min_weights
-    out = (l1 - l2) * np.exp(-a * t)
+    out = _vn(s.values[None, :], s.sorted_values[None, :], a,
+              t.reshape(1, -1))[0].reshape(t.shape)
     return out if out.ndim else float(out)
 
 
@@ -104,69 +121,16 @@ def ld_upper_bound(a: float) -> float:
     return max(40.0 / a, 4.0)
 
 
-def stat_LD(s: ScaledSample, a: float) -> float:
-    """Supremum over t > 0 of |vn_process|, by 512-point log-spaced grid scan
-    plus golden-section refinement of the best bracket to |dt| < 1e-8."""
-    _check_a(a)
-    samples = s.values[None, :]
-    return float(_ld_many(samples, a)[0])
+def _ld(y, z, a):
+    """Supremum over t > 0 of |vn|, by 512-point log-spaced grid scan plus
+    golden-section refinement of the best bracket to |dt| < 1e-8."""
+    step = max(1, ELEMENT_BUDGET // y.size)  # grid points per scan step
 
+    def value(t):
+        return np.concatenate([np.abs(_vn(y, z, a, t[:, k:k + step]))
+                               for k in range(0, t.shape[1], step)], axis=1)
 
-def _ld_many(samples: np.ndarray, a: float, grid_points: int = 512,
-             tol: float = 1e-8) -> np.ndarray:
-    """Vectorized LD over rows of `samples` (already positive; scaled here)."""
-    y = samples / samples.mean(axis=1, keepdims=True)
-    z = np.sort(y, axis=1)
-    r, n = y.shape
-    w = min_pair_weights(n)
-    ts = np.geomspace(1e-4, ld_upper_bound(a), grid_points)
-
-    def value_at(tvec):
-        # tvec: (r,) candidate t per replicate
-        e1 = np.exp(-tvec[:, None] * y).mean(axis=1)
-        e2 = np.exp(-2.0 * tvec[:, None] * z) @ w
-        return np.abs(e1 - e2) * np.exp(-a * tvec)
-
-    best_v = np.full(r, -np.inf)
-    best_i = np.zeros(r, dtype=np.intp)
-    # chunk the grid to bound the (r, chunk, n) temporaries
-    chunk = max(1, int(2_000_000 // max(r * n, 1)) or 1)
-    for k0 in range(0, grid_points, chunk):
-        tk = ts[k0:k0 + chunk]
-        e1 = np.exp(-tk[None, :, None] * y[:, None, :]).mean(axis=2)
-        e2 = np.einsum("rkn,n->rk", np.exp(-2.0 * tk[None, :, None] * z[:, None, :]), w)
-        vals = np.abs(e1 - e2) * np.exp(-a * tk)[None, :]
-        i = np.argmax(vals, axis=1)
-        v = np.take_along_axis(vals, i[:, None], axis=1)[:, 0]
-        upd = v > best_v
-        best_v[upd] = v[upd]
-        best_i[upd] = i[upd] + k0
-
-    lo = ts[np.maximum(best_i - 1, 0)]
-    hi = ts[np.minimum(best_i + 1, grid_points - 1)]
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1 = value_at(x1)
-    f2 = value_at(x2)
-    for _ in range(_golden_iterations(lo, hi, tol)):
-        take1 = f1 >= f2
-        hi = np.where(take1, x2, hi)
-        lo = np.where(take1, lo, x1)
-        x1n = np.where(take1, hi - GOLDEN * (hi - lo), x2)
-        x2n = np.where(take1, x1, lo + GOLDEN * (hi - lo))
-        probe = np.where(take1, x1n, x2n)
-        fp = value_at(probe)
-        f1, f2 = np.where(take1, fp, f2), np.where(take1, f1, fp)
-        x1, x2 = x1n, x2n
-    refined = np.maximum(f1, f2)
-    return np.maximum(best_v, refined)
-
-
-def _golden_iterations(lo, hi, tol):
-    width = float(np.max(hi - lo))
-    if width <= tol:
-        return 0
-    return int(np.ceil(np.log(tol / width) / np.log(GOLDEN))) + 1
+    return maximize_log_grid(value, 1e-4, ld_upper_bound(a))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +151,24 @@ def kernel_ad(x, y, mu=1.0):
     return u + v - 1.0 - (mx + np.log1p(-np.exp(-mx)))
 
 
-def compute_classical(name: str, raw) -> float:
-    name = name.upper()
-    s = raw if isinstance(raw, ScaledSample) else scale_sample(raw)
-    y = s.values
-    n = s.n
-    if name == "EP":
-        return float(np.sqrt(48.0) * (np.mean(np.exp(-y)) - 0.5))
-    if name == "CO":
-        return float(1.0 + np.mean((1.0 - y) * np.log(y)))
-    if name == "GINI":
-        if n < 2:
-            raise DomainError("GINI requires n >= 2")
-        diffs = np.abs(y[:, None] - y[None, :]).sum()
-        return float(abs(diffs / (2.0 * n * (n - 1)) - 0.5))
-    if name == "MO":
-        return float(abs(EULER_GAMMA + np.mean(np.log(y))))
-    if name == "KS":
-        z = s.sorted_values
-        f0 = -np.expm1(-z)
-        i = np.arange(1, n + 1, dtype=float)
-        return float(max(np.max(i / n - f0), np.max(f0 - (i - 1) / n)))
-    if name == "CVM":
-        return float(kernel_cvm(y[:, None], y[None, :]).mean())
-    if name == "AD":
-        return float(kernel_ad(y[:, None], y[None, :]).mean())
-    raise DomainError(f"unsupported classical statistic {name!r}")
+def _pair_mean(kernel):
+    """Batched V-statistic mean of an order-2 kernel(x, y, mu, a)."""
+    return lambda y, z, a: kernel(y[:, :, None], y[:, None, :], 1.0, a).mean(axis=(1, 2))
+
+
+def _gini(y, z, a):
+    n = y.shape[1]
+    if n < 2:
+        raise DomainError("GINI requires n >= 2")
+    diffs = np.abs(y[:, :, None] - y[:, None, :]).sum(axis=(1, 2))
+    return np.abs(diffs / (2.0 * n * (n - 1)) - 0.5)
+
+
+def _ks(y, z, a):
+    n = y.shape[1]
+    f0 = -np.expm1(-z)
+    i = np.arange(1, n + 1, dtype=float)
+    return np.maximum(np.max(i / n - f0, axis=1), np.max(f0 - (i - 1) / n, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -256,105 +212,88 @@ def kernel_hm2(x, y, mu=1.0, a=1.0):
                    * np.exp(-s * s / (4 * a)))
 
 
-_ORDER2_KERNELS = {"BH": kernel_bh, "HE": kernel_he, "W": kernel_w,
-                   "HM1": kernel_hm1, "HM2": kernel_hm2}
-
-
-def _stat_mp(y: np.ndarray, a: float) -> float:
+def _mp_row(y: np.ndarray, a: float) -> float:
     """Pairwise-difference L2 statistic: expansion of the squared integrand.
 
     The statistic integrates (L_diff - L_sample)^2 e^{-at} where L_diff is the
     V-empirical transform of |Y_i - Y_j| (n^2 terms, diagonal included), so the
     expansion is a 4-index sum of reciprocals, chunked to bound memory.
+    O(n^4) per row, so the batched kernel loops over rows.
     """
     n = y.size
     d = np.abs(y[:, None] - y[None, :]).ravel()
     t3 = np.sum(1.0 / (a + y[:, None] + y[None, :])) / n**2
     t2 = np.sum(1.0 / (a + d[:, None] + y[None, :])) / (n**2 * n)
     t1 = 0.0
-    step = max(1, 50_000_000 // max(d.size, 1))
+    # not ELEMENT_BUDGET: t1 - 2 t2 + t3 cancels, and splitting the t1 sum
+    # (one piece up to n = 84) moves MP by up to 3e-11 relative at n = 50
+    step = max(1, 50_000_000 // d.size)
     for k0 in range(0, d.size, step):
         t1 += np.sum(1.0 / (a + d[k0:k0 + step, None] + d[None, :]))
     t1 /= float(n) ** 4
     return float(t1 - 2.0 * t2 + t3)
 
 
-def compute_laplace_family(name: str, raw, a: float) -> float:
-    name = name.upper()
-    _check_a(a)
-    s = raw if isinstance(raw, ScaledSample) else scale_sample(raw)
-    y = s.values
-    n = s.n
-    if name in _ORDER2_KERNELS:
-        k = _ORDER2_KERNELS[name]
-        return float(k(y[:, None], y[None, :], 1.0, a).mean())
-    if name == "JD":
-        return float(np.mean(1.0 / (y + a))
-                     - np.sum(s.min_weights / (2.0 * s.sorted_values + a)))
-    if name == "JP":
-        pair = np.abs(y[:, None] - y[None, :])
-        return float(np.mean(1.0 / (y + a)) - np.sum(1.0 / (pair + a)) / n**2)
-    if name == "MP":
-        return _stat_mp(y, a)
-    raise DomainError(f"unsupported Laplace-family statistic {name!r}")
+def _jp(y, z, a):
+    pair = np.abs(y[:, :, None] - y[:, None, :])
+    return (np.mean(1.0 / (y + a), axis=1)
+            - np.sum(1.0 / (pair + a), axis=(1, 2)) / y.shape[1]**2)
+
+
+# name -> batched kernel(y, z, a) of the scaled rows y (r, n), their ascending
+# sort z and the tuning parameter (None for plain statistics) -> (r,) values
+_KERNELS = {
+    "MD": _md,
+    "LD": _ld,
+    "EP": lambda y, z, a: np.sqrt(48.0) * (np.mean(np.exp(-y), axis=1) - 0.5),
+    "CO": lambda y, z, a: 1.0 + np.mean((1.0 - y) * np.log(y), axis=1),
+    "GINI": _gini,
+    "MO": lambda y, z, a: np.abs(EULER_GAMMA + np.mean(np.log(y), axis=1)),
+    "KS": _ks,
+    "CVM": _pair_mean(lambda x, y, mu, a: kernel_cvm(x, y, mu)),
+    "AD": _pair_mean(lambda x, y, mu, a: kernel_ad(x, y, mu)),
+    "BH": _pair_mean(kernel_bh),
+    "HE": _pair_mean(kernel_he),
+    "W": _pair_mean(kernel_w),
+    "HM1": _pair_mean(kernel_hm1),
+    "HM2": _pair_mean(kernel_hm2),
+    "JD": lambda y, z, a: (np.mean(1.0 / (y + a), axis=1)
+                           - np.sum(min_pair_weights(y.shape[1]) / (2.0 * z + a), axis=1)),
+    "JP": _jp,
+    "MP": lambda y, z, a: np.array([_mp_row(row, a) for row in y]),
+}
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(stat: StatisticId, raw) -> StatValue:
-    """Evaluate a statistic on a raw (unscaled) sample."""
-    s = raw if isinstance(raw, ScaledSample) else scale_sample(raw)
-    if stat.name == "MD":
-        value = stat_MD(s, stat.a)
-    elif stat.name == "LD":
-        value = stat_LD(s, stat.a)
-    elif stat.name in PLAIN_STATISTICS:
-        value = compute_classical(stat.name, s)
-    else:
-        value = compute_laplace_family(stat.name, s, stat.a)
-    return StatValue(value=value, n=s.n)
-
-
-def evaluate_many(stat: StatisticId, samples: np.ndarray,
-                  chunk_rows: int = 0) -> np.ndarray:
+def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     """Evaluate a statistic on each row of a (replicates, n) array.
 
-    MD and LD are fully vectorized (these drive the Monte Carlo loops); the
-    battery statistics fall back to a per-row loop.
+    Every entry must be a positive finite real; the first one that is not is
+    named by row and column.  Rows are taken in chunks of
+    ELEMENT_BUDGET // n^2, each chunk is scaled to unit row means and sorted
+    once, and the statistic's batched kernel evaluates it.  Each row's value
+    does not depend on the chunking.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2:
         raise DomainError("evaluate_many expects a 2-D (replicates, n) array")
-    r, n = samples.shape
-    if stat.name == "MD":
-        if chunk_rows <= 0:
-            chunk_rows = max(1, 20_000_000 // (n * n))
-        out = np.empty(r)
-        w = min_pair_weights(n)
-        a = stat.a
-        for k0 in range(0, r, chunk_rows):
-            x = samples[k0:k0 + chunk_rows]
-            y = x / x.mean(axis=1, keepdims=True)
-            z = np.sort(y, axis=1)
-            t1 = np.sum(1.0 / (y[:, :, None] + y[:, None, :] + a), axis=(1, 2)) / n**2
-            t2 = np.sum(w[None, None, :] / (y[:, :, None] + 2 * z[:, None, :] + a),
-                        axis=(1, 2)) / n
-            t3 = np.sum(np.outer(w, w)[None, :, :]
-                        / (2 * z[:, :, None] + 2 * z[:, None, :] + a), axis=(1, 2))
-            out[k0:k0 + chunk_rows] = t1 - 2 * t2 + t3
-        return out
-    if stat.name == "LD":
-        if chunk_rows <= 0:
-            chunk_rows = max(1, 3_000_000 // n)
-        out = np.empty(r)
-        for k0 in range(0, r, chunk_rows):
-            out[k0:k0 + chunk_rows] = _ld_many(samples[k0:k0 + chunk_rows], stat.a)
-        return out
-    return np.array([evaluate(stat, row).value for row in samples])
+    check_positive(x)
+    kernel = _KERNELS[stat.name]
+    r, n = x.shape
+    rows = max(1, ELEMENT_BUDGET // (n * n))
+    out = np.empty(r)
+    for k0 in range(0, r, rows):
+        chunk = x[k0:k0 + rows]
+        y = chunk / chunk.mean(axis=1, keepdims=True)
+        out[k0:k0 + rows] = kernel(y, np.sort(y, axis=1), stat.a)
+    return out
 
 
-def _check_a(a):
-    if a is None or not (a > 0):
-        raise DomainError(f"tuning parameter a must be positive, got {a}")
+def evaluate(stat: StatisticId, raw) -> StatValue:
+    """Evaluate a statistic on one raw (unscaled) sample: the one-row case of
+    evaluate_many.  A bad entry is named by its index."""
+    x = check_positive(np.asarray(raw, dtype=float).reshape(-1))
+    return StatValue(value=float(evaluate_many(stat, x[None, :])[0]), n=x.size)

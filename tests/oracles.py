@@ -6,6 +6,8 @@ adaptive quadrature on the empirical transforms, so agreement is a genuine
 cross-check rather than a re-run of the same code path.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -86,4 +88,24 @@ def oracle_statistic(name, sample, a=None):
         edges = np.concatenate([[0.0], ys, [max(60.0, ys[-1] + 40.0)]])
         return sum(_quad(f, lo, hi)
                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
+    raise ValueError(name)
+
+
+def plain_reference(name, sample):
+    """Per-sample definitions of the plain statistics without an integral
+    form, written as loops over the observations."""
+    y = [float(v) for v in _scaled(sample)]
+    n = len(y)
+    if name == "EP":
+        return math.sqrt(48.0) * (sum(math.exp(-v) for v in y) / n - 0.5)
+    if name == "CO":
+        return 1.0 + sum((1.0 - v) * math.log(v) for v in y) / n
+    if name == "GINI":
+        diffs = sum(abs(u - v) for u in y for v in y)
+        return abs(diffs / (2.0 * n * (n - 1)) - 0.5)
+    if name == "MO":
+        return abs(np.euler_gamma + sum(math.log(v) for v in y) / n)
+    if name == "KS":
+        f0 = [-math.expm1(-v) for v in sorted(y)]
+        return max(max(i / n - f, f - (i - 1) / n) for i, f in enumerate(f0, 1))
     raise ValueError(name)

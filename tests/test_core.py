@@ -106,3 +106,17 @@ class TestRngStream:
     def test_frozen(self):
         with pytest.raises(Exception):
             RngStream(1).seed = 2
+
+    def test_identity_carries_spawn_key(self):
+        a, b = RngStream(1).substream(0), RngStream(1).substream(1)
+        assert a != b
+        assert hash(a) != hash(b)
+        assert a == RngStream(1).substream(0)
+        assert hash(a) == hash(RngStream(1).substream(0))
+        assert a.substream(2) != b.substream(2)
+        assert "key=(0, 2)" in repr(a.substream(2))
+
+    def test_generator_follows_seed_sequence_spawn_key(self):
+        s = RngStream(7, stream=3).substream(2).substream(5)
+        direct = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3, 2, 5)))
+        np.testing.assert_array_equal(s.generator().random(4), direct.random(4))

@@ -153,3 +153,17 @@ def test_sampler_deterministic(fid, seed):
     a = sample_alternative(fid, th, 8, RngStream(seed))
     b = sample_alternative(fid, th, 8, RngStream(seed))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("fid,direct", [
+    ("gamma", lambda g: g.gamma(2.0, size=(3, 4))),
+    ("halfnormal", lambda g: np.abs(g.standard_normal(size=(3, 4)))),
+    ("lognormal", lambda g: np.exp(0.8 * g.standard_normal(size=(3, 4)))),
+    ("weibull", lambda g: get_family("weibull").inverse_cdf(
+        np.maximum(g.random(size=(3, 4)), 1e-300), 0.4)),
+])
+def test_sampler_generator_calls(fid, direct):
+    # the variates come from these generator calls, so they stay reproducible
+    th = {"gamma": 1.0, "halfnormal": None, "lognormal": 0.8, "weibull": 0.4}[fid]
+    x = sample_alternative(fid, th, (3, 4), RngStream(11, 2))
+    np.testing.assert_array_equal(x, direct(RngStream(11, 2).generator()))

@@ -208,6 +208,10 @@ class TestPValue:
         assert abs(hi - 1.0 / 10_001) < 1e-15
         assert abs(lo - 1.0) < 1e-15
 
+    def test_rejects_single_observation(self):
+        with pytest.raises(DomainError):
+            p_value_mc(StatisticId("MD", 1.0), [1.5], 10_000, RngStream(3))
+
     def test_never_zero_or_above_one(self, gen):
         x = gen.exponential(size=12)
         p = p_value_mc(StatisticId("LD", 1.0), x, 10_000, RngStream(4))

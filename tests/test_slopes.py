@@ -161,3 +161,9 @@ class TestReferenceEfficiencies:
         assert a0 == 1.0
         assert abs(e0 - efficiency(StatisticId("JD", 1.0), "lfr").efficiency) \
             < 1e-12
+
+    def test_ks_weibull_rate_extrapolates_to_limit(self):
+        # b/theta tends to 0.363397 as theta decreases (halving steps, so
+        # the second Richardson step removes an O(theta^2) remainder)
+        rep = efficiency(StatisticId("KS"), "weibull")
+        assert abs(rep.b_coeff - 0.363397) < 5e-6

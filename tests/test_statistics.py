@@ -9,10 +9,9 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_ad, kernel_bh,
                                  kernel_cvm, kernel_he, kernel_hm1,
-                                 kernel_hm2, kernel_w, stat_LD, stat_MD,
-                                 vn_process)
+                                 kernel_hm2, kernel_w, vn_process)
 
-from oracles import oracle_statistic
+from oracles import oracle_statistic, plain_reference
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -62,7 +61,7 @@ class TestMDAndLD:
     def test_md_zero_only_in_limit(self, gen):
         # MD is a squared distance: strictly positive on finite samples
         x = gen.exponential(size=15)
-        assert stat_MD(scale_sample(x), 1.0) > 0
+        assert evaluate(StatisticId("MD", 1.0), x).value > 0
 
     def test_vn_process_matches_direct(self, gen):
         x = gen.exponential(size=9)
@@ -80,7 +79,7 @@ class TestMDAndLD:
         for a in (0.5, 1.0, 5.0):
             ts = np.linspace(1e-4, max(40.0 / a, 4.0), 200_001)
             brute = float(np.max(np.abs(vn_process(s, a, ts))))
-            val = stat_LD(s, a)
+            val = evaluate(StatisticId("LD", a), x).value
             assert val >= brute - 1e-9
             assert abs(val - brute) < 1e-6
 
@@ -89,14 +88,17 @@ class TestMDAndLD:
         s = scale_sample(x)
         a = 1.0
         ts = np.geomspace(1e-4, 40.0, 512)
-        assert stat_LD(s, a) >= np.max(np.abs(vn_process(s, a, ts))) - 1e-12
+        assert (evaluate(StatisticId("LD", a), x).value
+                >= np.max(np.abs(vn_process(s, a, ts))) - 1e-12)
 
     def test_invalid_a(self, gen):
-        s = scale_sample(gen.exponential(size=5))
+        x = gen.exponential(size=5)
         with pytest.raises(DomainError):
-            stat_MD(s, 0.0)
+            evaluate(StatisticId("MD", 0.0), x)
         with pytest.raises(DomainError):
-            stat_LD(s, -2.0)
+            evaluate(StatisticId("LD", -2.0), x)
+        with pytest.raises(DomainError):
+            vn_process(scale_sample(x), 0.0, 1.0)
 
 
 class TestKernels:
@@ -142,15 +144,43 @@ class TestEvaluateMany:
         single = np.array([evaluate(stat, row).value for row in x])
         np.testing.assert_allclose(many, single, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["EP", "CO", "GINI", "MO", "KS"])
+    def test_plain_rows_match_loop_reference(self, name, gen):
+        x = gen.exponential(size=(20, 13)) * 2.5
+        many = evaluate_many(StatisticId(name), x)
+        reference = [plain_reference(name, row) for row in x]
+        np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
+
     def test_chunking_does_not_change_results(self, gen):
-        x = gen.exponential(size=(9, 8))
-        a = evaluate_many(StatisticId("MD", 1.0), x, chunk_rows=2)
-        b = evaluate_many(StatisticId("MD", 1.0), x, chunk_rows=9)
-        np.testing.assert_array_equal(a, b)
+        # n = 150 gives chunks of 44 rows.  LD's golden-section step count
+        # follows the widest bracket in a call, so LD agrees to rounding only
+        x = gen.exponential(size=(100, 150))
+        for name in sorted(ALL_STATISTICS - {"MP"}):
+            stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+            whole = evaluate_many(stat, x)
+            parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
+                                    for k in range(0, 100, 7)])
+            np.testing.assert_allclose(whole, parts, atol=0,
+                                       rtol=1e-12 if name == "LD" else 0)
 
     def test_rejects_wrong_shape(self, gen):
         with pytest.raises(DomainError):
             evaluate_many(StatisticId("MD", 1.0), gen.exponential(size=7))
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.nan, np.inf])
+    def test_rejects_bad_entry_with_row_and_column(self, bad):
+        x = np.ones((3, 4))
+        x[1, 2] = bad
+        with pytest.raises(DomainError, match="row 1, column 2"):
+            evaluate_many(StatisticId("MD", 1.0), x)
+
+    def test_rejects_negative_entry_in_single_row(self):
+        with pytest.raises(DomainError, match="row 0, column 1"):
+            evaluate_many(StatisticId("MD", 1.0), [[1.0, -2.0, 3.0]])
+
+    def test_evaluate_names_first_offending_index(self):
+        with pytest.raises(DomainError, match="index 2"):
+            evaluate(StatisticId("LD", 1.0), [1.0, 2.0, -1.0, 3.0])
 
 
 class TestClassicalValues:
