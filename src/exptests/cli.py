@@ -114,22 +114,12 @@ def _cmd_critval(args):
     if args.n is None:
         raise DomainError("--n is required for the critval subcommand")
     rows = []
-    cals = []
     for a in _parse_a_list(args.a):
         stat = _statistic(args, a)
         cal = nulldist.calibrate_critical_value(stat, args.n, args.alpha,
                                                 args.replicates, RngStream(seed),
                                                 threads=args.threads)
-        cals.append(cal)
-        for al in cal.alphas:
-            rows.append({
-                "statistic": stat.name,
-                "a": "" if stat.a is None else repr(float(stat.a)),
-                "n": args.n, "alpha": repr(float(al)),
-                "critical_value": repr(cal.critical_values[al]),
-                "se": repr(cal.standard_errors[al]),
-                "replicates": cal.replicates, "seed": seed,
-            })
+        rows.extend(nulldist.calibration_rows(cal))
     _emit(rows, list(nulldist.CALIBRATION_COLUMNS), args)
     return 0
 
@@ -178,9 +168,10 @@ def _cmd_efficiency(args):
             "family": rep.family, "a_T": repr(rep.a_T),
             "c_coeff": repr(rep.c_coeff), "lrt_coeff": repr(rep.lrt_coeff),
             "efficiency": repr(rep.efficiency),
+            "b_coeff": repr(rep.b_coeff), "flagged": rep.flagged,
         })
     _emit(rows, ["statistic", "a", "family", "a_T", "c_coeff", "lrt_coeff",
-                 "efficiency"], args)
+                 "efficiency", "b_coeff", "flagged"], args)
     return 0
 
 

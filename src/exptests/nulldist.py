@@ -6,10 +6,12 @@ Contents:
   h2_tilde(u, v; a) of the pair-minimum V-statistic under Exp(1);
 * the closed-form covariance K(s, t; a) of the limiting Gaussian process of
   the supremum statistic, and its maximal variance sup_t K(t, t);
-* eigenvalue approximation for the integral operator with kernel h2_tilde on
-  L2(Exp(1)): an equal-width discretization with exponential cell masses
-  (the matrix route) and a Gauss-Legendre Nystrom ladder used as the primary
-  estimate of the largest eigenvalue delta1;
+* the largest eigenvalue delta1 of the integral operator with kernel
+  h2_tilde on L2(Exp(1)), from two symmetric discretizations: a
+  Gauss-Legendre Nystrom ladder (the primary estimate) and an equal-width
+  grid with exponential cell masses (the matrix route, built in row blocks).
+  Only the top eigenvalue is computed, by Lanczos iteration
+  (numeric.largest_eigenvalue);
 * Monte Carlo calibration of critical values and p-values.
 
 Tail coefficients: the L2 statistic nMD converges to 6 sum delta_k W_k^2, so
@@ -31,8 +33,9 @@ from scipy.special import expi
 
 from .core import RngStream
 from .errors import DomainError, NumericsError
-from .numeric import exp_measure_nodes, maximize_log_grid
-from .statistics import StatisticId, evaluate, evaluate_many, ld_upper_bound
+from .numeric import exp_measure_nodes, largest_eigenvalue, maximize_log_grid
+from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
+                         ld_upper_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,10 @@ def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
     midpoints (midpoint evaluation converges at second order, left endpoints
     only at first), and the matrix is
 
-        m_ij = kernel(x_i, x_j; a) sqrt(p_i p_j) / (1 - e^{-B}).
+        m_ij = kernel(x_i, x_j; a) sqrt(p_i p_j) / (1 - e^{-B}),
+
+    symmetrized.  The kernel is evaluated on blocks of ELEMENT_BUDGET // (m+1)
+    full rows, so no (m+1)^2 temporaries are built.
     """
     if m < 100:
         raise DomainError("grid size m must be at least 100")
@@ -146,15 +152,20 @@ def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
     nodes = (i + 0.5) * h
     p = np.exp(-i * h) - np.exp(-(i + 1) * h)
     sq = np.sqrt(p / (-np.expm1(-B)))
-    mat = kernel(nodes[:, None], nodes[None, :], a) * np.outer(sq, sq)
-    mat = 0.5 * (mat + mat.T)
+    mat = np.empty((m + 1, m + 1))
+    rows = max(1, ELEMENT_BUDGET // (m + 1))
+    for r0 in range(0, m + 1, rows):
+        r = slice(r0, r0 + rows)
+        mat[r] = kernel(nodes[r, None], nodes[None, :], a) * np.outer(sq[r], sq)
+    mat += mat.T
+    mat *= 0.5
     return EigenApproximation(a=a, m=m, B=B, matrix=mat)
 
 
 def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
-    """Largest eigenvalue of the discretized operator (dense symmetric solve)."""
-    vals = np.linalg.eigvalsh(approx.matrix)
-    approx.delta1 = float(vals[-1])
+    """Largest eigenvalue of the discretized operator (Lanczos iteration for
+    the top eigenvalue only); recorded in approx.delta1 and approx.trace."""
+    approx.delta1 = largest_eigenvalue(approx.matrix)
     approx.trace.append((approx.m, approx.B, approx.delta1))
     return approx.delta1
 
@@ -193,7 +204,7 @@ def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
     Exp(1) probability scale (u = 1 - e^{-x}); spectrally convergent."""
     x, w = exp_measure_nodes(n_nodes)
     mat = h2_tilde(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
-    return float(np.linalg.eigvalsh(mat)[-1])
+    return largest_eigenvalue(mat)
 
 
 @lru_cache(maxsize=None)
@@ -308,30 +319,45 @@ def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
 # ---------------------------------------------------------------------------
 
 CALIBRATION_COLUMNS = ("statistic", "a", "n", "alpha", "critical_value",
-                       "se", "replicates", "seed")
+                       "se", "replicates", "seed", "stream", "key")
+
+
+def calibration_rows(cal: NullCalibration) -> list:
+    """One row per alpha, keyed by CALIBRATION_COLUMNS.  The RngStream is
+    written whole: its seed, its stream index and its spawn key as the
+    substream indices joined by ':' (empty for none)."""
+    a = cal.statistic.a
+    return [{"statistic": cal.statistic.name,
+             "a": "" if a is None else repr(float(a)),
+             "n": cal.n, "alpha": repr(float(al)),
+             "critical_value": repr(cal.critical_values[al]),
+             "se": repr(cal.standard_errors[al]),
+             "replicates": cal.replicates, "seed": cal.seed.seed,
+             "stream": cal.seed.stream,
+             "key": ":".join(str(k) for k in cal.seed.key)}
+            for al in cal.alphas]
 
 
 def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CALIBRATION_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CALIBRATION_COLUMNS)
+        writer.writeheader()
         for cal in calibrations:
-            for al in cal.alphas:
-                writer.writerow([cal.statistic.name,
-                                 "" if cal.statistic.a is None else repr(cal.statistic.a),
-                                 cal.n, repr(float(al)),
-                                 repr(cal.critical_values[al]),
-                                 repr(cal.standard_errors[al]),
-                                 cal.replicates, cal.seed.seed])
+            writer.writerows(calibration_rows(cal))
 
 
 def load_calibrations(path) -> list:
+    """Read a calibration CSV; files without the stream and key columns load
+    as stream 0 with an empty spawn key."""
     out: Dict[tuple, dict] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             a = float(row["a"]) if row["a"] else None
             stat = StatisticId(row["statistic"], a)
-            key = (stat, int(row["n"]), int(row["replicates"]), int(row["seed"]))
+            seed = RngStream(int(row["seed"]), int(row.get("stream") or 0),
+                             tuple(int(k) for k in (row.get("key") or "").split(":")
+                                   if k))
+            key = (stat, int(row["n"]), int(row["replicates"]), seed)
             rec = out.setdefault(key, {})
             rec[float(row["alpha"])] = (float(row["critical_value"]),
                                         float(row["se"]))
@@ -342,5 +368,5 @@ def load_calibrations(path) -> list:
             statistic=stat, n=n, alphas=alphas,
             critical_values={al: rec[al][0] for al in alphas},
             standard_errors={al: rec[al][1] for al in alphas},
-            replicates=reps, seed=RngStream(seed)))
+            replicates=reps, seed=seed))
     return cals

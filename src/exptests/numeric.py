@@ -1,9 +1,13 @@
-"""Shared numerical helpers: quadrature grids, 1-D maximization, scaled Ei."""
+"""Shared numerical helpers: quadrature grids, 1-D maximization, the largest
+eigenvalue of a symmetric matrix, scaled Ei."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import expi
+
+from .errors import NumericsError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,6 +75,22 @@ def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
     refined_v, refined_t = np.where(up, f1, f2), np.where(up, x1, x2)
     better = refined_v > best_v
     return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
+
+
+def largest_eigenvalue(mat) -> float:
+    """Largest eigenvalue of a dense symmetric matrix.
+
+    Lanczos iteration (ARPACK) for the top eigenvalue only, to machine
+    precision, from the fixed start vector of ones so that repeated calls
+    return the same float.  Raises NumericsError if ARPACK does not converge.
+    """
+    try:
+        (val,) = eigsh(mat, k=1, which="LA", v0=np.ones(mat.shape[0]),
+                       return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise NumericsError(f"largest eigenvalue of a {mat.shape[0]}x"
+                            f"{mat.shape[1]} matrix did not converge: {exc}") from exc
+    return float(val)
 
 
 def ei_scaled(z):

@@ -31,7 +31,7 @@ from scipy.special import exp1, expi
 from .errors import DomainError
 from .families import LOCAL_FAMILIES, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
-                      maximize_log_grid, panel_gauss_nodes)
+                      largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
 from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
 from .statistics import (StatisticId, kernel_ad, kernel_bh, kernel_cvm,
                          kernel_he, kernel_hm1, kernel_hm2, kernel_w,
@@ -74,13 +74,51 @@ def _halfline_grid(refine: int = 1):
 
 @lru_cache(maxsize=None)
 def _pair_grid(refine: int = 1):
+    """Tensor grid of _halfline_grid: x (k, 1), y (1, k) and weights (k, k)."""
     x, w = _halfline_grid(refine)
     return x[:, None], x[None, :], np.outer(w, w)
 
 
-def _double_integral(f2, refine: int = 1) -> float:
+MU_STEP = 1e-4  # central-difference step of the L2 mu-derivatives
+
+
+@lru_cache(maxsize=1)
+def _pair_kernel(name: str, a: Optional[float], refine: int):
+    """Family-independent part of a pair-grid double integral (MD, MP and
+    the L2 battery), so that each family costs one quadratic form.
+
+    Returns (K, d, c) with K_ij = Phi(x_i, x_j) W_ij, the kernel weighted by
+    the pair-grid quadrature weights W; Phi is h2_tilde for MD,
+    mp_projected_kernel for MP and the battery kernel at mu = 1 for an L2
+    member.  For an L2 member d = D1 g0 and c = g0' D2 g0 contract the
+    weighted mu-derivatives D1, D2 of the kernel (central differences with
+    step MU_STEP) with g0 = e^{-x}; both are None for MD and MP.
+
+    One entry suffices because sweeps of the efficiency tables loop over the
+    families innermost; it also means no 720 x 720 matrix outlives the next
+    (statistic, a).
+    """
     xg, yg, wg = _pair_grid(refine)
-    return float(np.sum(f2(xg, yg) * wg))
+    if name == "MD":
+        return h2_tilde(xg, yg, a) * wg, None, None
+    if name == "MP":
+        return mp_projected_kernel(xg, yg, a) * wg, None, None
+    kernel, _, _ = _L2_KERNELS[name]
+    h = MU_STEP
+    g0 = np.exp(-xg[:, 0])
+    p0 = kernel(xg, yg, 1.0, a)
+    pp = kernel(xg, yg, 1.0 + h, a)
+    pm = kernel(xg, yg, 1.0 - h, a)
+    d1 = (pp - pm) / (2 * h) * wg
+    d2 = (pp - 2 * p0 + pm) / (h * h) * wg
+    return p0 * wg, d1 @ g0, float(g0 @ d2 @ g0)
+
+
+def _score_form(mat, fam, refine: int = 1) -> float:
+    """gp' mat gp with gp the family's scores g'(x; 0) on the half-line grid:
+    the double integral of a _pair_kernel matrix against the scores."""
+    gp = fam.deriv0(_halfline_grid(refine)[0])
+    return float(gp @ mat @ gp)
 
 
 def _single_integral(f, refine: int = 1) -> float:
@@ -130,9 +168,7 @@ def lrt_local_coefficient(family_id: str, refine: int = 1) -> float:
 def slope_MD(a: float, family, refine: int = 1) -> float:
     """c_coeff = (double integral of h2_tilde against the scores) / delta1."""
     fam = _local_family(family)
-    gp = fam.deriv0
-    integral = _double_integral(lambda x, y: h2_tilde(x, y, a) * gp(x) * gp(y),
-                                refine=refine)
+    integral = _score_form(_pair_kernel("MD", a, refine)[0], fam, refine)
     delta1 = largest_eigenvalue_delta1(a).delta1
     return integral / delta1
 
@@ -331,26 +367,18 @@ def _l2_operator_eigenvalue(name: str, a: Optional[float], refine: int = 1) -> f
     else:
         mass = w
     mat = cov(t[:, None], t[None, :]) * np.sqrt(np.outer(mass, mass))
-    return float(np.linalg.eigvalsh(mat)[-1])
+    return largest_eigenvalue(mat)
 
 
-def _l2_numerator(name: str, a: Optional[float], fam, refine: int = 1,
-                  h: float = 1e-4) -> float:
+def _l2_numerator(name: str, a: Optional[float], fam, refine: int = 1) -> float:
     """theta^2-coefficient of b_T^2: expands Phi(x, y; mu(theta)) under
     g_theta x g_theta, with mu-derivatives by central differences."""
-    kernel, _, _ = _L2_KERNELS[name]
-    xg, yg, wg = _pair_grid(refine)
-    gp_x = fam.deriv0(xg[:, 0])
-    g0_x = np.exp(-xg[:, 0])
+    p0, d1_g0, c = _pair_kernel(name, a, refine)
+    gp = fam.deriv0(_halfline_grid(refine)[0])
     mu1 = fam.mu_prime0
-    p0 = kernel(xg, yg, 1.0, a)
-    pp = kernel(xg, yg, 1.0 + h, a)
-    pm = kernel(xg, yg, 1.0 - h, a)
-    dp = (pp - pm) / (2 * h)
-    d2p = (pp - 2 * p0 + pm) / (h * h)
-    t1 = 2.0 * np.einsum("ij,i,j,ij->", p0, gp_x, gp_x, wg)
-    t2 = 4.0 * mu1 * np.einsum("ij,i,j,ij->", dp, gp_x, g0_x, wg)
-    t3 = mu1 * mu1 * np.einsum("ij,i,j,ij->", d2p, g0_x, g0_x, wg)
+    t1 = 2.0 * (gp @ p0 @ gp)
+    t2 = 4.0 * mu1 * (gp @ d1_g0)
+    t3 = mu1 * mu1 * c
     return float(t1 + t2 + t3)
 
 
@@ -373,7 +401,7 @@ def mp_projected_kernel(x, y, a):
 def _mp_eigenvalue(a: float, refine: int = 1) -> float:
     x, w = exp_measure_nodes(240 * refine)
     mat = mp_projected_kernel(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
-    return float(np.linalg.eigvalsh(mat)[-1])
+    return largest_eigenvalue(mat)
 
 
 def slope_L2_family(name: str, a: Optional[float], family,
@@ -383,10 +411,7 @@ def slope_L2_family(name: str, a: Optional[float], family,
     if name == "MP":
         if a is None or a <= 0:
             raise DomainError("MP requires a positive tuning parameter")
-        gp = fam.deriv0
-        integral = _double_integral(
-            lambda x, y: mp_projected_kernel(x, y, a) * gp(x) * gp(y),
-            refine=refine)
+        integral = _score_form(_pair_kernel("MP", a, refine)[0], fam, refine)
         return integral / _mp_eigenvalue(a, refine)
     if name not in _L2_KERNELS:
         raise DomainError(f"{name} is not an L2-type battery member")

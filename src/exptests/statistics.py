@@ -33,7 +33,8 @@ from .numeric import maximize_log_grid
 EULER_GAMMA = float(np.euler_gamma)
 
 # elements per (rows, n, n) temporary: fixes the rows of an evaluate_many
-# chunk and the grid points per LD scan step
+# chunk and the grid points per LD scan step (and the rows of a
+# nulldist.eigen_matrix block)
 ELEMENT_BUDGET = 1_000_000
 
 TUNED_STATISTICS = frozenset({"MD", "LD", "BH", "HE", "W", "HM1", "HM2",

@@ -4,6 +4,11 @@ Each statistic in the package is computed through a closed form or an O(n^2)
 kernel sum; the functions here instead evaluate the defining integrals by
 adaptive quadrature on the empirical transforms, so agreement is a genuine
 cross-check rather than a re-run of the same code path.
+
+The pair-grid references at the end evaluate the slope numerators of MD, MP
+and the L2 battery one family at a time: the kernel is evaluated on the
+package's pair grid for every family and summed against the family scores as
+one product array, with no matrix shared between families.
 """
 
 import math
@@ -109,3 +114,32 @@ def plain_reference(name, sample):
         f0 = [-math.expm1(-v) for v in sorted(y)]
         return max(max(i / n - f, f - (i - 1) / n) for i, f in enumerate(f0, 1))
     raise ValueError(name)
+
+
+def pair_score_integral(kernel, a, fam, refine=1):
+    """Double integral of kernel(x, y, a) g'(x) g'(y) over the pair grid,
+    with g' the family's scores at theta = 0 (MD and MP numerators)."""
+    from exptests.slopes import _pair_grid
+    xg, yg, wg = _pair_grid(refine)
+    gp = fam.deriv0
+    return float(np.sum(kernel(xg, yg, a) * gp(xg) * gp(yg) * wg))
+
+
+def l2_numerator_reference(kernel, a, fam, refine=1, h=1e-4):
+    """theta^2-coefficient of b_T^2 for an L2 battery kernel Phi(x, y, mu, a):
+    three sums over the pair grid, with the mu-derivatives of the kernel at
+    mu = 1 by central differences of step h."""
+    from exptests.slopes import _pair_grid
+    xg, yg, wg = _pair_grid(refine)
+    gp = fam.deriv0(xg[:, 0])
+    g0 = np.exp(-xg[:, 0])
+    mu1 = fam.mu_prime0
+    p0 = kernel(xg, yg, 1.0, a)
+    pp = kernel(xg, yg, 1.0 + h, a)
+    pm = kernel(xg, yg, 1.0 - h, a)
+    dp = (pp - pm) / (2 * h)
+    d2p = (pp - 2 * p0 + pm) / (h * h)
+    t1 = 2.0 * np.einsum("ij,i,j,ij->", p0, gp, gp, wg)
+    t2 = 4.0 * mu1 * np.einsum("ij,i,j,ij->", dp, gp, g0, wg)
+    t3 = mu1 * mu1 * np.einsum("ij,i,j,ij->", d2p, g0, g0, wg)
+    return float(t1 + t2 + t3)

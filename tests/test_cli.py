@@ -127,6 +127,20 @@ class TestEfficiencySubcommand:
         row = next(csv.DictReader(io.StringIO(out)))
         assert abs(float(row["efficiency"]) - 0.876) < 0.02
 
+    def test_reports_b_coeff_and_flag_after_efficiency(self, capsys):
+        from exptests import slopes
+        from exptests.statistics import StatisticId
+        code, out, _ = run(["efficiency", "--stat", "KS",
+                            "--family", "weibull", "--seed", "1"], capsys)
+        assert code == 0
+        header = out.splitlines()[0].split(",")
+        assert header == ["statistic", "a", "family", "a_T", "c_coeff",
+                          "lrt_coeff", "efficiency", "b_coeff", "flagged"]
+        row = next(csv.DictReader(io.StringIO(out)))
+        rep = slopes.efficiency(StatisticId("KS"), "weibull")
+        assert float(row["b_coeff"]) == rep.b_coeff
+        assert row["flagged"] == "False"
+
     def test_requires_family(self, capsys):
         code, _, _ = run(["efficiency", "--stat", "EP", "--seed", "1"],
                          capsys)

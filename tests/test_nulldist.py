@@ -110,6 +110,16 @@ class TestEigenMachinery:
                               kernel=lambda x, y, a: np.exp(-x - y))
         assert abs(matrix_largest_eigenvalue(approx) - 1.0 / 3.0) < 1e-3
 
+    def test_row_blocks_match_full_broadcast(self):
+        m, B = 2000, 30.0
+        i = np.arange(m + 1, dtype=float)
+        nodes = (i + 0.5) * (B / m)
+        p = np.exp(-i * (B / m)) - np.exp(-(i + 1) * (B / m))
+        sq = np.sqrt(p / (-np.expm1(-B)))
+        full = h2_tilde(nodes[:, None], nodes[None, :], 1.0) * np.outer(sq, sq)
+        full = 0.5 * (full + full.T)
+        assert eigen_matrix(1.0, m, B).matrix.tobytes() == full.tobytes()
+
     def test_validation(self):
         with pytest.raises(DomainError):
             eigen_matrix(1.0, 50, 25.0)
@@ -197,6 +207,26 @@ class TestCalibration:
         assert got.statistic == cal.statistic
         assert got.n == cal.n
         assert got.critical_values == cal.critical_values
+
+    def test_roundtrip_csv_keeps_stream_and_key(self, tmp_path):
+        stat = StatisticId("MD", 1.0)
+        cals = [calibrate_critical_value(stat, 5, replicates=10_000, rng=rng)
+                for rng in (RngStream(7, stream=3),
+                            RngStream(7, stream=3).substream(2).substream(0),
+                            RngStream(7))]
+        path = tmp_path / "cal.csv"
+        save_calibrations(path, cals)
+        loaded = load_calibrations(path)
+        assert [c.seed for c in loaded] == [c.seed for c in cals]
+        assert loaded == cals
+
+    def test_csv_without_stream_columns_loads_as_stream_zero(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("statistic,a,n,alpha,critical_value,se,replicates,seed\n"
+                        "MD,1.0,5,0.05,0.0123,0.0021794494717703367,10000,7\n")
+        (got,) = load_calibrations(path)
+        assert got.seed == RngStream(7, stream=0, key=())
+        assert got.critical_values == {0.05: 0.0123}
 
 
 class TestPValue:

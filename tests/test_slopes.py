@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from exptests import slopes
 from exptests.errors import DomainError
-from exptests.families import get_family
+from exptests.families import LOCAL_FAMILIES, get_family
+from exptests.nulldist import h2_tilde, largest_eigenvalue_delta1
 from exptests.slopes import (EFFICIENCY_SLACK, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
                              min_pair_laplace, mp_projected_kernel, phi1_tilde,
                              psi_JD, psi_JP, slope_coefficient, slope_MD)
 from exptests.statistics import StatisticId
+from oracles import l2_numerator_reference, pair_score_integral
 
 # frozen double-integral oracles (adaptive quadrature of the projected kernel
 # against the family scores, recorded at development time)
@@ -83,12 +86,9 @@ class TestProjections:
 
 class TestSlopeMechanics:
     def test_md_integral_oracles(self):
-        from exptests.nulldist import h2_tilde
-        from exptests.slopes import _double_integral
         for a, fam_id, expected in MD_INTEGRALS:
-            gp = get_family(fam_id).deriv0
-            got = _double_integral(
-                lambda x, y: h2_tilde(x, y, a) * gp(x) * gp(y))
+            got = slopes._score_form(slopes._pair_kernel("MD", a, 1)[0],
+                                     get_family(fam_id))
             assert abs(got - expected) < 1e-4 * abs(expected) + 1e-10
 
     def test_zero_score_gives_zero_slope(self):
@@ -135,6 +135,60 @@ class TestSlopeMechanics:
             rep = efficiency(stat, fam)
             assert not rep.flagged
             assert 0.0 <= rep.efficiency <= EFFICIENCY_SLACK
+
+
+PAIR_GRID_STATISTICS = ([StatisticId("CVM"), StatisticId("AD")]
+                        + [StatisticId(name, a)
+                           for name in ("MD", "MP", "BH", "HE", "W", "HM1", "HM2")
+                           for a in (0.5, 2.0)])
+
+
+def _per_family_slope(stat, fam):
+    """slope_coefficient with its numerator from the per-family references."""
+    if stat.name == "MD":
+        return (pair_score_integral(h2_tilde, stat.a, fam)
+                / largest_eigenvalue_delta1(stat.a).delta1)
+    if stat.name == "MP":
+        return (pair_score_integral(mp_projected_kernel, stat.a, fam)
+                / slopes._mp_eigenvalue(stat.a, 1))
+    kernel = slopes._L2_KERNELS[stat.name][0]
+    return (l2_numerator_reference(kernel, stat.a, fam)
+            / (2.0 * slopes._l2_operator_eigenvalue(stat.name, stat.a, 1)))
+
+
+@pytest.fixture(scope="module")
+def per_family_slopes():
+    return {(stat, fam_id): _per_family_slope(stat, get_family(fam_id))
+            for stat in PAIR_GRID_STATISTICS for fam_id in LOCAL_FAMILIES}
+
+
+class TestPairKernelContraction:
+    """One cached kernel matrix per (statistic, a) gives the slopes of the
+    per-family double integrals, whatever order the families come in."""
+
+    @staticmethod
+    def _check(stat, fam, expected):
+        got = slope_coefficient(stat, fam)
+        assert abs(got - expected) <= 1e-12 * abs(expected), (stat, fam)
+
+    def test_families_inner(self, per_family_slopes):
+        for stat in PAIR_GRID_STATISTICS:
+            for fam_id in LOCAL_FAMILIES:
+                self._check(stat, fam_id, per_family_slopes[stat, fam_id])
+
+    def test_families_outer(self, per_family_slopes):
+        for fam_id in LOCAL_FAMILIES:
+            for stat in PAIR_GRID_STATISTICS:
+                self._check(stat, fam_id, per_family_slopes[stat, fam_id])
+
+    def test_stub_family_sharing_an_id(self, per_family_slopes):
+        # scores come from the family object, not from its id
+        weibull = get_family("weibull")
+        stub = dataclasses.replace(get_family("gamma"), deriv0=weibull.deriv0,
+                                   mu_prime0=weibull.mu_prime0)
+        for stat in PAIR_GRID_STATISTICS:
+            self._check(stat, "gamma", per_family_slopes[stat, "gamma"])
+            self._check(stat, stub, per_family_slopes[stat, "weibull"])
 
 
 class TestReferenceEfficiencies:
