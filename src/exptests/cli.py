@@ -2,6 +2,7 @@
 
 Subcommands:
   test        evaluate a statistic on a data file, with critical value and p-value
+              from one simulated null run
   critval     build Monte Carlo critical-value tables
   power       estimate power cells against an alternative family
   efficiency  local Bahadur efficiency reports / curves
@@ -90,18 +91,20 @@ def _cmd_test(args):
         raise DomainError("the test subcommand takes a single --a value")
     stat = _statistic(args, a_list[0])
     x = read_sample(args.input)
-    rng = RngStream(seed)
     value = evaluate(stat, x).value
-    cal = nulldist.calibrate_critical_value(stat, x.size, args.alpha,
-                                            args.replicates, rng,
-                                            threads=args.threads)
-    crit = cal.critical_values[args.alpha]
-    p = nulldist.p_value_mc(stat, x, args.replicates, rng,
-                            threads=args.threads, observed=value)
+    alphas = nulldist.check_calibration_inputs(x.size, args.alpha,
+                                               args.replicates)
+    # one null run gives both the critical value and the p-value
+    null = nulldist.simulate_null_statistics(stat, x.size, args.replicates,
+                                             RngStream(seed),
+                                             threads=args.threads)
+    crit, _ = nulldist.null_critical_values(null, alphas)
+    p = nulldist.null_p_value(null, value)
     rows = [{
         "statistic": stat.name, "a": "" if stat.a is None else f"{stat.a:g}",
         "n": x.size, "value": repr(float(value)), "alpha": repr(args.alpha),
-        "critical_value": repr(float(crit)), "p_value": repr(float(p)),
+        "critical_value": repr(float(crit[args.alpha])),
+        "p_value": repr(float(p)),
         "replicates": args.replicates, "seed": seed,
     }]
     _emit(rows, list(rows[0].keys()), args)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .core import RngStream
 from .errors import DomainError
@@ -244,6 +244,8 @@ def family_mean(family, theta=None) -> float:
     if family.mean_analytic is not None:
         return float(family.mean_analytic(theta) if family.uses_theta
                      else family.mean_analytic())
+    # imported here: scipy.integrate costs start-up time in every process
+    from scipy import integrate
     # integrate x g(x) dx through the inverse cdf: E X = int_0^1 G^{-1}(u) du
     val, err = integrate.quad(lambda u: float(family.inverse_cdf(u, theta)),
                               0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400)

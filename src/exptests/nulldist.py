@@ -268,16 +268,8 @@ def simulate_null_statistics(stat: StatisticId, n: int, replicates: int,
     return np.concatenate(parts)
 
 
-def calibrate_critical_value(stat: StatisticId, n: int, alpha=0.05,
-                             replicates: int = 10_000,
-                             rng: RngStream = RngStream(0),
-                             threads: int = 1) -> NullCalibration:
-    """Empirical upper critical values from a null Monte Carlo run.
-
-    Quantiles are type-7 (linear interpolation); the standard error reported
-    per alpha is the binomial SE sqrt(alpha(1-alpha)/replicates) of the
-    rejection frequency at the returned threshold.
-    """
+def check_calibration_inputs(n: int, alpha, replicates: int) -> tuple:
+    """Validate a calibration request and return its alphas as a tuple."""
     if n < 2:
         raise DomainError("sample size must be at least 2")
     alphas = tuple(np.atleast_1d(np.asarray(alpha, dtype=float)))
@@ -286,9 +278,37 @@ def calibrate_critical_value(stat: StatisticId, n: int, alpha=0.05,
             raise DomainError(f"alpha must lie in (0,1), got {al}")
     if replicates < 10_000:
         raise DomainError("calibration requires at least 10^4 replicates")
+    return alphas
+
+
+def null_critical_values(null_values: np.ndarray, alphas) -> Tuple[dict, dict]:
+    """Upper critical values and their standard errors from simulated nulls.
+
+    Quantiles are type-7 (linear interpolation); the standard error per alpha
+    is the binomial SE sqrt(alpha(1-alpha)/B) of the rejection frequency at
+    the threshold, B = len(null_values).
+    """
+    reps = null_values.size
+    crit = {al: float(np.quantile(null_values, 1.0 - al)) for al in alphas}
+    ses = {al: float(math.sqrt(al * (1 - al) / reps)) for al in alphas}
+    return crit, ses
+
+
+def null_p_value(null_values: np.ndarray, observed: float) -> float:
+    """Monte Carlo p-value (1 + #{null >= observed}) / (B + 1)."""
+    return float((1 + np.count_nonzero(null_values >= observed))
+                 / (null_values.size + 1))
+
+
+def calibrate_critical_value(stat: StatisticId, n: int, alpha=0.05,
+                             replicates: int = 10_000,
+                             rng: RngStream = RngStream(0),
+                             threads: int = 1) -> NullCalibration:
+    """Empirical upper critical values from a null Monte Carlo run
+    (check_calibration_inputs, then null_critical_values)."""
+    alphas = check_calibration_inputs(n, alpha, replicates)
     values = simulate_null_statistics(stat, n, replicates, rng, threads=threads)
-    crit = {al: float(np.quantile(values, 1.0 - al)) for al in alphas}
-    ses = {al: float(math.sqrt(al * (1 - al) / replicates)) for al in alphas}
+    crit, ses = null_critical_values(values, alphas)
     return NullCalibration(statistic=stat, n=n, alphas=alphas,
                            critical_values=crit, standard_errors=ses,
                            replicates=replicates, seed=rng)
@@ -297,7 +317,7 @@ def calibrate_critical_value(stat: StatisticId, n: int, alpha=0.05,
 def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
                rng: RngStream = RngStream(0), threads: int = 1,
                observed: Optional[float] = None) -> float:
-    """Monte Carlo p-value (1 + #{null >= observed}) / (replicates + 1).
+    """Monte Carlo p-value of the sample (null_p_value on a fresh null run).
 
     `observed` overrides the statistic value (used for sentinel checks);
     by default it is computed from the sample, which needs n >= 2 as
@@ -310,8 +330,7 @@ def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
         observed = evaluate(stat, x).value
     null_values = simulate_null_statistics(stat, x.size, replicates, rng,
                                            threads=threads)
-    return float((1 + np.count_nonzero(null_values >= observed))
-                 / (replicates + 1))
+    return null_p_value(null_values, observed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ eigenvalue of a symmetric matrix, scaled Ei."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.special import expi
 
 from .errors import NumericsError
@@ -84,6 +83,8 @@ def largest_eigenvalue(mat) -> float:
     precision, from the fixed start vector of ones so that repeated calls
     return the same float.  Raises NumericsError if ARPACK does not converge.
     """
+    # imported here: scipy.sparse.linalg costs start-up time in every process
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
     try:
         (val,) = eigsh(mat, k=1, which="LA", v0=np.ones(mat.shape[0]),
                        return_eigenvectors=False)

@@ -141,6 +141,10 @@ def estimate_power_adaptive(stat_name: str, family, theta, n: int, alpha: float,
     """Power of the data-driven test: per Monte Carlo replicate, pick the
     tuning parameter by bootstrap expected power, then reject using the
     critical value of the selected candidate."""
+    if replicates < 1:
+        raise DomainError("power estimation requires at least one replicate")
+    if B < 1:
+        raise DomainError("bootstrap requires B >= 1")
     grid = tuple(sorted(float(a) for a in grid))
     stats = [StatisticId(stat_name, a) for a in grid]
     crits = np.array([_critical_value(calibrations.get(a), s, n, alpha)

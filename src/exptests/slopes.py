@@ -25,11 +25,10 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import exp1, expi
 
 from .errors import DomainError
-from .families import LOCAL_FAMILIES, get_family
+from .families import LOCAL_FAMILIES, family_mean, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
                       largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
 from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
@@ -131,16 +130,18 @@ def _single_integral(f, refine: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def lrt_local_coefficient(family_id: str, refine: int = 1) -> float:
-    """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)).
+def lrt_local_coefficient(family, refine: int = 1) -> float:
+    """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)) for a
+    local family (an id or the family object itself).
 
     The infimum is attained at lambda = 1/mean(theta); the coefficient is
     extracted from exact KL evaluations at theta in {0.02, 0.01, 0.005} by
     quadratic Lagrange extrapolation to theta = 0 (the expansion of
     2K(theta)/theta^2 carries theta and theta^2 correction terms).
     """
-    from .families import family_mean
-    fam = _local_family(family_id)
+    # imported here: scipy.integrate costs start-up time in every process
+    from scipy import integrate
+    fam = _local_family(family)
 
     def kl_over_t2(th):
         mu = family_mean(fam, th)
@@ -285,7 +286,6 @@ def _ks_tail_coefficient() -> float:
 def slope_KS(family, refine: int = 1) -> float:
     """KS slope: a_KS = 1/sup_x e^{-2x}(e^x - x^2 - 1); the b-coefficient is
     the local rate of the scaled Kolmogorov distance, extracted numerically."""
-    from .families import family_mean
     fam = _local_family(family)
 
     def b_of(th):
@@ -475,7 +475,7 @@ def _tail_and_b(stat: StatisticId, c_coeff: float):
 def efficiency(stat: StatisticId, family, refine: int = 1) -> SlopeReport:
     fam = _local_family(family)
     c_coeff = slope_coefficient(stat, fam, refine)
-    lrt = lrt_local_coefficient(fam.id)
+    lrt = lrt_local_coefficient(fam)
     eff = c_coeff / lrt
     a_t, b_coeff = _tail_and_b(stat, c_coeff)
     return SlopeReport(statistic=stat, family=fam.id, a_T=a_t,

@@ -5,8 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from exptests import cli
+from exptests import cli, nulldist
+from exptests.core import RngStream, read_sample
 from exptests.errors import NumericsError
+from exptests.nulldist import calibrate_critical_value, p_value_mc
+from exptests.statistics import StatisticId, evaluate
 
 
 def run(argv, capsys):
@@ -46,6 +49,62 @@ class TestTestSubcommand:
         code, _, _ = run(["test", "--stat", "MD", "--a", "1,2",
                           "--input", sample_file], capsys)
         assert code == 1
+
+
+class TestTestSubcommandNullRun:
+    """`test` simulates the null once and reads the critical value and the
+    p-value off that array; both equal the two-step library results."""
+
+    SEED = 31
+
+    @pytest.fixture(scope="class")
+    def sample50(self, tmp_path_factory):
+        gen = np.random.default_rng(50)
+        p = tmp_path_factory.mktemp("data") / "sample50.txt"
+        p.write_text("\n".join(repr(float(v))
+                               for v in gen.exponential(size=50)) + "\n")
+        return str(p)
+
+    @pytest.mark.parametrize("name,a", [("MD", 1.0), ("LD", 1.0), ("AD", None),
+                                        ("HM1", 1.0)])
+    def test_matches_calibration_then_p_value(self, sample50, capsys, name, a):
+        stat = StatisticId(name, a)
+        x = read_sample(sample50)
+        cal = calibrate_critical_value(stat, x.size, 0.05, 10_000,
+                                       RngStream(self.SEED))
+        p = p_value_mc(stat, x, 10_000, RngStream(self.SEED))
+        argv = ["test", "--stat", name, "--input", sample50,
+                "--seed", str(self.SEED)] + ([] if a is None else ["--a", f"{a:g}"])
+        for threads in ("1", "2"):
+            code, out, _ = run(argv + ["--threads", threads], capsys)
+            assert code == 0
+            row = next(csv.DictReader(io.StringIO(out)))
+            assert row["value"] == repr(evaluate(stat, x).value)
+            assert float(row["critical_value"]) == cal.critical_values[0.05]
+            assert float(row["p_value"]) == p
+
+    def test_one_null_simulation(self, sample50, capsys, monkeypatch):
+        calls = []
+        simulate = nulldist.simulate_null_statistics
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(nulldist, "simulate_null_statistics", counted)
+        code, _, _ = run(["test", "--stat", "MD", "--a", "1", "--input",
+                          sample50, "--seed", "3", "--threads", "1"], capsys)
+        assert code == 0
+        assert calls == [10_000]
+
+    @pytest.mark.parametrize("extra", [["--replicates", "5000"],
+                                       ["--alpha", "1.5"]])
+    def test_keeps_calibration_input_checks(self, sample50, capsys, extra):
+        code, _, err = run(["test", "--stat", "MD", "--a", "1", "--input",
+                            sample50, "--seed", "3", "--threads", "1"] + extra,
+                           capsys)
+        assert code == 1
+        assert "error" in err
 
 
 class TestCritvalSubcommand:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from exptests import numeric
 from exptests.errors import NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (exp_measure_nodes, largest_eigenvalue,
@@ -67,6 +67,7 @@ def test_largest_eigenvalue_nonconvergence_raises(monkeypatch):
     def stalled(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
 
-    monkeypatch.setattr(numeric, "eigsh", stalled)
+    # largest_eigenvalue imports eigsh when it is called
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
     with pytest.raises(NumericsError):
         largest_eigenvalue(np.eye(30))

@@ -147,6 +147,26 @@ class TestAdaptivePower:
                                      RngStream(32, 1), cals, **kw)
         assert c1.power == c2.power
 
+    @pytest.fixture(scope="class")
+    def md1_cal_n10(self):
+        return {1.0: calibrate_critical_value(StatisticId("MD", 1.0), 10,
+                                              replicates=10_000,
+                                              rng=RngStream(SEED))}
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_adaptive_rejects_no_replicates(self, md1_cal_n10, replicates):
+        with pytest.raises(DomainError, match="replicate"):
+            estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, replicates,
+                                    RngStream(33, 1), md1_cal_n10,
+                                    grid=(1.0,), B=200)
+
+    @pytest.mark.parametrize("B", [0, -1])
+    def test_adaptive_rejects_no_bootstrap_resamples(self, md1_cal_n10, B):
+        with pytest.raises(DomainError, match="B >= 1"):
+            estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 100,
+                                    RngStream(33, 1), md1_cal_n10,
+                                    grid=(1.0,), B=B)
+
 
 class TestPowerTables:
     def test_rows_and_csv(self, tmp_path, md1_cal_n20):

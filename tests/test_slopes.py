@@ -45,6 +45,25 @@ class TestLRTCoefficient:
         with pytest.raises(DomainError):
             lrt_local_coefficient("uniform")
 
+    def test_stub_family_sharing_an_id(self):
+        # the LRT coefficient comes from the family object, not from its id:
+        # a family that is weibull in all but its id and sampler gets
+        # weibull's coefficient and efficiency, registry families are unchanged
+        weibull = get_family("weibull")
+        stub = dataclasses.replace(
+            get_family("gamma"), pdf=weibull.pdf, cdf=weibull.cdf,
+            inverse_cdf=weibull.inverse_cdf,
+            mean_analytic=weibull.mean_analytic, deriv0=weibull.deriv0,
+            mu_prime0=weibull.mu_prime0)
+        ep = StatisticId("EP")
+        got = efficiency(ep, stub)
+        expected = efficiency(ep, "weibull")
+        assert got.lrt_coeff == expected.lrt_coeff
+        assert got.efficiency == expected.efficiency
+        assert abs(got.lrt_coeff - 1.645) < 1e-3
+        assert abs(got.efficiency - 0.876) < 1e-3
+        assert efficiency(ep, "gamma").lrt_coeff == lrt_local_coefficient("gamma")
+
 
 class TestProjections:
     def test_min_pair_laplace(self):
