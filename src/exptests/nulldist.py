@@ -13,10 +13,6 @@ Contents:
   Only the top eigenvalue is computed, by Lanczos iteration
   (numeric.largest_eigenvalue);
 * Monte Carlo calibration of critical values and p-values.
-
-Tail coefficients: the L2 statistic nMD converges to 6 sum delta_k W_k^2, so
-its Bahadur tail coefficient is 1/(6 delta1); the supremum statistic's is
-1/sup_t K(t,t).
 """
 
 from __future__ import annotations
@@ -103,15 +99,6 @@ def sup_variance(a: float) -> CovarianceHandle:
     (val,), (argt,) = maximize_log_grid(lambda t: covariance_K(t, t, a), 1e-4,
                                         ld_upper_bound(a), tol=1e-10)
     return CovarianceHandle(a=a, sup_variance=float(val), argmax_t=float(argt))
-
-
-def tail_coefficient(stat: StatisticId) -> float:
-    """Bahadur tail coefficient a_T for the two new statistics."""
-    if stat.name == "MD":
-        return 1.0 / (6.0 * largest_eigenvalue_delta1(stat.a).delta1)
-    if stat.name == "LD":
-        return 1.0 / sup_variance(stat.a).sup_variance
-    raise DomainError(f"tail coefficient tracked only for MD/LD, not {stat.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +231,25 @@ class NullCalibration:
     seed: RngStream
 
 
+_BLOCK_ROWS = 5000  # replicates per fixed Monte Carlo block
+
+
+def _map_blocks(run, replicates: int, threads: int = 1) -> list:
+    """[run(k, size) for each fixed block k of `replicates` rows], in block order.
+
+    Each call makes and consumes its own block (from substream k), so at most
+    one block per thread is alive at a time.  With threads > 1 the blocks run
+    on a thread pool; the fixed layout keeps results independent of the
+    thread count.
+    """
+    nblocks = (replicates + _BLOCK_ROWS - 1) // _BLOCK_ROWS
+    sizes = [min(_BLOCK_ROWS, replicates - k * _BLOCK_ROWS) for k in range(nblocks)]
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(nblocks), sizes))
+    return [run(k, size) for k, size in enumerate(sizes)]
+
+
 def simulate_null_statistics(stat: StatisticId, n: int, replicates: int,
                              rng: RngStream, threads: int = 1) -> np.ndarray:
     """Simulate `replicates` values of the statistic under Exp(1).
@@ -251,21 +257,11 @@ def simulate_null_statistics(stat: StatisticId, n: int, replicates: int,
     Replicates are split into fixed-size blocks with disjoint substreams, so
     the result is identical for any thread count.
     """
-    block = 5000
-    nblocks = (replicates + block - 1) // block
-    sizes = [min(block, replicates - k * block) for k in range(nblocks)]
-
-    def run(k):
-        gen = rng.substream(k).generator()
-        x = gen.standard_exponential((sizes[k], n))
+    def run(k, size):
+        x = rng.substream(k).generator().standard_exponential((size, n))
         return evaluate_many(stat, x)
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(nblocks)))
-    else:
-        parts = [run(k) for k in range(nblocks)]
-    return np.concatenate(parts)
+    return np.concatenate(_map_blocks(run, replicates, threads))
 
 
 def check_calibration_inputs(n: int, alpha, replicates: int) -> tuple:

@@ -8,7 +8,6 @@ thread count used to compute them.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 from .core import RngStream
 from .errors import DomainError
 from .families import get_family, sample_alternative
-from .nulldist import NullCalibration
+from .nulldist import NullCalibration, _map_blocks
 from .statistics import StatisticId, evaluate_many
 
 POWER_COLUMNS = ("statistic", "a", "family", "theta", "n", "alpha", "power",
@@ -64,14 +63,6 @@ def _critical_value(calibration: Optional[NullCalibration], stat: StatisticId,
                           f"available: {sorted(calibration.critical_values)}") from None
 
 
-def _sample_blocks(family, theta, n, replicates, rng, block=5000):
-    nblocks = (replicates + block - 1) // block
-    fam = get_family(family) if isinstance(family, str) else family
-    for k in range(nblocks):
-        size = min(block, replicates - k * block)
-        yield k, sample_alternative(fam, theta, (size, n), rng.substream(k))
-
-
 def estimate_power(stat: StatisticId, family, theta, n: int, alpha: float,
                    replicates: int, rng: RngStream,
                    calibration: NullCalibration,
@@ -82,17 +73,12 @@ def estimate_power(stat: StatisticId, family, theta, n: int, alpha: float,
         raise DomainError("power estimation requires at least 10^3 replicates")
     crit = _critical_value(calibration, stat, n, alpha)
     fam = get_family(family) if isinstance(family, str) else family
-    blocks = list(_sample_blocks(fam, theta, n, replicates, rng))
 
-    def count(item):
-        _, x = item
+    def count(k, size):
+        x = sample_alternative(fam, theta, (size, n), rng.substream(k))
         return int(np.count_nonzero(evaluate_many(stat, x) > crit))
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rejected = sum(pool.map(count, blocks))
-    else:
-        rejected = sum(count(b) for b in blocks)
+    rejected = sum(_map_blocks(count, replicates, threads))
     p_hat = rejected / replicates
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / replicates))
     return PowerCell(statistic=stat, family=fam.id,

@@ -15,6 +15,17 @@ Conventions per statistic type:
   the largest operator eigenvalue, with the combination constant cancelling;
 * supremum statistics: c_coeff = sup_t (projection integral)^2 / sup_t K(t,t);
 * asymptotically normal statistics: c_coeff = (score integral)^2 / variance.
+
+Tail coefficients: the L2 statistic nMD converges to 6 sum delta_k W_k^2, so
+its Bahadur tail coefficient is 1/(6 delta1); the supremum statistic's is
+1/sup_t K(t,t).
+
+One table, _SLOPES, maps each statistic name to its slope routine and a
+`quadratic` flag.  Every routine takes (stat, fam, refine) and returns
+(c_coeff, a_T) from one computation.  The report splits c_coeff as
+c = a_T * b for quadratic statistics (b is the theta^2-coefficient of b_T^2)
+and as c = a_T * b^2 for normal and supremum statistics (b is the
+theta-coefficient of b_T).
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import numpy as np
 from scipy.special import exp1, expi
 
 from .errors import DomainError
-from .families import LOCAL_FAMILIES, family_mean, get_family
+from .families import family_mean, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
                       largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
 from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
@@ -54,10 +65,12 @@ class SlopeReport:
 
 
 def _local_family(family):
+    """The family object, if it is a local alternative: one with its scores
+    g'(x; 0) (deriv0) and mean derivative (mu_prime0) at theta = 0."""
     fam = get_family(family) if isinstance(family, str) else family
-    if fam.id not in LOCAL_FAMILIES:
-        raise DomainError(f"slopes are defined for local families "
-                          f"{LOCAL_FAMILIES}, not {fam.id!r}")
+    if fam.deriv0 is None or fam.mu_prime0 is None:
+        raise DomainError(f"slopes are defined for local families (with "
+                          f"deriv0 and mu_prime0), not {fam.id!r}")
     return fam
 
 
@@ -166,12 +179,12 @@ def lrt_local_coefficient(family, refine: int = 1) -> float:
 # MD: quadratic pair-minimum statistic
 # ---------------------------------------------------------------------------
 
-def slope_MD(a: float, family, refine: int = 1) -> float:
-    """c_coeff = (double integral of h2_tilde against the scores) / delta1."""
-    fam = _local_family(family)
-    integral = _score_form(_pair_kernel("MD", a, refine)[0], fam, refine)
-    delta1 = largest_eigenvalue_delta1(a).delta1
-    return integral / delta1
+def slope_MD(stat: StatisticId, fam, refine: int):
+    """c_coeff = (double integral of h2_tilde against the scores) / delta1,
+    a_T = 1/(6 delta1)."""
+    integral = _score_form(_pair_kernel("MD", stat.a, refine)[0], fam, refine)
+    delta1 = largest_eigenvalue_delta1(stat.a).delta1
+    return integral / delta1, 1.0 / (6.0 * delta1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +207,12 @@ def phi1_tilde(x, t, a):
                              - min_pair_laplace(x, t))
 
 
-def slope_LD(a: float, family, refine: int = 1) -> float:
-    """c_coeff = sup_t (int phi1_tilde g')^2 / sup_t K(t,t)."""
-    fam = _local_family(family)
-    gp = fam.deriv0
+def slope_LD(stat: StatisticId, fam, refine: int):
+    """c_coeff = sup_t (int phi1_tilde g')^2 / sup_t K(t,t),
+    a_T = 1/sup_t K(t,t)."""
+    a = stat.a
     xs, ws = _halfline_grid(refine)
-    gpx = gp(xs) * ws
+    gpx = fam.deriv0(xs) * ws
 
     def inner_sq(t):
         vals = phi1_tilde(xs, t[..., None], a) @ gpx
@@ -207,7 +220,8 @@ def slope_LD(a: float, family, refine: int = 1) -> float:
 
     (sup_i,), _ = maximize_log_grid(inner_sq, 1e-4, ld_upper_bound(a),
                                     ngrid=512 * refine, tol=1e-10)
-    return float(sup_i) / sup_variance(a).sup_variance
+    sup_k = sup_variance(a).sup_variance
+    return float(sup_i) / sup_k, 1.0 / sup_k
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +238,11 @@ _NORMAL_SHAPES = {
 }
 
 
-def slope_normal_family(name: str, family, refine: int = 1) -> float:
-    name = name.upper()
-    if name not in _NORMAL_SHAPES:
-        raise DomainError(f"{name} is not an asymptotically normal battery member")
-    fam = _local_family(family)
-    shape, const = _NORMAL_SHAPES[name]
+def slope_normal_family(stat: StatisticId, fam, refine: int):
+    """c_coeff = const * (score integral)^2, a_T = const."""
+    shape, const = _NORMAL_SHAPES[stat.name]
     integral = _single_integral(lambda x: shape(x) * fam.deriv0(x), refine=refine)
-    return const * integral * integral
+    return const * integral * integral, const
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +268,16 @@ def psi_JP(x, a):
     return 0.5 * (1.0 / (x + a) + e_full) - e_abs
 
 
-def slope_J_family(name: str, a: float, family, refine: int = 1) -> float:
-    name = name.upper()
-    psi = {"JD": psi_JD, "JP": psi_JP}.get(name)
-    if psi is None:
-        raise DomainError(f"{name} is not a first-order Laplace statistic")
-    fam = _local_family(family)
+def slope_J_family(stat: StatisticId, fam, refine: int):
+    """c_coeff = (int psi g')^2 / var psi(X), a_T = 1/var psi(X)."""
+    psi = {"JD": psi_JD, "JP": psi_JP}[stat.name]
+    a = stat.a
     mean = _single_integral(lambda x: psi(x, a) * np.exp(-x), refine=refine)
     var = _single_integral(lambda x: (psi(x, a) - mean) ** 2 * np.exp(-x),
                            refine=refine)
     num = _single_integral(lambda x: (psi(x, a) - mean) * fam.deriv0(x),
                            refine=refine)
-    return num * num / var
+    return num * num / var, 1.0 / var
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +292,9 @@ def _ks_tail_coefficient() -> float:
     return 1.0 / float(val)
 
 
-def slope_KS(family, refine: int = 1) -> float:
+def slope_KS(stat: StatisticId, fam, refine: int):
     """KS slope: a_KS = 1/sup_x e^{-2x}(e^x - x^2 - 1); the b-coefficient is
     the local rate of the scaled Kolmogorov distance, extracted numerically."""
-    fam = _local_family(family)
 
     def b_of(th):
         mu = family_mean(fam, th)
@@ -304,7 +312,8 @@ def slope_KS(family, refine: int = 1) -> float:
     r2 = v[2] + (v[2] - v[1])
     # halving theta leaves an O(theta^2) remainder after the first step
     b1 = r2 + (r2 - r1) / 3.0
-    return _ks_tail_coefficient() * b1 * b1
+    a_t = _ks_tail_coefficient()
+    return a_t * b1 * b1, a_t
 
 
 # ---------------------------------------------------------------------------
@@ -404,80 +413,54 @@ def _mp_eigenvalue(a: float, refine: int = 1) -> float:
     return largest_eigenvalue(mat)
 
 
-def slope_L2_family(name: str, a: Optional[float], family,
-                    refine: int = 1) -> float:
-    name = name.upper()
-    fam = _local_family(family)
-    if name == "MP":
-        if a is None or a <= 0:
-            raise DomainError("MP requires a positive tuning parameter")
-        integral = _score_form(_pair_kernel("MP", a, refine)[0], fam, refine)
-        return integral / _mp_eigenvalue(a, refine)
-    if name not in _L2_KERNELS:
-        raise DomainError(f"{name} is not an L2-type battery member")
-    if name in {"BH", "HE", "W", "HM1", "HM2"} and (a is None or a <= 0):
-        raise DomainError(f"{name} requires a positive tuning parameter")
-    num = _l2_numerator(name, a, fam, refine=refine)
-    return num / (2.0 * _l2_operator_eigenvalue(name, a, refine))
+def slope_L2_family(stat: StatisticId, fam, refine: int):
+    """c_coeff = (double integral against the scores) / (largest operator
+    eigenvalue, doubled outside MP), a_T = 1 / that denominator."""
+    if stat.name == "MP":
+        integral = _score_form(_pair_kernel("MP", stat.a, refine)[0], fam, refine)
+        eig = _mp_eigenvalue(stat.a, refine)
+        return integral / eig, 1.0 / eig
+    num = _l2_numerator(stat.name, stat.a, fam, refine=refine)
+    eig2 = 2.0 * _l2_operator_eigenvalue(stat.name, stat.a, refine)
+    return num / eig2, 1.0 / eig2
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and reporting
+# The slope table and reporting
 # ---------------------------------------------------------------------------
+
+# statistic name -> (slope routine, quadratic); routines are named, not held,
+# so that a rebound module attribute (a wrapper, say) is the one called
+_SLOPES = {
+    **{name: ("slope_normal_family", False) for name in _NORMAL_SHAPES},
+    **{name: ("slope_L2_family", True) for name in _L2_KERNELS},
+    "MP": ("slope_L2_family", True),
+    "MD": ("slope_MD", True),
+    "LD": ("slope_LD", False),
+    "KS": ("slope_KS", False),
+    "JD": ("slope_J_family", False),
+    "JP": ("slope_J_family", False),
+}
+
+
+def _slope_and_tail(stat: StatisticId, fam, refine: int):
+    """(c_coeff, a_T, quadratic) of a statistic on a local family object."""
+    routine, quadratic = _SLOPES[stat.name]
+    c_coeff, a_t = globals()[routine](stat, fam, refine)
+    return c_coeff, a_t, quadratic
+
 
 def slope_coefficient(stat: StatisticId, family, refine: int = 1) -> float:
     """theta^2-coefficient of the approximate Bahadur slope for any statistic."""
-    name = stat.name
-    if name == "MD":
-        return slope_MD(stat.a, family, refine)
-    if name == "LD":
-        return slope_LD(stat.a, family, refine)
-    if name in _NORMAL_SHAPES:
-        return slope_normal_family(name, family, refine)
-    if name == "KS":
-        return slope_KS(family, refine)
-    if name in {"JD", "JP"}:
-        return slope_J_family(name, stat.a, family, refine)
-    return slope_L2_family(name, stat.a, family, refine)
-
-
-def _tail_and_b(stat: StatisticId, c_coeff: float):
-    """Bookkeeping decomposition c = a_T * b (quadratic statistics, b is the
-    theta^2-coefficient of b_T^2) or c = a_T * b^2 (normal/sup statistics)."""
-    name = stat.name
-    if name == "MD":
-        delta1 = largest_eigenvalue_delta1(stat.a).delta1
-        a_t = 1.0 / (6.0 * delta1)
-        return a_t, c_coeff / a_t
-    if name == "LD":
-        a_t = 1.0 / sup_variance(stat.a).sup_variance
-        return a_t, math.sqrt(max(c_coeff, 0.0) / a_t)
-    if name in _NORMAL_SHAPES:
-        a_t = _NORMAL_SHAPES[name][1]
-        return a_t, math.sqrt(max(c_coeff, 0.0) / a_t)
-    if name == "KS":
-        a_t = _ks_tail_coefficient()
-        return a_t, math.sqrt(max(c_coeff, 0.0) / a_t)
-    if name in {"JD", "JP"}:
-        mean = _single_integral(lambda x: {"JD": psi_JD, "JP": psi_JP}[name](x, stat.a)
-                                * np.exp(-x))
-        var = _single_integral(lambda x: ({"JD": psi_JD, "JP": psi_JP}[name](x, stat.a)
-                                          - mean) ** 2 * np.exp(-x))
-        a_t = 1.0 / var
-        return a_t, math.sqrt(max(c_coeff, 0.0) / a_t)
-    if name == "MP":
-        a_t = 1.0 / _mp_eigenvalue(stat.a, 1)
-        return a_t, c_coeff / a_t
-    a_t = 1.0 / (2.0 * _l2_operator_eigenvalue(name, stat.a, 1))
-    return a_t, c_coeff / a_t
+    return _slope_and_tail(stat, _local_family(family), refine)[0]
 
 
 def efficiency(stat: StatisticId, family, refine: int = 1) -> SlopeReport:
     fam = _local_family(family)
-    c_coeff = slope_coefficient(stat, fam, refine)
+    c_coeff, a_t, quadratic = _slope_and_tail(stat, fam, refine)
+    b_coeff = c_coeff / a_t if quadratic else math.sqrt(max(c_coeff, 0.0) / a_t)
     lrt = lrt_local_coefficient(fam)
     eff = c_coeff / lrt
-    a_t, b_coeff = _tail_and_b(stat, c_coeff)
     return SlopeReport(statistic=stat, family=fam.id, a_T=a_t,
                        b_coeff=b_coeff, c_coeff=c_coeff, lrt_coeff=lrt,
                        efficiency=eff, flagged=not (0.0 <= eff <= EFFICIENCY_SLACK))

@@ -12,7 +12,8 @@ from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
                                largest_eigenvalue_delta1, load_calibrations,
                                matrix_largest_eigenvalue, p_value_mc,
                                save_calibrations, simulate_null_statistics,
-                               sup_variance, tail_coefficient)
+                               sup_variance)
+from exptests.slopes import efficiency
 from exptests.statistics import StatisticId
 
 # frozen reference values computed independently (high-precision quadrature /
@@ -158,14 +159,10 @@ class TestEigenMachinery:
 
 class TestTailCoefficient:
     def test_md_and_ld(self):
-        a_md = tail_coefficient(StatisticId("MD", 1.0))
+        a_md = efficiency(StatisticId("MD", 1.0), "gamma").a_T
         assert abs(a_md - 1.0 / (6.0 * DELTA1[1.0])) < 1e-3 * a_md
-        a_ld = tail_coefficient(StatisticId("LD", 1.0))
+        a_ld = efficiency(StatisticId("LD", 1.0), "gamma").a_T
         assert abs(a_ld - 1.0 / SUP_K[1.0]) < 1e-6 * a_ld
-
-    def test_other_statistics_rejected(self):
-        with pytest.raises(DomainError):
-            tail_coefficient(StatisticId("KS"))
 
 
 class TestCalibration:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exptests import powersim
 from exptests.core import RngStream
 from exptests.errors import DomainError
 from exptests.nulldist import calibrate_critical_value
@@ -35,6 +36,25 @@ class TestEstimatePower:
         c2 = estimate_power(StatisticId("MD", 1.0), "gamma", 1.0, 20,
                             rng=RngStream(7, 1), threads=3, **kw)
         assert c1.power == c2.power
+
+    def test_blocks_streamed(self, md1_cal_n20, monkeypatch):
+        # each block is counted before the next one is sampled, so memory
+        # stays at one block whatever the replicate count
+        calls = []
+
+        def recording(tag, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(tag)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(powersim, "sample_alternative",
+                            recording("sample", powersim.sample_alternative))
+        monkeypatch.setattr(powersim, "evaluate_many",
+                            recording("evaluate", powersim.evaluate_many))
+        estimate_power(StatisticId("MD", 1.0), "gamma", 1.0, 20, 0.05, 12_000,
+                       RngStream(7, 1), md1_cal_n20, threads=1)
+        assert calls == ["sample", "evaluate"] * 3
 
     def test_size_under_null_alternative(self, md1_cal_n20):
         # gamma(theta=0) is Exp(1): rejection rate must be close to alpha

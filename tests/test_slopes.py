@@ -12,8 +12,8 @@ from exptests.nulldist import h2_tilde, largest_eigenvalue_delta1
 from exptests.slopes import (EFFICIENCY_SLACK, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
                              min_pair_laplace, mp_projected_kernel, phi1_tilde,
-                             psi_JD, psi_JP, slope_coefficient, slope_MD)
-from exptests.statistics import StatisticId
+                             psi_JD, psi_JP, slope_coefficient)
+from exptests.statistics import ALL_STATISTICS, TUNED_STATISTICS, StatisticId
 from oracles import l2_numerator_reference, pair_score_integral
 
 # frozen double-integral oracles (adaptive quadrature of the projected kernel
@@ -114,14 +114,23 @@ class TestSlopeMechanics:
         stub = dataclasses.replace(get_family("gamma"),
                                    deriv0=lambda x: np.zeros_like(x),
                                    mu_prime0=0.0)
-        assert abs(slope_MD(1.0, stub)) < 1e-12
-        for stat in (StatisticId("EP"), StatisticId("JD", 1.0),
-                     StatisticId("BH", 1.0)):
+        for stat in (StatisticId("MD", 1.0), StatisticId("EP"),
+                     StatisticId("JD", 1.0), StatisticId("BH", 1.0)):
             assert abs(slope_coefficient(stat, stub)) < 1e-12
 
     def test_non_local_family_rejected(self):
         with pytest.raises(DomainError):
             efficiency(StatisticId("MD", 1.0), "uniform")
+
+    def test_custom_local_family_accepted(self):
+        # a family is local by its scores, not by its id
+        ep = StatisticId("EP")
+        custom = dataclasses.replace(get_family("weibull"), id="myweibull")
+        got = efficiency(ep, custom)
+        assert got.family == "myweibull"
+        assert dataclasses.replace(got, family="weibull") == efficiency(ep, "weibull")
+        with pytest.raises(DomainError):
+            efficiency(ep, get_family("uniform"))
 
     def test_continuity_in_a(self):
         e1 = efficiency(StatisticId("MD", 1.0), "gamma").efficiency
@@ -136,14 +145,19 @@ class TestSlopeMechanics:
         w2 = slope_coefficient(StatisticId("W", 1.0), "weibull", refine=2)
         assert abs(w1 - w2) < 1e-4 * abs(w1)
 
-    def test_report_decomposition(self):
+    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
+    def test_report_decomposition(self, name):
         # quadratic statistics: c = a_T * b; normal/sup: c = a_T * b^2
-        rep = efficiency(StatisticId("MD", 1.0), "gamma")
-        assert abs(rep.a_T * rep.b_coeff - rep.c_coeff) < 1e-10 * rep.c_coeff
-        rep = efficiency(StatisticId("EP"), "weibull")
-        assert abs(rep.a_T * rep.b_coeff**2 - rep.c_coeff) < 1e-10 * rep.c_coeff
-        rep = efficiency(StatisticId("LD", 2.0), "emnw")
-        assert abs(rep.a_T * rep.b_coeff**2 - rep.c_coeff) < 1e-10 * rep.c_coeff
+        stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+        rep = efficiency(stat, "weibull")
+        b_part = rep.b_coeff if slopes._SLOPES[name][1] else rep.b_coeff**2
+        assert rep.a_T > 0
+        assert abs(rep.a_T * b_part - rep.c_coeff) <= 1e-12 * abs(rep.c_coeff)
+
+    def test_tail_coefficient_follows_refine(self):
+        # a_T comes from the same refinement as the slope
+        rep = efficiency(StatisticId("MP", 1.0), "weibull", refine=2)
+        assert rep.a_T == 1.0 / slopes._mp_eigenvalue(1.0, 2)
 
     def test_efficiencies_within_unit_interval(self):
         for stat, fam in [(StatisticId("MD", 1.0), "gamma"),
