@@ -42,6 +42,19 @@ class RngStream:
         """Derive a child stream; children of distinct indices are independent."""
         return RngStream(self.seed, self.stream, self.key + (int(index),))
 
+    def csv_fields(self) -> dict:
+        """The identity as CSV cells: seed, stream index and the spawn key as
+        the substream indices joined by ':' (empty for none)."""
+        return {"seed": self.seed, "stream": self.stream,
+                "key": ":".join(str(k) for k in self.key)}
+
+    @classmethod
+    def from_csv_fields(cls, row) -> "RngStream":
+        """Inverse of csv_fields; a row without stream and key cells reads as
+        stream 0 with an empty spawn key."""
+        return cls(int(row["seed"]), int(row.get("stream") or 0),
+                   tuple(int(k) for k in (row.get("key") or "").split(":") if k))
+
 
 def min_pair_weights(n: int) -> np.ndarray:
     """Weights w_i = (2(n-i)+1)/n^2 for ascending order statistics.

@@ -10,6 +10,9 @@ Contents:
   h2_tilde on L2(Exp(1)), from two symmetric discretizations: a
   Gauss-Legendre Nystrom ladder (the primary estimate) and an equal-width
   grid with exponential cell masses (the matrix route, built in row blocks).
+  On the equal-width midpoint grid every two-argument term of h2_tilde
+  depends on i+j or 2i+j only, so the default grid matrix is read from 1-D
+  tables of O(m) expi calls; a custom kernel is broadcast over the grid.
   Only the top eigenvalue is computed, by Lanczos iteration
   (numeric.largest_eigenvalue);
 * Monte Carlo calibration of critical values and p-values.
@@ -25,6 +28,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expi
 
 from .core import RngStream
@@ -115,6 +119,89 @@ class EigenApproximation:
     trace: list = field(default_factory=list)
 
 
+def _ei_of_sum(c, d):
+    """Ei(c + d), with the rounding error of c + d corrected to first order.
+
+    Ei(-a/2 - w) enters h2_tilde scaled by e^{a/2}, which amplifies the
+    rounding of its argument (at a=10, to ~1e-13 of max|h2_tilde|); the error
+    term of the sum (Knuth's TwoSum) removes it.
+    """
+    z = c + d
+    cd = z - c
+    dz = (c - (z - cd)) + (d - cd)
+    return expi(z) + dz * np.exp(z) / z
+
+
+def _h2_tilde_half_grid(a: float, m: int, h: float, sq: np.ndarray,
+                        rows: int) -> np.ndarray:
+    """Weighted half of h2_tilde on the midpoint grid x_i = (i + 1/2)h.
+
+    Returns A with A + A^T = [h2_tilde(x_i, x_j) sq_i sq_j].  Every
+    two-argument term of h2_tilde depends on x_i + x_j = (i + j + 1)h or on
+    a + 2x_i + x_j = a + (2i + j + 3/2)h (or on its mirror, which A^T
+    carries); the other terms depend on one argument.  So
+
+        6 A_ij / (sq_i sq_j) = S[i+j] + r(x_i) + e^{a/2} (S3[i+j] - r3(x_i))
+                               - 2 e^{-x_i} F[2i+j] - e^{(a+x_j)/2} G[2i+j]
+
+    with 1-D tables S, S3 (length 2m+1), F, G (length 3m+1) and node terms
+    r, r3: O(m) expi calls in all.  The e^{a/2} group is summed before it is
+    scaled, because its terms cancel.  Row i of a table indexed by i+j is the
+    window S[i:i+m+1], and by 2i+j the window F[2i:2i+m+1], so row blocks are
+    filled from strided views with no index arrays.
+    """
+    e = np.exp
+    x = (np.arange(m + 1) + 0.5) * h
+    ea2 = e(a / 2)
+    w = np.arange(1, 2 * m + 2) * h                  # x_i + x_j, s = i + j
+    half_s = 0.5 * (3.0 - (4 - a) * e(a) * expi(-a) + 1.0 / (a + w)
+                    + e(-w) / (a + 2 * w) * (2 * a + 4 * (1 + w)))
+    half_s3 = 0.5 * ((a + 4) * expi(-a / 2)
+                     + (a + 4 + 2 * w) * _ei_of_sum(-a / 2, -w))
+    z = a + (np.arange(3 * m + 1) + 1.5) * h         # a + 2x_i + x_j, q = 2i + j
+    f, g = 1.0 / z, expi(-z / 2)
+    r = (e(a + x) * (4 * expi(-a - 2 * x) - expi(-a - x))
+         + e((a + x) / 2) * expi(-(a + x) / 2) - 2 * e(-x))
+    r3 = (4 + a + 2 * x) * _ei_of_sum(-a / 2, -x)
+    f_scale, g_scale, sq6 = -2 * e(-x), -e((a + x) / 2), sq / 6.0
+    s_rows = sliding_window_view(half_s, m + 1)
+    s3_rows = sliding_window_view(half_s3, m + 1)
+    f_rows = sliding_window_view(f, m + 1)[::2]
+    g_rows = sliding_window_view(g, m + 1)[::2]
+    out = np.empty((m + 1, m + 1))
+    tmp = np.empty((min(rows, m + 1), m + 1))
+    for r0 in range(0, m + 1, rows):
+        blk = out[r0:r0 + rows]
+        b = slice(r0, r0 + blk.shape[0])
+        t = tmp[:blk.shape[0]]
+        np.add(s_rows[b], r[b, None], out=blk)
+        np.subtract(s3_rows[b], r3[b, None], out=t)
+        t *= ea2
+        blk += t
+        blk += np.multiply(f_rows[b], f_scale[b, None], out=t)
+        blk += np.multiply(g_rows[b], g_scale, out=t)
+        blk *= sq6[b, None]
+        blk *= sq
+    return out
+
+
+def _add_transpose(mat: np.ndarray) -> np.ndarray:
+    """mat += mat.T in place, tile by tile, so the temporaries stay within
+    ELEMENT_BUDGET elements (numpy buffers a whole copy of an overlapping
+    mat.T).  Each pair of mirrored tiles gets the same sums, so the result
+    is exactly symmetric and equal to mat + mat.T bit for bit."""
+    n = mat.shape[0]
+    tile = math.isqrt(ELEMENT_BUDGET)
+    for i0 in range(0, n, tile):
+        for j0 in range(i0, n, tile):
+            upper = mat[i0:i0 + tile, j0:j0 + tile]
+            lower = mat[j0:j0 + tile, i0:i0 + tile]
+            both = upper + lower.T
+            upper[...] = both
+            lower[...] = both.T
+    return mat
+
+
 def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
     """Discretize the kernel operator on L2(Exp(1)) by an (m+1)x(m+1) matrix.
 
@@ -125,28 +212,32 @@ def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
 
         m_ij = kernel(x_i, x_j; a) sqrt(p_i p_j) / (1 - e^{-B}),
 
-    symmetrized.  The kernel is evaluated on blocks of ELEMENT_BUDGET // (m+1)
-    full rows, so no (m+1)^2 temporaries are built.
+    built as A + A^T (_add_transpose), so exactly symmetric.  For the
+    default kernel, h2_tilde, A is read from 1-D tables indexed by i+j and
+    2i+j (O(m) expi calls; _h2_tilde_half_grid).  A custom `kernel` is
+    broadcast over the grid and A is half of it.  Either way A is filled in
+    blocks of ELEMENT_BUDGET // (m+1) full rows, so no (m+1)^2 temporaries
+    are built.
     """
     if m < 100:
         raise DomainError("grid size m must be at least 100")
     if not (B > 0) or math.exp(-B) >= 1e-8:
         raise DomainError("truncation point B too small: need e^{-B} < 1e-8")
-    if kernel is None:
-        kernel = h2_tilde
     i = np.arange(m + 1, dtype=float)
     h = B / m
-    nodes = (i + 0.5) * h
     p = np.exp(-i * h) - np.exp(-(i + 1) * h)
     sq = np.sqrt(p / (-np.expm1(-B)))
-    mat = np.empty((m + 1, m + 1))
     rows = max(1, ELEMENT_BUDGET // (m + 1))
-    for r0 in range(0, m + 1, rows):
-        r = slice(r0, r0 + rows)
-        mat[r] = kernel(nodes[r, None], nodes[None, :], a) * np.outer(sq[r], sq)
-    mat += mat.T
-    mat *= 0.5
-    return EigenApproximation(a=a, m=m, B=B, matrix=mat)
+    if kernel is None:
+        mat = _h2_tilde_half_grid(a, m, h, sq, rows)
+    else:
+        nodes = (i + 0.5) * h
+        mat = np.empty((m + 1, m + 1))
+        for r0 in range(0, m + 1, rows):
+            r = slice(r0, r0 + rows)
+            mat[r] = (0.5 * kernel(nodes[r, None], nodes[None, :], a)
+                      * np.outer(sq[r], sq))
+    return EigenApproximation(a=a, m=m, B=B, matrix=_add_transpose(mat))
 
 
 def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
@@ -339,17 +430,14 @@ CALIBRATION_COLUMNS = ("statistic", "a", "n", "alpha", "critical_value",
 
 def calibration_rows(cal: NullCalibration) -> list:
     """One row per alpha, keyed by CALIBRATION_COLUMNS.  The RngStream is
-    written whole: its seed, its stream index and its spawn key as the
-    substream indices joined by ':' (empty for none)."""
+    written whole (RngStream.csv_fields)."""
     a = cal.statistic.a
     return [{"statistic": cal.statistic.name,
              "a": "" if a is None else repr(float(a)),
              "n": cal.n, "alpha": repr(float(al)),
              "critical_value": repr(cal.critical_values[al]),
              "se": repr(cal.standard_errors[al]),
-             "replicates": cal.replicates, "seed": cal.seed.seed,
-             "stream": cal.seed.stream,
-             "key": ":".join(str(k) for k in cal.seed.key)}
+             "replicates": cal.replicates, **cal.seed.csv_fields()}
             for al in cal.alphas]
 
 
@@ -369,9 +457,7 @@ def load_calibrations(path) -> list:
         for row in csv.DictReader(fh):
             a = float(row["a"]) if row["a"] else None
             stat = StatisticId(row["statistic"], a)
-            seed = RngStream(int(row["seed"]), int(row.get("stream") or 0),
-                             tuple(int(k) for k in (row.get("key") or "").split(":")
-                                   if k))
+            seed = RngStream.from_csv_fields(row)
             key = (stat, int(row["n"]), int(row["replicates"]), seed)
             rec = out.setdefault(key, {})
             rec[float(row["alpha"])] = (float(row["critical_value"]),

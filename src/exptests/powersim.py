@@ -20,7 +20,7 @@ from .nulldist import NullCalibration, _map_blocks
 from .statistics import StatisticId, evaluate_many
 
 POWER_COLUMNS = ("statistic", "a", "family", "theta", "n", "alpha", "power",
-                 "se", "replicates", "seed", "percent")
+                 "se", "replicates", "seed", "stream", "key", "percent")
 
 DEFAULT_TUNING_GRID = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -167,11 +167,13 @@ def estimate_power_adaptive(stat_name: str, family, theta, n: int, alpha: float,
 
 
 def power_table_rows(cells: Sequence[PowerCell]):
+    """One row per cell, keyed by POWER_COLUMNS.  The RngStream is written
+    whole (RngStream.csv_fields), so load_power_table gives the cell back."""
     rows = []
     for c in cells:
         rows.append({
             "statistic": c.statistic.name,
-            "a": "" if c.statistic.a is None else f"{c.statistic.a:g}",
+            "a": "" if c.statistic.a is None else repr(float(c.statistic.a)),
             "family": c.family,
             "theta": "" if c.theta is None else repr(float(c.theta)),
             "n": c.n,
@@ -179,7 +181,7 @@ def power_table_rows(cells: Sequence[PowerCell]):
             "power": repr(float(c.power)),
             "se": repr(float(c.mc_se)),
             "replicates": c.replicates,
-            "seed": c.seed.seed,
+            **c.seed.csv_fields(),
             "percent": int(round(100.0 * c.power)),
         })
     return rows
@@ -191,3 +193,18 @@ def write_power_table(path, cells: Sequence[PowerCell]) -> None:
         writer.writeheader()
         for row in power_table_rows(cells):
             writer.writerow(row)
+
+
+def load_power_table(path) -> list:
+    """Read a power CSV back into PowerCells; files without the stream and
+    key columns load as stream 0 with an empty spawn key."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [PowerCell(
+            statistic=StatisticId(row["statistic"],
+                                  float(row["a"]) if row["a"] else None),
+            family=row["family"],
+            theta=float(row["theta"]) if row["theta"] else None,
+            n=int(row["n"]), alpha=float(row["alpha"]),
+            replicates=int(row["replicates"]), power=float(row["power"]),
+            mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row))
+            for row in csv.DictReader(fh)]

@@ -459,7 +459,7 @@ def efficiency(stat: StatisticId, family, refine: int = 1) -> SlopeReport:
     fam = _local_family(family)
     c_coeff, a_t, quadratic = _slope_and_tail(stat, fam, refine)
     b_coeff = c_coeff / a_t if quadratic else math.sqrt(max(c_coeff, 0.0) / a_t)
-    lrt = lrt_local_coefficient(fam)
+    lrt = lrt_local_coefficient(fam, refine)
     eff = c_coeff / lrt
     return SlopeReport(statistic=stat, family=fam.id, a_T=a_t,
                        b_coeff=b_coeff, c_coeff=c_coeff, lrt_coeff=lrt,

@@ -213,7 +213,18 @@ class TestEigenSubcommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         methods = {r["method"] for r in rows}
         assert {"gauss-legendre", "grid", "grid-extrapolated",
-                "final"} <= methods
+                "final", "route-disagreement"} <= methods
+
+    def test_route_disagreement_row(self, capsys):
+        code, out, _ = run(["eigen", "--a", "0.5,1", "--format", "json"],
+                           capsys)
+        assert code == 0
+        rows = json.loads(out)
+        for a in ("0.5", "1"):
+            by = {r["method"]: float(r["delta1"]) for r in rows if r["a"] == a}
+            extr, final = by["grid-extrapolated"], by["final"]
+            assert by["route-disagreement"] == abs(extr - final) / final
+            assert by["route-disagreement"] < 1e-4
 
     def test_requires_a(self, capsys):
         code, _, _ = run(["eigen", "--seed", "1"], capsys)

@@ -98,6 +98,13 @@ class TestSupVariance:
             sup_variance(0.0)
 
 
+def _grid(m, B):
+    """Cell midpoints and square-root cell weights of eigen_matrix's grid."""
+    i = np.arange(m + 1, dtype=float)
+    p = np.exp(-i * (B / m)) - np.exp(-(i + 1) * (B / m))
+    return (i + 0.5) * (B / m), np.sqrt(p / (-np.expm1(-B)))
+
+
 class TestEigenMachinery:
     def test_constant_kernel_eigenvalue_one(self):
         approx = eigen_matrix(1.0, 200, 25.0,
@@ -113,13 +120,28 @@ class TestEigenMachinery:
 
     def test_row_blocks_match_full_broadcast(self):
         m, B = 2000, 30.0
-        i = np.arange(m + 1, dtype=float)
-        nodes = (i + 0.5) * (B / m)
-        p = np.exp(-i * (B / m)) - np.exp(-(i + 1) * (B / m))
-        sq = np.sqrt(p / (-np.expm1(-B)))
+        nodes, sq = _grid(m, B)
         full = h2_tilde(nodes[:, None], nodes[None, :], 1.0) * np.outer(sq, sq)
         full = 0.5 * (full + full.T)
-        assert eigen_matrix(1.0, m, B).matrix.tobytes() == full.tobytes()
+        got = eigen_matrix(1.0, m, B, kernel=h2_tilde).matrix
+        assert got.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("B", [25.0, 30.0])
+    @pytest.mark.parametrize("m", [100, 777, 2000])  # 777: short last row block
+    @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 10.0])
+    def test_default_kernel_matches_broadcast(self, a, m, B):
+        # the index-sum build against the row-block broadcast of h2_tilde,
+        # entrywise in the kernel's scale: |diff| / (sq_i sq_j) <= 1e-13 max|h2|
+        nodes, sq = _grid(m, B)
+        h2_max = np.abs(h2_tilde(nodes[:, None], nodes[None, :], a)).max()
+        got = eigen_matrix(a, m, B).matrix
+        ref = eigen_matrix(a, m, B, kernel=h2_tilde).matrix
+        assert np.all(np.abs(got - ref) <= 1e-13 * h2_max * np.outer(sq, sq))
+
+    @pytest.mark.parametrize("a", [0.2, 10.0])
+    def test_default_kernel_exactly_symmetric(self, a):
+        mat = eigen_matrix(a, 777, 30.0).matrix
+        assert np.array_equal(mat, mat.T)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -7,8 +7,8 @@ from exptests.errors import DomainError
 from exptests.nulldist import calibrate_critical_value
 from exptests.powersim import (DEFAULT_TUNING_GRID, POWER_COLUMNS,
                                bootstrap_select_a, estimate_power,
-                               estimate_power_adaptive, power_table_rows,
-                               write_power_table)
+                               estimate_power_adaptive, load_power_table,
+                               power_table_rows, write_power_table)
 from exptests.statistics import StatisticId
 
 SEED = 1729
@@ -200,3 +200,27 @@ class TestPowerTables:
         text = path.read_text().splitlines()
         assert text[0] == ",".join(POWER_COLUMNS)
         assert len(text) == 2
+
+    def test_roundtrip_keeps_stream_and_key(self, tmp_path, md1_cal_n20):
+        # `exptests power` simulates on stream 1: the CSV must say so
+        cells = [estimate_power(StatisticId("MD", 1.0), fam, theta, 20, 0.05,
+                                1000, rng, md1_cal_n20)
+                 for fam, theta, rng in (("gamma", 1.0, RngStream(7, stream=1)),
+                                         ("uniform", None,
+                                          RngStream(7, stream=1).substream(3)))]
+        path = tmp_path / "power.csv"
+        write_power_table(path, cells)
+        loaded = load_power_table(path)
+        assert loaded[0].seed == RngStream(7, stream=1)
+        assert [c.seed for c in loaded] == [c.seed for c in cells]
+        assert loaded == cells
+
+    def test_csv_without_stream_columns_loads_as_stream_zero(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("statistic,a,family,theta,n,alpha,power,se,replicates,"
+                        "seed,percent\n"
+                        "MD,1,gamma,1.0,20,0.05,0.5,0.01,2000,7,50\n")
+        (got,) = load_power_table(path)
+        assert got.seed == RngStream(7, stream=0, key=())
+        assert got.statistic == StatisticId("MD", 1.0)
+        assert got.power == 0.5

@@ -159,6 +159,11 @@ class TestSlopeMechanics:
         rep = efficiency(StatisticId("MP", 1.0), "weibull", refine=2)
         assert rep.a_T == 1.0 / slopes._mp_eigenvalue(1.0, 2)
 
+    def test_lrt_coefficient_follows_refine(self):
+        # the efficiency divides by the LRT coefficient of its own refinement
+        rep = efficiency(StatisticId("EP"), "weibull", refine=2)
+        assert rep.lrt_coeff == lrt_local_coefficient("weibull", 2)
+
     def test_efficiencies_within_unit_interval(self):
         for stat, fam in [(StatisticId("MD", 1.0), "gamma"),
                           (StatisticId("LD", 2.0), "emnw"),
