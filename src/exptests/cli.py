@@ -9,7 +9,9 @@ Subcommands:
   eigen       largest-eigenvalue ladders by both routes and their disagreement
 
 Exit codes: 0 success, 1 validation error, 2 numerical-diagnostic failure.
-Every run echoes the resolved seed on stderr for reproducibility.
+The Monte Carlo subcommands (test, critval, power) take --seed and echo the
+resolved seed on stderr for reproducibility; efficiency and eigen are
+deterministic and take no seed.
 """
 
 from __future__ import annotations
@@ -157,8 +159,6 @@ def _cmd_power(args):
 
 
 def _cmd_efficiency(args):
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
     if args.family is None:
         raise DomainError("--family is required for the efficiency subcommand")
     rows = []
@@ -179,8 +179,6 @@ def _cmd_efficiency(args):
 
 
 def _cmd_eigen(args):
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
     a_list = _parse_a_list(args.a)
     if a_list == [None]:
         raise DomainError("--a is required for the eigen subcommand")
@@ -224,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--alpha", type=float, default=0.05)
         p.add_argument("--replicates", type=int, default=10_000)
-        p.add_argument("--seed", type=int)
+        if name in ("test", "critval", "power"):
+            p.add_argument("--seed", type=int)
         p.add_argument("--threads", type=int, default=_default_threads())
         p.add_argument("--input")
         p.add_argument("--output")

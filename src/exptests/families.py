@@ -33,7 +33,7 @@ from .errors import DomainError
 
 EULER_GAMMA = float(np.euler_gamma)
 
-DEFAULT_EMNW_BETA = 3.0
+DEFAULT_EMNW_BETA = 3.0  # _inv_emnw solves the cubic that beta = 3 gives
 
 
 def _clamped_inverse_cdf(family, gen, theta, size):
@@ -65,18 +65,45 @@ class AlternativeFamily:
         return theta <= hi if self.closed_upper else theta < hi
 
 
-def _inv_emnw(u, theta, beta=DEFAULT_EMNW_BETA):
-    """Monotone numeric inversion of the EMNW cdf by bisection."""
+def _newton(g, dg, x):
+    """Newton's method for g(x) = 0 from a start whose iterates move
+    monotonically to the root; stops once no step exceeds 1e-9 relative,
+    which leaves an error of rounding size under quadratic convergence."""
+    for _ in range(60):
+        step = g(x) / dg(x)
+        x = x - step
+        if not np.any(np.abs(step) > 1e-9 * np.abs(x)):
+            break
+    return x
+
+
+def _inv_emnw(u, theta):
+    """Inverse of the EMNW cdf (beta = 3) by Newton's method on its cubic.
+
+    With s = 1 - e^-x the cdf is (1-2 theta) s + 3 theta s^2 - theta s^3,
+    increasing and convex on [0, 1]; with q = e^-x its complement is
+    (1+theta) q - theta q^3, increasing and concave on [0, 1].  u <= 1/2 is
+    solved for s from above the root (the smaller of the roots left when the
+    quadratic or the linear term is dropped) and u > 1/2 for q from below
+    it, so the iterates never overshoot, and each form keeps its own tail
+    accurate: x = -log1p(-s) near 0 and x = -log(q) far out.  Finite and
+    positive for u in [1e-300, 1 - 2^-53], the range the sampler draws.
+    """
     u = np.asarray(u, dtype=float)
-    lo = np.zeros_like(u)
-    hi = -np.log1p(-u) + 40.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        f = (1 + theta) * (-np.expm1(-mid)) - theta * (-np.expm1(-beta * mid))
-        high = f > u
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return 0.5 * (lo + hi)
+    x = np.empty_like(u)
+    low = u <= 0.5
+    ul = u[low]
+    s = np.minimum(1.0, np.sqrt(ul / (2.0 * theta)))
+    if theta < 0.5:
+        s = np.minimum(s, ul / (1.0 - 2.0 * theta))
+    s = _newton(lambda s: s * (1.0 - 2.0 * theta + theta * s * (3.0 - s)) - ul,
+                lambda s: 1.0 - 2.0 * theta + 3.0 * theta * s * (2.0 - s), s)
+    x[low] = -np.log1p(-s)
+    v = 1.0 - u[~low]  # exact for u >= 1/2
+    q = _newton(lambda q: q * (1.0 + theta - theta * q * q) - v,
+                lambda q: 1.0 + theta - 3.0 * theta * q * q, v / (1.0 + theta))
+    x[~low] = -np.log(q)
+    return x
 
 
 def _inv_lfr(u, theta):
@@ -129,7 +156,7 @@ def _make_families():
         closed_upper=True,
         pdf=lambda x, th: (1 + th) * np.exp(-x) - th * beta * np.exp(-beta * x),
         cdf=lambda x, th: (1 + th) * (-np.expm1(-x)) - th * (-np.expm1(-beta * x)),
-        inverse_cdf=lambda u, th: _inv_emnw(u, th, beta),
+        inverse_cdf=_inv_emnw,
         mean_analytic=lambda th: 1.0 + th * (1.0 - 1.0 / beta),
         deriv0=lambda x: np.exp(-x) - beta * np.exp(-beta * x),
         mu_prime0=1.0 - 1.0 / beta,

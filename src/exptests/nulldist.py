@@ -100,8 +100,8 @@ def sup_variance(a: float) -> CovarianceHandle:
     """Maximize K(t, t; a) over t > 0 (grid scan + golden section)."""
     if not (a > 0):
         raise DomainError(f"tuning parameter a must be positive, got {a}")
-    (val,), (argt,) = maximize_log_grid(lambda t: covariance_K(t, t, a), 1e-4,
-                                        ld_upper_bound(a), tol=1e-10)
+    (val,), (argt,) = maximize_log_grid(lambda t, rows: covariance_K(t, t, a),
+                                        1e-4, ld_upper_bound(a), tol=1e-10)
     return CovarianceHandle(a=a, sup_variance=float(val), argmax_t=float(argt))
 
 

@@ -42,36 +42,58 @@ def exp_measure_nodes(n):
 
 def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
     """Maximize every row of f over [lo, hi]: a log-spaced grid scan, then
-    golden-section refinement of the bracket around each row's best grid point.
+    golden-section refinement of every grid-local maximum of each row.
 
-    f maps t of shape (1, k) (the grid) or (rows, 1) (one probe per row) to
-    values of shape (rows, k).  Returns (max values, argmax), each of shape
-    (rows,).  A returned value is never below its row's best grid value.
-    All rows take the golden-section steps that shrink the widest of their
-    brackets below tol.
+    f(t, rows) evaluates the rows of f that `rows` selects.  In the grid scan
+    t has shape (1, ngrid), rows is slice(None) and f returns (rows, ngrid);
+    in a refinement step t has shape (p, 1), rows is the index array of the p
+    probes' rows and f returns (p, 1).  A grid-local maximum is a grid value
+    above its left neighbour and not below its right one (an end of the grid
+    needs only its one neighbour), and each row's grid argmax is always one,
+    so a plateau gets one probe and a flat row only its argmax.  Each probe
+    takes the golden-section steps that shrink its own bracket below tol;
+    the largest refined value of a row wins.  Returns (max values, argmax),
+    each of shape (rows,).  A returned value is never below its row's best
+    grid value.
     """
     ts = np.geomspace(lo, hi, ngrid)
-    vs = f(ts[None, :])
+    vs = f(ts[None, :], slice(None))
+    nrows = vs.shape[0]
     i = np.argmax(vs, axis=1)
-    best_v, best_t = vs[np.arange(i.size), i], ts[i]
-    a = ts[np.maximum(i - 1, 0)]
-    b = ts[np.minimum(i + 1, ngrid - 1)]
+    best_v, best_t = vs[np.arange(nrows), i], ts[i]
+    peak = np.ones(vs.shape, dtype=bool)
+    peak[:, 1:] = vs[:, 1:] > vs[:, :-1]
+    peak[:, :-1] &= vs[:, :-1] >= vs[:, 1:]
+    peak[np.arange(nrows), i] = True
+    rows, k = np.nonzero(peak)
+    a = ts[np.maximum(k - 1, 0)]
+    b = ts[np.minimum(k + 1, ngrid - 1)]
+    width = b - a
+    steps = np.zeros(rows.size, dtype=np.intp)
+    wide = width > tol
+    steps[wide] = np.ceil(np.log(tol / width[wide]) / np.log(GOLDEN)) + 1
+    # the probes still stepping are always a prefix of this order
+    order = np.argsort(-steps, kind="stable")
+    rows, a, b, steps = rows[order], a[order], b[order], steps[order]
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1 = f(x1[:, None])[:, 0]
-    f2 = f(x2[:, None])[:, 0]
-    widest = float(np.max(b - a))
-    for _ in range(int(np.ceil(np.log(tol / widest) / np.log(GOLDEN))) + 1
-                   if widest > tol else 0):
-        left = f1 >= f2  # the maximum lies in [a, x2]
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        x1, x2 = (np.where(left, b - GOLDEN * (b - a), x2),
-                  np.where(left, x1, a + GOLDEN * (b - a)))
-        fp = f(np.where(left, x1, x2)[:, None])[:, 0]
-        f1, f2 = np.where(left, fp, f2), np.where(left, f1, fp)
+    f1 = f(x1[:, None], rows)[:, 0]
+    f2 = f(x2[:, None], rows)[:, 0]
+    for m in np.searchsorted(-steps, -np.arange(steps[0] if steps.size else 0)):
+        left = f1[:m] >= f2[:m]  # the maximum lies in [a, x2]
+        am = np.where(left, a[:m], x1[:m])
+        bm = np.where(left, x2[:m], b[:m])
+        x1m = np.where(left, bm - GOLDEN * (bm - am), x2[:m])
+        x2m = np.where(left, x1[:m], am + GOLDEN * (bm - am))
+        fp = f(np.where(left, x1m, x2m)[:, None], rows[:m])[:, 0]
+        f1[:m], f2[:m] = np.where(left, fp, f2[:m]), np.where(left, f1[:m], fp)
+        a[:m], b[:m], x1[:m], x2[:m] = am, bm, x1m, x2m
     up = f1 >= f2
-    refined_v, refined_t = np.where(up, f1, f2), np.where(up, x1, x2)
+    probe_v, probe_t = np.where(up, f1, f2), np.where(up, x1, x2)
+    # each row's largest refined value: first of its run, best first
+    order = np.lexsort((-probe_v, rows))
+    first = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
+    refined_v, refined_t = probe_v[first], probe_t[first]
     better = refined_v > best_v
     return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
 

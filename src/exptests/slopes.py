@@ -214,7 +214,7 @@ def slope_LD(stat: StatisticId, fam, refine: int):
     xs, ws = _halfline_grid(refine)
     gpx = fam.deriv0(xs) * ws
 
-    def inner_sq(t):
+    def inner_sq(t, rows):
         vals = phi1_tilde(xs, t[..., None], a) @ gpx
         return vals * vals
 
@@ -287,7 +287,7 @@ def slope_J_family(stat: StatisticId, fam, refine: int):
 @lru_cache(maxsize=None)
 def _ks_tail_coefficient() -> float:
     (val,), _ = maximize_log_grid(
-        lambda x: np.exp(-2 * x) * (np.exp(x) - x * x - 1.0),
+        lambda x, rows: np.exp(-2 * x) * (np.exp(x) - x * x - 1.0),
         1e-3, 40.0, ngrid=2048, tol=1e-12)
     return 1.0 / float(val)
 
@@ -299,8 +299,7 @@ def slope_KS(stat: StatisticId, fam, refine: int):
     def b_of(th):
         mu = family_mean(fam, th)
 
-        def dist(x):
-            x = np.asarray(x, dtype=float)
+        def dist(x, rows):
             return np.abs(fam.cdf(x * mu, th) + np.expm1(-x))
 
         (val,), _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512 * refine,

@@ -181,7 +181,7 @@ class TestPowerSubcommand:
 class TestEfficiencySubcommand:
     def test_reports_rows(self, capsys):
         code, out, _ = run(["efficiency", "--stat", "EP",
-                            "--family", "weibull", "--seed", "1"], capsys)
+                            "--family", "weibull"], capsys)
         assert code == 0
         row = next(csv.DictReader(io.StringIO(out)))
         assert abs(float(row["efficiency"]) - 0.876) < 0.02
@@ -190,7 +190,7 @@ class TestEfficiencySubcommand:
         from exptests import slopes
         from exptests.statistics import StatisticId
         code, out, _ = run(["efficiency", "--stat", "KS",
-                            "--family", "weibull", "--seed", "1"], capsys)
+                            "--family", "weibull"], capsys)
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert header == ["statistic", "a", "family", "a_T", "c_coeff",
@@ -201,14 +201,13 @@ class TestEfficiencySubcommand:
         assert row["flagged"] == "False"
 
     def test_requires_family(self, capsys):
-        code, _, _ = run(["efficiency", "--stat", "EP", "--seed", "1"],
-                         capsys)
+        code, _, _ = run(["efficiency", "--stat", "EP"], capsys)
         assert code == 1
 
 
 class TestEigenSubcommand:
     def test_emits_trace(self, capsys):
-        code, out, _ = run(["eigen", "--a", "1", "--seed", "1"], capsys)
+        code, out, _ = run(["eigen", "--a", "1"], capsys)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         methods = {r["method"] for r in rows}
@@ -227,7 +226,7 @@ class TestEigenSubcommand:
             assert by["route-disagreement"] < 1e-4
 
     def test_requires_a(self, capsys):
-        code, _, _ = run(["eigen", "--seed", "1"], capsys)
+        code, _, _ = run(["eigen"], capsys)
         assert code == 1
 
     def test_numerics_failure_exit_code(self, capsys, monkeypatch):
@@ -237,7 +236,7 @@ class TestEigenSubcommand:
             raise NumericsError("ladder did not converge", trace=())
 
         monkeypatch.setattr(cli.nulldist, "largest_eigenvalue_delta1", boom)
-        code, _, err = run(["eigen", "--a", "1", "--seed", "1"], capsys)
+        code, _, err = run(["eigen", "--a", "1"], capsys)
         assert code == 2
         assert "numerical" in err
 
@@ -252,7 +251,17 @@ class TestParsing:
         assert code == 1
 
     def test_seed_randomized_when_absent(self, capsys):
-        code, out, err = run(["efficiency", "--stat", "MO",
-                              "--family", "gamma"], capsys)
+        code, out, err = run(["critval", "--stat", "EP", "--n", "5",
+                              "--replicates", "10000", "--threads", "1"],
+                             capsys)
         assert code == 0
         assert "seed:" in err
+
+    def test_deterministic_subcommands_take_no_seed(self, capsys):
+        code, _, err = run(["efficiency", "--stat", "MO", "--family", "gamma"],
+                           capsys)
+        assert code == 0 and "seed" not in err
+        for argv in (["efficiency", "--stat", "MO", "--family", "gamma"],
+                     ["eigen", "--a", "1"]):
+            code, _, err = run(argv + ["--seed", "1"], capsys)
+            assert code == 1 and "unrecognized arguments: --seed" in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +60,57 @@ def test_inverse_cdf_inverts_cdf(fid):
     assert np.all(x > 0)
     np.testing.assert_allclose(np.asarray(fam.cdf(x, th), dtype=float), u,
                                atol=1e-7)
+
+
+def _emnw_bisection(u, theta):
+    # 100-step bisection of the EMNW(beta=3) cdf in x: accurate to about
+    # 1e-16 / (x (1-u)) relative, so only inside the tails
+    lo = np.zeros_like(u)
+    hi = -np.log1p(-u) + 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        high = (1 + theta) * -np.expm1(-mid) + theta * np.expm1(-3.0 * mid) > u
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _emnw_quantile_40_digits(u, theta):
+    # geometric bisection in 40-digit arithmetic: on s = 1 - e^-x for
+    # u <= 1/2, on q = e^-x above; each root is at least half its right side
+    with mpmath.workdps(40):
+        u, th = mpmath.mpf(u), mpmath.mpf(theta)
+        if u <= 0.5:
+            side = lambda s: ((1 - 2 * th) + th * s * (3 - s)) * s - u
+            rhs = u
+        else:
+            side = lambda q: ((1 + th) - th * q * q) * q - (1 - u)
+            rhs = 1 - u
+        lo, hi = rhs / 2, mpmath.mpf(1)
+        for _ in range(90):
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (lo, mid) if side(mid) > 0 else (mid, hi)
+        root = mpmath.sqrt(lo * hi)
+        return float(-mpmath.log1p(-root) if u <= 0.5 else -mpmath.log(root))
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.25, 0.5])
+def test_emnw_inverse_matches_bisection(theta):
+    u = np.random.default_rng(17).random(100_000)
+    x = get_family("emnw").inverse_cdf(u, theta)
+    np.testing.assert_allclose(x, _emnw_bisection(u, theta), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.25, 0.5])
+def test_emnw_inverse_tails(theta):
+    # log grids toward both ends of [1e-300, 1 - 2^-53], where the bisection
+    # in x loses its relative accuracy
+    u = np.concatenate([np.geomspace(1e-300, 0.5, 40),
+                        1.0 - np.geomspace(0.5, 2.0**-53, 40)])
+    x = get_family("emnw").inverse_cdf(u, theta)
+    assert np.all(np.isfinite(x) & (x > 0))
+    exact = [_emnw_quantile_40_digits(ui, theta) for ui in u]
+    np.testing.assert_allclose(x, exact, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("fid", sorted(FAMILIES))

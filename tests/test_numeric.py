@@ -13,8 +13,8 @@ from exptests.slopes import _cov_bh
 def test_rows_are_maximized_together():
     # each row peaks at its own point of a log-scale parabola
     peaks = np.array([[3e-3], [0.5], [30.0]])
-    values, argmax = maximize_log_grid(lambda t: -np.log(t / peaks) ** 2,
-                                       1e-4, 40.0, tol=1e-10)
+    values, argmax = maximize_log_grid(
+        lambda t, rows: -np.log(t / peaks[rows]) ** 2, 1e-4, 40.0, tol=1e-10)
     assert values.shape == argmax.shape == (3,)
     np.testing.assert_allclose(argmax, peaks[:, 0], rtol=1e-7)
     assert np.all((values <= 0) & (values > -1e-12))
@@ -23,16 +23,58 @@ def test_rows_are_maximized_together():
 def test_one_row_case_and_grid_floor():
     # a spike between grid points: the result never falls below the grid
     ts = np.geomspace(1e-3, 10.0, 64)
-    f = lambda t: np.where(np.abs(t - ts[20]) < 1e-12, 1.0, 0.0)
+    f = lambda t, rows: np.where(np.abs(t - ts[20]) < 1e-12, 1.0, 0.0)
     (value,), (argmax,) = maximize_log_grid(f, 1e-3, 10.0, ngrid=64)
     assert value == 1.0 and argmax == ts[20]
 
 
 def test_golden_section_reaches_tolerance():
-    (value,), (argmax,) = maximize_log_grid(lambda t: t * np.exp(-t), 1e-3, 50.0,
-                                            tol=1e-9)
+    (value,), (argmax,) = maximize_log_grid(lambda t, rows: t * np.exp(-t), 1e-3,
+                                            50.0, tol=1e-9)
     assert abs(argmax - 1.0) < 1e-6
     assert abs(value - np.exp(-1.0)) < 1e-13
+
+
+def _bumps(centers, heights, width=0.1):
+    # rows of Gaussian bumps in log t; centers and heights are (rows, bumps)
+    centers, heights = np.asarray(centers), np.asarray(heights)
+
+    def f(t, rows):
+        d = np.log(t[..., None] / centers[rows][:, None, :]) / width
+        return np.max(heights[rows][:, None, :] * np.exp(-d * d), axis=-1)
+    return f
+
+
+def test_every_local_maximum_is_refined():
+    # row 0: the higher bump sits halfway between grid points, so the best
+    # grid point lies on the lower bump, which sits on a grid point;
+    # row 1: one bump, so the probes of the two rows must not mix
+    ts = np.geomspace(1e-3, 10.0, 64)
+    mid = np.sqrt(ts[40] * ts[41])
+    f = _bumps([[ts[15], mid], [ts[30], ts[30]]], [[0.9, 1.0], [0.7, 0.7]])
+    grid = f(ts[None, :], slice(None))
+    assert np.argmax(grid[0]) == 15 and grid[0, 15] == 0.9
+    values, argmax = maximize_log_grid(f, 1e-3, 10.0, ngrid=64, tol=1e-10)
+    np.testing.assert_allclose(values, [1.0, 0.7], rtol=1e-14)
+    np.testing.assert_allclose(argmax, [mid, ts[30]], rtol=1e-8)
+
+
+def test_flat_and_plateau_rows_return_grid_maximum():
+    # row 0 is flat and row 1 rises to a plateau: one probe each, and each
+    # row returns its grid maximum
+    probes = []
+
+    def f(t, rows):
+        if not isinstance(rows, slice):
+            probes.append(rows)
+        rises = np.arange(2)[rows][:, None] == 1
+        return np.where(rises, np.minimum(t, 1.0), 0.0)
+
+    values, argmax = maximize_log_grid(f, 1e-3, 10.0, ngrid=64)
+    np.testing.assert_array_equal(values, [0.0, 1.0])
+    ts = np.geomspace(1e-3, 10.0, 64)
+    np.testing.assert_array_equal(argmax, [ts[0], ts[ts >= 1.0][0]])
+    np.testing.assert_array_equal(np.sort(probes[0]), [0, 1])
 
 
 def _nystrom_matrix():

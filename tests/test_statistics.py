@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from exptests.core import scale_sample
 from exptests.errors import DomainError
@@ -9,7 +10,8 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_ad, kernel_bh,
                                  kernel_cvm, kernel_he, kernel_hm1,
-                                 kernel_hm2, kernel_w, vn_process)
+                                 kernel_hm2, kernel_w, ld_upper_bound,
+                                 vn_process)
 
 from oracles import oracle_statistic, plain_reference
 
@@ -91,6 +93,25 @@ class TestMDAndLD:
         assert (evaluate(StatisticId("LD", a), x).value
                 >= np.max(np.abs(vn_process(s, a, ts))) - 1e-12)
 
+    @pytest.mark.parametrize("seed,row,a,expected", [
+        # the 512-point scan ranked this row's two near-equal peaks wrong
+        # and returned 0.0190502, the peak at t ~ 0.34
+        (11, 483, 0.2, 0.0190527),
+        # one step of a 32-point scan holds two peaks here
+        (1, 16680, 0.5, 0.0101761),
+    ])
+    def test_ld_finds_the_higher_of_close_peaks(self, seed, row, a, expected):
+        x = np.random.default_rng(seed).standard_exponential((20000, 20))[row]
+        s = scale_sample(x)
+        # dense reference: 2^16-point log scan, then a bounded refine
+        ts = np.geomspace(1e-4, ld_upper_bound(a), 2**16)
+        k = int(np.argmax(np.abs(vn_process(s, a, ts))))
+        ref = -minimize_scalar(lambda t: -abs(vn_process(s, a, t)),
+                               bounds=(ts[k - 1], ts[k + 1]), method="bounded",
+                               options={"xatol": 1e-12}).fun
+        assert abs(ref - expected) < 1e-7
+        assert abs(evaluate(StatisticId("LD", a), x).value - ref) < 1e-10 * ref
+
     def test_invalid_a(self, gen):
         x = gen.exponential(size=5)
         with pytest.raises(DomainError):
@@ -152,8 +173,8 @@ class TestEvaluateMany:
         np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
 
     def test_chunking_does_not_change_results(self, gen):
-        # n = 150 gives chunks of 44 rows.  LD's golden-section step count
-        # follows the widest bracket in a call, so LD agrees to rounding only
+        # n = 150 gives chunks of 44 rows.  LD's scan gathers the chunk's
+        # rows into one matrix product, so LD agrees to rounding only
         x = gen.exponential(size=(100, 150))
         for name in sorted(ALL_STATISTICS - {"MP"}):
             stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
