@@ -4,7 +4,8 @@
 Writes one CSV with the efficiencies of the classical battery (fixed and
 tuned statistics at a in {0.2, 0.5, 1, 2, 5, 10}) and one CSV with the
 efficiency curves of the two pair-minimum statistics, both over the four
-local alternative families.
+local alternative families.  The rows have the columns and number format of
+`exptests efficiency` (`slopes.efficiency_rows`).
 
 Usage:
     python3 scripts/reproduce_efficiency_tables.py --out-dir results
@@ -17,7 +18,7 @@ import time
 from pathlib import Path
 
 from exptests.families import LOCAL_FAMILIES
-from exptests.slopes import efficiency
+from exptests.slopes import EFFICIENCY_COLUMNS, efficiency, efficiency_rows
 from exptests.statistics import (PLAIN_STATISTICS, TUNED_STATISTICS,
                                  StatisticId)
 
@@ -42,18 +43,11 @@ def main(argv=None):
                          ("efficiency_new_tests.csv", new_tests)):
         path = out_dir / fname
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["statistic", "a", "family", "a_T", "c_coeff",
-                             "lrt_coeff", "efficiency", "flagged"])
+            writer = csv.DictWriter(fh, fieldnames=EFFICIENCY_COLUMNS)
+            writer.writeheader()
             for stat in stats:
-                for family in LOCAL_FAMILIES:
-                    rep = efficiency(stat, family)
-                    writer.writerow([
-                        stat.name,
-                        "" if stat.a is None else f"{stat.a:g}",
-                        family, repr(rep.a_T), repr(rep.c_coeff),
-                        repr(rep.lrt_coeff), f"{rep.efficiency:.4f}",
-                        rep.flagged])
+                writer.writerows(efficiency_rows(
+                    efficiency(stat, family) for family in LOCAL_FAMILIES))
                 print(f"{stat.label():12s} done [{time.time() - t0:5.0f}s]",
                       flush=True)
         print(f"wrote {path}")

@@ -8,10 +8,12 @@ Subcommands:
   efficiency  local Bahadur efficiency reports / curves
   eigen       largest-eigenvalue ladders by both routes and their disagreement
 
-Exit codes: 0 success, 1 validation error, 2 numerical-diagnostic failure.
-The Monte Carlo subcommands (test, critval, power) take --seed and echo the
-resolved seed on stderr for reproducibility; efficiency and eigen are
-deterministic and take no seed.
+Each subcommand accepts only the options its handler reads (the
+`_SUBCOMMANDS` table), so a misplaced option is an error rather than ignored.
+Exit codes: 0 success, 1 validation error (argparse errors included),
+2 numerical-diagnostic failure.  The Monte Carlo subcommands (test, critval,
+power) take --seed; `run_command` resolves it once (a fresh random seed when
+absent) and echoes it on stderr for reproducibility.
 """
 
 from __future__ import annotations
@@ -30,16 +32,6 @@ from .errors import DomainError, NumericsError
 from .statistics import ALL_STATISTICS, StatisticId, evaluate
 
 
-def _default_threads() -> int:
-    env = os.environ.get("EXPTESTS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _parse_a_list(text):
     if text is None:
         return [None]
@@ -50,55 +42,35 @@ def _parse_a_list(text):
                           f"got {text!r}") from None
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return int(np.random.SeedSequence().entropy % (2**63))
-
-
 def _emit(rows, columns, args):
-    fmt = args.format
-    if args.output:
-        fh = open(args.output, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        fh, close = sys.stdout, False
+    fh = (open(args.output, "w", newline="", encoding="utf-8") if args.output
+          else sys.stdout)
+    rows = [{c: r[c] for c in columns} for r in rows]
     try:
-        if fmt == "json":
-            json.dump([{c: r[c] for c in columns} for r in rows], fh, indent=2)
+        if args.format == "json":
+            json.dump(rows, fh, indent=2)
             fh.write("\n")
         else:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
-            for r in rows:
-                writer.writerow({c: r[c] for c in columns})
+            writer.writerows(rows)
     finally:
-        if close:
+        if fh is not sys.stdout:
             fh.close()
 
 
-def _statistic(args, a=None) -> StatisticId:
-    if args.stat is None:
-        raise DomainError("--stat is required")
-    return StatisticId(args.stat, a)
-
-
 def _cmd_test(args):
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
-    if not args.input:
-        raise DomainError("--input is required for the test subcommand")
     a_list = _parse_a_list(args.a)
     if len(a_list) != 1:
         raise DomainError("the test subcommand takes a single --a value")
-    stat = _statistic(args, a_list[0])
+    stat = StatisticId(args.stat, a_list[0])
     x = read_sample(args.input)
     value = evaluate(stat, x).value
     alphas = nulldist.check_calibration_inputs(x.size, args.alpha,
                                                args.replicates)
     # one null run gives both the critical value and the p-value
     null = nulldist.simulate_null_statistics(stat, x.size, args.replicates,
-                                             RngStream(seed),
+                                             RngStream(args.seed),
                                              threads=args.threads)
     crit, _ = nulldist.null_critical_values(null, alphas)
     p = nulldist.null_p_value(null, value)
@@ -107,22 +79,19 @@ def _cmd_test(args):
         "n": x.size, "value": repr(float(value)), "alpha": repr(args.alpha),
         "critical_value": repr(float(crit[args.alpha])),
         "p_value": repr(float(p)),
-        "replicates": args.replicates, "seed": seed,
+        "replicates": args.replicates, "seed": args.seed,
     }]
     _emit(rows, list(rows[0].keys()), args)
     return 0
 
 
 def _cmd_critval(args):
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
-    if args.n is None:
-        raise DomainError("--n is required for the critval subcommand")
     rows = []
     for a in _parse_a_list(args.a):
-        stat = _statistic(args, a)
+        stat = StatisticId(args.stat, a)
         cal = nulldist.calibrate_critical_value(stat, args.n, args.alpha,
-                                                args.replicates, RngStream(seed),
+                                                args.replicates,
+                                                RngStream(args.seed),
                                                 threads=args.threads)
         rows.extend(nulldist.calibration_rows(cal))
     _emit(rows, list(nulldist.CALIBRATION_COLUMNS), args)
@@ -130,13 +99,9 @@ def _cmd_critval(args):
 
 
 def _cmd_power(args):
-    seed = _resolve_seed(args)
-    print(f"seed: {seed}", file=sys.stderr)
-    if args.family is None or args.n is None:
-        raise DomainError("--family and --n are required for the power subcommand")
     cells = []
     for a in _parse_a_list(args.a):
-        stat = _statistic(args, a)
+        stat = StatisticId(args.stat, a)
         cal = None
         if args.input:
             for loaded in nulldist.load_calibrations(args.input):
@@ -148,42 +113,27 @@ def _cmd_power(args):
                                   f"{stat.label()} at n={args.n}")
         else:
             cal = nulldist.calibrate_critical_value(
-                stat, args.n, args.alpha, args.replicates, RngStream(seed),
+                stat, args.n, args.alpha, args.replicates, RngStream(args.seed),
                 threads=args.threads)
         cells.append(powersim.estimate_power(
             stat, args.family, args.theta, args.n, args.alpha,
-            args.replicates, RngStream(seed, stream=1), cal,
+            args.replicates, RngStream(args.seed, stream=1), cal,
             threads=args.threads))
     _emit(powersim.power_table_rows(cells), list(powersim.POWER_COLUMNS), args)
     return 0
 
 
 def _cmd_efficiency(args):
-    if args.family is None:
-        raise DomainError("--family is required for the efficiency subcommand")
-    rows = []
-    for a in _parse_a_list(args.a):
-        stat = _statistic(args, a)
-        rep = slopes.efficiency(stat, args.family)
-        rows.append({
-            "statistic": stat.name,
-            "a": "" if stat.a is None else f"{stat.a:g}",
-            "family": rep.family, "a_T": repr(rep.a_T),
-            "c_coeff": repr(rep.c_coeff), "lrt_coeff": repr(rep.lrt_coeff),
-            "efficiency": repr(rep.efficiency),
-            "b_coeff": repr(rep.b_coeff), "flagged": rep.flagged,
-        })
-    _emit(rows, ["statistic", "a", "family", "a_T", "c_coeff", "lrt_coeff",
-                 "efficiency", "b_coeff", "flagged"], args)
+    reports = [slopes.efficiency(StatisticId(args.stat, a), args.family)
+               for a in _parse_a_list(args.a)]
+    _emit(slopes.efficiency_rows(reports), list(slopes.EFFICIENCY_COLUMNS),
+          args)
     return 0
 
 
 def _cmd_eigen(args):
-    a_list = _parse_a_list(args.a)
-    if a_list == [None]:
-        raise DomainError("--a is required for the eigen subcommand")
     rows = []
-    for a in a_list:
+    for a in _parse_a_list(args.a):
         result = nulldist.largest_eigenvalue_delta1(a)
         for n_nodes, est in result.trace:
             rows.append({"a": f"{a:g}", "method": "gauss-legendre",
@@ -204,31 +154,46 @@ def _cmd_eigen(args):
     return 0
 
 
+# every option any subcommand reads, with its argparse settings
+_OPTIONS = {
+    "stat": dict(choices=sorted(ALL_STATISTICS), type=str.upper),
+    "a": dict(help="tuning parameter (comma list allowed outside `test`)"),
+    "family": {},
+    "theta": dict(type=float),
+    "n": dict(type=int),
+    "alpha": dict(type=float, default=0.05),
+    "replicates": dict(type=int, default=10_000),
+    "seed": dict(type=int),
+    "threads": dict(type=int, default=os.cpu_count() or 1),
+    "input": {},
+    "output": {},
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+
+# each subcommand's handler and the options it reads ("!" marks a required
+# one); every subcommand also takes --output and --format
+_SUBCOMMANDS = {
+    "test": (_cmd_test, "stat! a alpha replicates seed threads input!"),
+    "critval": (_cmd_critval, "stat! a n! alpha replicates seed threads"),
+    "power": (_cmd_power, "stat! a family! theta n! alpha replicates seed "
+                          "threads input"),
+    "efficiency": (_cmd_efficiency, "stat! a family!"),
+    "eigen": (_cmd_eigen, "a!"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exptests",
         description="Exponentiality tests from empirical Laplace transforms")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    handlers = {"test": _cmd_test, "critval": _cmd_critval,
-                "power": _cmd_power, "efficiency": _cmd_efficiency,
-                "eigen": _cmd_eigen}
-    for name in handlers:
+    for name, (handler, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--stat", choices=sorted(ALL_STATISTICS), type=str.upper)
-        p.add_argument("--a", help="tuning parameter (comma list allowed "
-                                   "outside `test`)")
-        p.add_argument("--family")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--alpha", type=float, default=0.05)
-        p.add_argument("--replicates", type=int, default=10_000)
-        if name in ("test", "critval", "power"):
-            p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, default=_default_threads())
-        p.add_argument("--input")
-        p.add_argument("--output")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(handler=handlers[name])
+        for opt in options.split() + ["output", "format"]:
+            key = opt.rstrip("!")
+            p.add_argument(f"--{key}", required=opt.endswith("!"),
+                           **_OPTIONS[key])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -238,6 +203,10 @@ def run_command(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    if "seed" in args:  # the Monte Carlo subcommands echo the seed they use
+        if args.seed is None:
+            args.seed = int(np.random.SeedSequence().entropy % (2**63))
+        print(f"seed: {args.seed}", file=sys.stderr)
     try:
         return args.handler(args)
     except DomainError as exc:

@@ -63,6 +63,18 @@ def _critical_value(calibration: Optional[NullCalibration], stat: StatisticId,
                           f"available: {sorted(calibration.critical_values)}") from None
 
 
+def _power_cell(count, stat: StatisticId, fam, theta, n: int, alpha: float,
+                replicates: int, rng: RngStream, threads: int) -> PowerCell:
+    """The cell whose power is the fraction of replicates rejected, summed
+    over the fixed blocks by count(k, size) (block k draws from substream k)."""
+    p_hat = sum(_map_blocks(count, replicates, threads)) / replicates
+    se = float(np.sqrt(p_hat * (1.0 - p_hat) / replicates))
+    return PowerCell(statistic=stat, family=fam.id,
+                     theta=None if not fam.uses_theta else float(theta),
+                     n=n, alpha=alpha, replicates=replicates,
+                     power=p_hat, mc_se=se, seed=rng)
+
+
 def estimate_power(stat: StatisticId, family, theta, n: int, alpha: float,
                    replicates: int, rng: RngStream,
                    calibration: NullCalibration,
@@ -78,13 +90,27 @@ def estimate_power(stat: StatisticId, family, theta, n: int, alpha: float,
         x = sample_alternative(fam, theta, (size, n), rng.substream(k))
         return int(np.count_nonzero(evaluate_many(stat, x) > crit))
 
-    rejected = sum(_map_blocks(count, replicates, threads))
-    p_hat = rejected / replicates
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / replicates))
-    return PowerCell(statistic=stat, family=fam.id,
-                     theta=None if not fam.uses_theta else float(theta),
-                     n=n, alpha=alpha, replicates=replicates,
-                     power=p_hat, mc_se=se, seed=rng)
+    return _power_cell(count, stat, fam, theta, n, alpha, replicates, rng,
+                       threads)
+
+
+def _tuning_grid(grid: Sequence[float]) -> tuple:
+    grid = tuple(sorted(float(a) for a in grid))
+    if not grid:
+        raise DomainError("tuning grid must be nonempty")
+    if any(a <= 0 for a in grid):
+        raise DomainError("tuning grid values must be positive")
+    return grid
+
+
+def _bootstrap_scores(x: np.ndarray, B: int, gen, stats, crits) -> np.ndarray:
+    """(rows, len(stats)) fractions of B resamples of each row of x that each
+    statistic rejects at its critical value."""
+    r, n = x.shape
+    idx = gen.integers(0, n, size=(r, B, n))
+    res = np.take_along_axis(x[:, None, :], idx, axis=2).reshape(r * B, n)
+    return np.stack([np.mean(evaluate_many(s, res).reshape(r, B) > c, axis=1)
+                     for s, c in zip(stats, crits)], axis=1)
 
 
 def bootstrap_select_a(stat_name: str, sample, grid: Sequence[float],
@@ -96,27 +122,17 @@ def bootstrap_select_a(stat_name: str, sample, grid: Sequence[float],
     the score of a candidate is the fraction of resamples rejected at the
     null critical value for that candidate.  Ties go to the smallest a.
     """
-    grid = tuple(sorted(float(a) for a in grid))
-    if not grid:
-        raise DomainError("tuning grid must be nonempty")
-    if any(a <= 0 for a in grid):
-        raise DomainError("tuning grid values must be positive")
+    grid = _tuning_grid(grid)
     if B < 200:
         raise DomainError("bootstrap requires B >= 200")
     x = np.asarray(sample, dtype=float)
-    n = x.size
-    gen = rng.generator()
-    idx = gen.integers(0, n, size=(B, n))
-    resamples = x[idx]
-    scores = []
-    for a in grid:
-        stat = StatisticId(stat_name, a)
-        crit = _critical_value(calibrations.get(a), stat, n, alpha)
-        values = evaluate_many(stat, resamples)
-        scores.append(float(np.mean(values > crit)))
+    stats = [StatisticId(stat_name, a) for a in grid]
+    crits = [_critical_value(calibrations.get(a), s, x.size, alpha)
+             for a, s in zip(grid, stats)]
+    scores = _bootstrap_scores(x[None, :], B, rng.generator(), stats, crits)[0]
     best = int(np.argmax(scores))  # first max = smallest a on ties
     return BootstrapTuning(grid=grid, bootstrap_replicates=B,
-                           selected_a=grid[best], scores=tuple(scores))
+                           selected_a=grid[best], scores=tuple(scores.tolist()))
 
 
 def estimate_power_adaptive(stat_name: str, family, theta, n: int, alpha: float,
@@ -126,44 +142,37 @@ def estimate_power_adaptive(stat_name: str, family, theta, n: int, alpha: float,
                             B: int = 200) -> PowerCell:
     """Power of the data-driven test: per Monte Carlo replicate, pick the
     tuning parameter by bootstrap expected power, then reject using the
-    critical value of the selected candidate."""
+    critical value of the selected candidate.
+
+    The replicates use the fixed blocks of `estimate_power` (block k draws
+    from substream k); block k's resamples come from substream(k).substream(1)
+    in sub-chunks that keep each resample array near 2*10^6 values.
+    """
     if replicates < 1:
         raise DomainError("power estimation requires at least one replicate")
     if B < 1:
         raise DomainError("bootstrap requires B >= 1")
-    grid = tuple(sorted(float(a) for a in grid))
+    grid = _tuning_grid(grid)
     stats = [StatisticId(stat_name, a) for a in grid]
     crits = np.array([_critical_value(calibrations.get(a), s, n, alpha)
                       for a, s in zip(grid, stats)])
     fam = get_family(family) if isinstance(family, str) else family
-    rejected = 0
     chunk = max(1, 2_000_000 // (B * n))
-    done = 0
-    block_index = 0
-    while done < replicates:
-        size = min(chunk, replicates - done)
-        stream = rng.substream(block_index)
+
+    def count(k, size):
+        stream = rng.substream(k)
         x = sample_alternative(fam, theta, (size, n), stream)
         gen = stream.substream(1).generator()
-        idx = gen.integers(0, n, size=(size, B, n))
-        res = np.take_along_axis(x[:, None, :], idx, axis=2).reshape(size * B, n)
-        scores = np.empty((size, len(grid)))
-        observed = np.empty((size, len(grid)))
-        for j, (a, stat) in enumerate(zip(grid, stats)):
-            values = evaluate_many(stat, res).reshape(size, B)
-            scores[:, j] = np.mean(values > crits[j], axis=1)
-            observed[:, j] = evaluate_many(stat, x)
+        scores = np.concatenate([
+            _bootstrap_scores(x[i:i + chunk], B, gen, stats, crits)
+            for i in range(0, size, chunk)])
         pick = np.argmax(scores, axis=1)
-        rejected += int(np.count_nonzero(
+        observed = np.stack([evaluate_many(s, x) for s in stats], axis=1)
+        return int(np.count_nonzero(
             observed[np.arange(size), pick] > crits[pick]))
-        done += size
-        block_index += 1
-    p_hat = rejected / replicates
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / replicates))
-    return PowerCell(statistic=StatisticId(stat_name, grid[0]), family=fam.id,
-                     theta=None if not fam.uses_theta else float(theta),
-                     n=n, alpha=alpha, replicates=replicates,
-                     power=p_hat, mc_se=se, seed=rng)
+
+    return _power_cell(count, StatisticId(stat_name, grid[0]), fam, theta, n,
+                       alpha, replicates, rng, threads=1)
 
 
 def power_table_rows(cells: Sequence[PowerCell]):

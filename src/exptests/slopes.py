@@ -465,6 +465,22 @@ def efficiency(stat: StatisticId, family, refine: int = 1) -> SlopeReport:
                        efficiency=eff, flagged=not (0.0 <= eff <= EFFICIENCY_SLACK))
 
 
+EFFICIENCY_COLUMNS = ("statistic", "a", "family", "a_T", "c_coeff",
+                      "lrt_coeff", "efficiency", "b_coeff", "flagged")
+
+
+def efficiency_rows(reports) -> list:
+    """One row per SlopeReport, keyed by EFFICIENCY_COLUMNS; the numbers are
+    written with repr, so they read back exactly."""
+    return [{"statistic": r.statistic.name,
+             "a": "" if r.statistic.a is None else f"{r.statistic.a:g}",
+             "family": r.family, "a_T": repr(r.a_T),
+             "c_coeff": repr(r.c_coeff), "lrt_coeff": repr(r.lrt_coeff),
+             "efficiency": repr(r.efficiency), "b_coeff": repr(r.b_coeff),
+             "flagged": r.flagged}
+            for r in reports]
+
+
 def efficiency_curve(stat_name: str, family, a_grid, refine: int = 1):
     """Efficiencies of a tuned statistic over a grid of tuning parameters."""
     out = []

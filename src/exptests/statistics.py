@@ -98,12 +98,14 @@ def _md(y, z, a):
 def _vn(y, z, a, t):
     """Difference of the two empirical transforms of each row of y (z sorted)
     at t, which broadcasts against (rows, k); damped by e^{-at}."""
+    # each transform is 1 + a weighted mean of expm1 (the pair weights sum to
+    # 1), so the difference subtracts no two numbers near 1
     t = t[..., None]
-    l1 = np.exp(-t * y[:, None, :]).mean(axis=-1)
-    e2 = np.exp(-2.0 * t * z[:, None, :])
-    # one 2-D product: a stacked matmul rounds differently, and l1 - l2 cancels
-    l2 = (e2.reshape(-1, y.shape[1]) @ min_pair_weights(y.shape[1])).reshape(e2.shape[:-1])
-    return (l1 - l2) * np.exp(-a * t[..., 0])
+    d1 = np.expm1(-t * y[:, None, :]).mean(axis=-1)
+    e2 = np.expm1(-2.0 * t * z[:, None, :])
+    # one 2-D product: a stacked matmul rounds differently
+    d2 = (e2.reshape(-1, y.shape[1]) @ min_pair_weights(y.shape[1])).reshape(e2.shape[:-1])
+    return (d1 - d2) * np.exp(-a * t[..., 0])
 
 
 def vn_process(s: ScaledSample, a: float, t) -> float:

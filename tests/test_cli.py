@@ -265,3 +265,20 @@ class TestParsing:
                      ["eigen", "--a", "1"]):
             code, _, err = run(argv + ["--seed", "1"], capsys)
             assert code == 1 and "unrecognized arguments: --seed" in err
+        # every subcommand rejects each option its handler does not read
+        base = {"test": ["--stat", "MD", "--input", "data.txt"],
+                "critval": ["--stat", "MD", "--n", "5"],
+                "power": ["--stat", "MD", "--family", "gamma", "--n", "5"],
+                "efficiency": ["--stat", "MO", "--family", "gamma"],
+                "eigen": ["--a", "1"]}
+        reads = {"test": "stat a alpha replicates seed threads input",
+                 "critval": "stat a n alpha replicates seed threads",
+                 "power": "stat a family theta n alpha replicates seed "
+                          "threads input",
+                 "efficiency": "stat a family", "eigen": "a"}
+        options = set(reads["power"].split())
+        for name, argv in base.items():
+            for opt in sorted(options - set(reads[name].split())):
+                code, _, err = run([name, *argv, f"--{opt}", "1"], capsys)
+                assert code == 1, (name, opt)
+                assert f"unrecognized arguments: --{opt} 1" in err, (name, opt)

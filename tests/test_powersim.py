@@ -188,6 +188,34 @@ class TestAdaptivePower:
                                     grid=(1.0,), B=B)
 
 
+    def test_adaptive_draws_the_blocks_of_estimate_power(self, md1_cal_n10,
+                                                         monkeypatch):
+        # the replicates come from the fixed blocks of estimate_power
+        # (block k from substream k), not from chunks sized by B and n
+        draws = []
+        sample = powersim.sample_alternative
+
+        def recording(fam, theta, shape, rng):
+            draws.append((rng, shape))
+            return sample(fam, theta, shape, rng)
+
+        monkeypatch.setattr(powersim, "sample_alternative", recording)
+        rng = RngStream(34, 1)
+        estimate_power(StatisticId("MD", 1.0), "gamma", 1.0, 10, 0.05, 1200,
+                       rng, md1_cal_n10[1.0])
+        fixed, draws[:] = list(draws), []
+        estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 1200, rng,
+                                md1_cal_n10, grid=(1.0,), B=200)
+        assert draws == fixed == [(rng.substream(0), (1200, 10))]
+
+    @pytest.mark.parametrize("grid", [(), (0.0,), (1.0, -2.0)])
+    def test_adaptive_rejects_bad_grid(self, md1_cal_n10, grid):
+        with pytest.raises(DomainError, match="tuning grid"):
+            estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 100,
+                                    RngStream(33, 1), md1_cal_n10,
+                                    grid=grid, B=200)
+
+
 class TestPowerTables:
     def test_rows_and_csv(self, tmp_path, md1_cal_n20):
         cell = estimate_power(StatisticId("MD", 1.0), "gamma", 1.0, 20, 0.05,

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,28 @@ class TestMDAndLD:
             l2 = np.mean(np.exp(-2 * t * np.minimum(y[:, None], y[None, :])))
             direct = (l1 - l2) * np.exp(-1.0 * t)
             assert abs(vn_process(s, 1.0, t) - direct) < 1e-12
+
+    @pytest.mark.parametrize("a", [5.0, 10.0])
+    def test_vn_process_against_mpmath(self, a):
+        # 40-digit oracle on one n=50 row: the expm1 form beats the direct
+        # difference of the two transforms, which both sit near 1 at small t
+        s = scale_sample(np.random.default_rng(0).standard_exponential(50))
+        n = s.values.size
+        ts = np.geomspace(1e-4, ld_upper_bound(a), 16)
+        with mpmath.workdps(40):
+            y = [mpmath.mpf(v) for v in s.values]
+            z = [mpmath.mpf(v) for v in s.sorted_values]
+            w = [mpmath.mpf(2 * (n - i) + 1) / n**2 for i in range(1, n + 1)]
+            ref = np.array([float(
+                (mpmath.fsum(mpmath.exp(-t * v) for v in y) / n
+                 - mpmath.fsum(wi * mpmath.exp(-2 * t * v) for wi, v in zip(w, z)))
+                * mpmath.exp(-a * t)) for t in map(mpmath.mpf, ts)])
+        direct = (np.exp(-ts[:, None] * s.values).mean(axis=1)
+                  - np.exp(-2 * ts[:, None] * s.sorted_values) @ s.min_weights
+                  ) * np.exp(-a * ts)
+        err = np.max(np.abs(vn_process(s, a, ts) / ref - 1))
+        err_direct = np.max(np.abs(direct / ref - 1))
+        assert err < err_direct / 10
 
     def test_ld_matches_dense_grid(self, gen):
         x = gen.exponential(size=14)
