@@ -276,7 +276,7 @@ class TestParsing:
                  "power": "stat a family theta n alpha replicates seed "
                           "threads input",
                  "efficiency": "stat a family", "eigen": "a"}
-        options = set(reads["power"].split())
+        options = set(reads["power"].split())  # power reads every option
         for name, argv in base.items():
             for opt in sorted(options - set(reads[name].split())):
                 code, _, err = run([name, *argv, f"--{opt}", "1"], capsys)
