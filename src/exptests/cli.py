@@ -36,10 +36,13 @@ def _parse_a_list(text):
     if text is None:
         return [None]
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
+        values = []
+    if not values:
         raise DomainError(f"--a expects a number or comma-separated numbers, "
-                          f"got {text!r}") from None
+                          f"got {text!r}")
+    return values
 
 
 def _emit(rows, columns, args):

@@ -286,5 +286,4 @@ def sample_alternative(family, theta, n: int, rng: RngStream) -> np.ndarray:
     if isinstance(family, str):
         family = get_family(family)
     theta = _check_theta(family, theta)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return family.sampler(family, gen, theta, n)
+    return family.sampler(family, rng.generator(), theta, n)

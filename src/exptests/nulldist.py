@@ -23,9 +23,9 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,8 +115,6 @@ class EigenApproximation:
     m: int
     B: float
     matrix: np.ndarray
-    delta1: Optional[float] = None
-    trace: list = field(default_factory=list)
 
 
 def _ei_of_sum(c, d):
@@ -242,32 +240,23 @@ def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
 
 def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
     """Largest eigenvalue of the discretized operator (Lanczos iteration for
-    the top eigenvalue only); recorded in approx.delta1 and approx.trace."""
-    approx.delta1 = largest_eigenvalue(approx.matrix)
-    approx.trace.append((approx.m, approx.B, approx.delta1))
-    return approx.delta1
+    the top eigenvalue only)."""
+    return largest_eigenvalue(approx.matrix)
 
 
-def grid_ladder_delta1(a: float,
-                       rungs: Sequence[Tuple[int, float]] = ((500, 25.0),
-                                                             (1000, 25.0),
-                                                             (2000, 30.0)),
-                       kernel=None) -> Tuple[float, list]:
-    """delta1 by the equal-width matrix route over an (m, B) ladder, with
-    Richardson extrapolation of the second-order midpoint error."""
-    trace = []
-    for m, B in rungs:
-        approx = eigen_matrix(a, m, B, kernel=kernel)
-        trace.append((m, B, matrix_largest_eigenvalue(approx)))
-    hs = np.array([B / m for m, B in rungs])
-    ds = np.array([d for _, _, d in trace])
-    if len(rungs) >= 2:
-        # eliminate the h^2 term using the two finest rungs
-        h1, h2 = hs[-2], hs[-1]
-        extr = ds[-1] + (ds[-1] - ds[-2]) * h2**2 / (h1**2 - h2**2)
-    else:
-        extr = ds[-1]
-    return float(extr), trace
+GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
+
+
+def grid_ladder_delta1(a: float) -> Tuple[float, list]:
+    """delta1 by the equal-width matrix route over the GRID_RUNGS ladder, with
+    Richardson extrapolation of the second-order midpoint error.  Returns
+    (extrapolated delta1, [(m, B, delta1 of the rung), ...])."""
+    trace = [(m, B, matrix_largest_eigenvalue(eigen_matrix(a, m, B)))
+             for m, B in GRID_RUNGS]
+    # eliminate the h^2 term using the two finest rungs
+    (m1, B1, d1), (m2, B2, d2) = trace[-2:]
+    h1, h2 = B1 / m1, B2 / m2
+    return float(d2 + (d2 - d1) * (h2 * h2) / (h1 * h1 - h2 * h2)), trace
 
 
 @dataclass(frozen=True)
@@ -333,9 +322,11 @@ def _map_blocks(run, replicates: int, threads: int = 1) -> list:
     on a thread pool; the fixed layout keeps results independent of the
     thread count.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     nblocks = (replicates + _BLOCK_ROWS - 1) // _BLOCK_ROWS
     sizes = [min(_BLOCK_ROWS, replicates - k * _BLOCK_ROWS) for k in range(nblocks)]
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, range(nblocks), sizes))
     return [run(k, size) for k, size in enumerate(sizes)]
@@ -381,9 +372,10 @@ def null_critical_values(null_values: np.ndarray, alphas) -> Tuple[dict, dict]:
     return crit, ses
 
 
-def null_p_value(null_values: np.ndarray, observed: float) -> float:
-    """Monte Carlo p-value (1 + #{null >= observed}) / (B + 1)."""
-    return float((1 + np.count_nonzero(null_values >= observed))
+def null_p_value(null_values: np.ndarray, value: float) -> float:
+    """Monte Carlo p-value (1 + #{null >= value}) / (B + 1) of an observed
+    statistic value."""
+    return float((1 + np.count_nonzero(null_values >= value))
                  / (null_values.size + 1))
 
 
@@ -402,22 +394,15 @@ def calibrate_critical_value(stat: StatisticId, n: int, alpha=0.05,
 
 
 def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
-               rng: RngStream = RngStream(0), threads: int = 1,
-               observed: Optional[float] = None) -> float:
-    """Monte Carlo p-value of the sample (null_p_value on a fresh null run).
-
-    `observed` overrides the statistic value (used for sentinel checks);
-    by default it is computed from the sample, which needs n >= 2 as
-    calibration does.
-    """
+               rng: RngStream = RngStream(0), threads: int = 1) -> float:
+    """Monte Carlo p-value of the sample (null_p_value on a fresh null run);
+    the sample needs n >= 2, as calibration does."""
     x = np.asarray(raw, dtype=float)
     if x.size < 2:
         raise DomainError("sample size must be at least 2")
-    if observed is None:
-        observed = evaluate(stat, x).value
     null_values = simulate_null_statistics(stat, x.size, replicates, rng,
                                            threads=threads)
-    return null_p_value(null_values, observed)
+    return null_p_value(null_values, evaluate(stat, x).value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ c*(theta) = a_T * b_T(theta)^2.  All families here are local alternatives
 g(x; theta) with g(x; 0) = e^{-x}, so c*(theta) = c_coeff * theta^2 + o(theta^2)
 and the local efficiency is c_coeff / lrt_coeff, where lrt_coeff is the
 theta^2-coefficient of twice the Kullback-Leibler infimum
-2 inf_lambda KL(g_theta || Exp(lambda)) attained at lambda = 1/mean(theta).
+2 inf_lambda KL(g_theta || Exp(lambda)): the Fisher-type integral
+lrt_coeff = int_0^inf h(x)^2 e^x dx - mu'(0)^2 of the family's scores
+h = g'(x; 0) and mean derivative mu'(0) (Nikitin 1995, Asymptotic Efficiency
+of Nonparametric Tests).
 
 Conventions per statistic type:
 
@@ -21,7 +24,7 @@ its Bahadur tail coefficient is 1/(6 delta1); the supremum statistic's is
 1/sup_t K(t,t).
 
 One table, _SLOPES, maps each statistic name to its slope routine and a
-`quadratic` flag.  Every routine takes (stat, fam, refine) and returns
+`quadratic` flag.  Every routine takes (stat, fam) and returns
 (c_coeff, a_T) from one computation.  The report splits c_coeff as
 c = a_T * b for quadratic statistics (b is the theta^2-coefficient of b_T^2)
 and as c = a_T * b^2 for normal and supremum statistics (b is the
@@ -75,19 +78,18 @@ def _local_family(family):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature grids (cached per refinement level)
+# Quadrature grids (built on first use, then cached)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _halfline_grid(refine: int = 1):
-    return graded_halfline_nodes(inner=1e-4 / refine, outer=60.0 + 20.0 * (refine - 1),
-                                 panels=60 * refine, npts=12)
+@lru_cache(maxsize=1)
+def _halfline_grid():
+    return graded_halfline_nodes(inner=1e-4, outer=60.0, panels=60, npts=12)
 
 
-@lru_cache(maxsize=None)
-def _pair_grid(refine: int = 1):
+@lru_cache(maxsize=1)
+def _pair_grid():
     """Tensor grid of _halfline_grid: x (k, 1), y (1, k) and weights (k, k)."""
-    x, w = _halfline_grid(refine)
+    x, w = _halfline_grid()
     return x[:, None], x[None, :], np.outer(w, w)
 
 
@@ -95,7 +97,7 @@ MU_STEP = 1e-4  # central-difference step of the L2 mu-derivatives
 
 
 @lru_cache(maxsize=1)
-def _pair_kernel(name: str, a: Optional[float], refine: int):
+def _pair_kernel(name: str, a: Optional[float]):
     """Family-independent part of a pair-grid double integral (MD, MP and
     the L2 battery), so that each family costs one quadratic form.
 
@@ -110,7 +112,7 @@ def _pair_kernel(name: str, a: Optional[float], refine: int):
     families innermost; it also means no 720 x 720 matrix outlives the next
     (statistic, a).
     """
-    xg, yg, wg = _pair_grid(refine)
+    xg, yg, wg = _pair_grid()
     if name == "MD":
         return h2_tilde(xg, yg, a) * wg, None, None
     if name == "MP":
@@ -126,15 +128,15 @@ def _pair_kernel(name: str, a: Optional[float], refine: int):
     return p0 * wg, d1 @ g0, float(g0 @ d2 @ g0)
 
 
-def _score_form(mat, fam, refine: int = 1) -> float:
+def _score_form(mat, fam) -> float:
     """gp' mat gp with gp the family's scores g'(x; 0) on the half-line grid:
     the double integral of a _pair_kernel matrix against the scores."""
-    gp = fam.deriv0(_halfline_grid(refine)[0])
+    gp = fam.deriv0(_halfline_grid()[0])
     return float(gp @ mat @ gp)
 
 
-def _single_integral(f, refine: int = 1) -> float:
-    x, w = _halfline_grid(refine)
+def _single_integral(f) -> float:
+    x, w = _halfline_grid()
     return float(np.dot(f(x), w))
 
 
@@ -143,46 +145,30 @@ def _single_integral(f, refine: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def lrt_local_coefficient(family, refine: int = 1) -> float:
+def lrt_local_coefficient(family) -> float:
     """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)) for a
-    local family (an id or the family object itself).
+    local family (an id or the family object itself):
+    int_0^inf h^2 e^x dx - mu'(0)^2 with h = g'(x; 0).
 
-    The infimum is attained at lambda = 1/mean(theta); the coefficient is
-    extracted from exact KL evaluations at theta in {0.02, 0.01, 0.005} by
-    quadratic Lagrange extrapolation to theta = 0 (the expansion of
-    2K(theta)/theta^2 carries theta and theta^2 correction terms).
+    The scores carry a factor e^{-x}, so h^2 underflows long before e^x
+    overflows (at x = 709); the integral stops at 700.
     """
     # imported here: scipy.integrate costs start-up time in every process
     from scipy import integrate
     fam = _local_family(family)
-
-    def kl_over_t2(th):
-        mu = family_mean(fam, th)
-        lam = 1.0 / mu
-
-        def integrand(x):
-            g = fam.pdf(x, th)
-            if g <= 0:
-                return 0.0
-            return g * (math.log(g) - math.log(lam) + lam * x)
-
-        val, _ = integrate.quad(integrand, 0, np.inf,
-                                epsabs=1e-13 / refine, epsrel=1e-12,
-                                limit=400, points=None)
-        return 2.0 * val / th**2
-
-    v = [kl_over_t2(th) for th in (0.02, 0.01, 0.005)]
-    return v[0] / 3.0 - 2.0 * v[1] + 8.0 * v[2] / 3.0
+    fisher, _ = integrate.quad(lambda x: fam.deriv0(x) ** 2 * math.exp(x),
+                               0.0, 700.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return fisher - fam.mu_prime0 ** 2
 
 
 # ---------------------------------------------------------------------------
 # MD: quadratic pair-minimum statistic
 # ---------------------------------------------------------------------------
 
-def slope_MD(stat: StatisticId, fam, refine: int):
+def slope_MD(stat: StatisticId, fam):
     """c_coeff = (double integral of h2_tilde against the scores) / delta1,
     a_T = 1/(6 delta1)."""
-    integral = _score_form(_pair_kernel("MD", stat.a, refine)[0], fam, refine)
+    integral = _score_form(_pair_kernel("MD", stat.a)[0], fam)
     delta1 = largest_eigenvalue_delta1(stat.a).delta1
     return integral / delta1, 1.0 / (6.0 * delta1)
 
@@ -207,11 +193,11 @@ def phi1_tilde(x, t, a):
                              - min_pair_laplace(x, t))
 
 
-def slope_LD(stat: StatisticId, fam, refine: int):
+def slope_LD(stat: StatisticId, fam):
     """c_coeff = sup_t (int phi1_tilde g')^2 / sup_t K(t,t),
     a_T = 1/sup_t K(t,t)."""
     a = stat.a
-    xs, ws = _halfline_grid(refine)
+    xs, ws = _halfline_grid()
     gpx = fam.deriv0(xs) * ws
 
     def inner_sq(t, rows):
@@ -219,7 +205,7 @@ def slope_LD(stat: StatisticId, fam, refine: int):
         return vals * vals
 
     (sup_i,), _ = maximize_log_grid(inner_sq, 1e-4, ld_upper_bound(a),
-                                    ngrid=512 * refine, tol=1e-10)
+                                    ngrid=512, tol=1e-10)
     sup_k = sup_variance(a).sup_variance
     return float(sup_i) / sup_k, 1.0 / sup_k
 
@@ -238,10 +224,10 @@ _NORMAL_SHAPES = {
 }
 
 
-def slope_normal_family(stat: StatisticId, fam, refine: int):
+def slope_normal_family(stat: StatisticId, fam):
     """c_coeff = const * (score integral)^2, a_T = const."""
     shape, const = _NORMAL_SHAPES[stat.name]
-    integral = _single_integral(lambda x: shape(x) * fam.deriv0(x), refine=refine)
+    integral = _single_integral(lambda x: shape(x) * fam.deriv0(x))
     return const * integral * integral, const
 
 
@@ -268,15 +254,13 @@ def psi_JP(x, a):
     return 0.5 * (1.0 / (x + a) + e_full) - e_abs
 
 
-def slope_J_family(stat: StatisticId, fam, refine: int):
+def slope_J_family(stat: StatisticId, fam):
     """c_coeff = (int psi g')^2 / var psi(X), a_T = 1/var psi(X)."""
     psi = {"JD": psi_JD, "JP": psi_JP}[stat.name]
     a = stat.a
-    mean = _single_integral(lambda x: psi(x, a) * np.exp(-x), refine=refine)
-    var = _single_integral(lambda x: (psi(x, a) - mean) ** 2 * np.exp(-x),
-                           refine=refine)
-    num = _single_integral(lambda x: (psi(x, a) - mean) * fam.deriv0(x),
-                           refine=refine)
+    mean = _single_integral(lambda x: psi(x, a) * np.exp(-x))
+    var = _single_integral(lambda x: (psi(x, a) - mean) ** 2 * np.exp(-x))
+    num = _single_integral(lambda x: (psi(x, a) - mean) * fam.deriv0(x))
     return num * num / var, 1.0 / var
 
 
@@ -292,7 +276,7 @@ def _ks_tail_coefficient() -> float:
     return 1.0 / float(val)
 
 
-def slope_KS(stat: StatisticId, fam, refine: int):
+def slope_KS(stat: StatisticId, fam):
     """KS slope: a_KS = 1/sup_x e^{-2x}(e^x - x^2 - 1); the b-coefficient is
     the local rate of the scaled Kolmogorov distance, extracted numerically."""
 
@@ -302,8 +286,7 @@ def slope_KS(stat: StatisticId, fam, refine: int):
         def dist(x, rows):
             return np.abs(fam.cdf(x * mu, th) + np.expm1(-x))
 
-        (val,), _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512 * refine,
-                                      tol=1e-10)
+        (val,), _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512, tol=1e-10)
         return float(val)
 
     v = [b_of(th) / th for th in (0.02, 0.01, 0.005)]
@@ -363,10 +346,10 @@ _L2_KERNELS = {
 
 
 @lru_cache(maxsize=None)
-def _l2_operator_eigenvalue(name: str, a: Optional[float], refine: int = 1) -> float:
+def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
     """Largest eigenvalue of the weighted covariance operator on L2(Lebesgue)."""
     _, cov, weight = _L2_KERNELS[name]
-    edges = np.concatenate([[0.0], np.geomspace(0.02, 100.0, 40 * refine)])
+    edges = np.concatenate([[0.0], np.geomspace(0.02, 100.0, 40)])
     t, w = panel_gauss_nodes(edges, 20)
     if weight == "exp":
         mass = w * np.exp(-a * t)
@@ -378,11 +361,11 @@ def _l2_operator_eigenvalue(name: str, a: Optional[float], refine: int = 1) -> f
     return largest_eigenvalue(mat)
 
 
-def _l2_numerator(name: str, a: Optional[float], fam, refine: int = 1) -> float:
+def _l2_numerator(name: str, a: Optional[float], fam) -> float:
     """theta^2-coefficient of b_T^2: expands Phi(x, y; mu(theta)) under
     g_theta x g_theta, with mu-derivatives by central differences."""
-    p0, d1_g0, c = _pair_kernel(name, a, refine)
-    gp = fam.deriv0(_halfline_grid(refine)[0])
+    p0, d1_g0, c = _pair_kernel(name, a)
+    gp = fam.deriv0(_halfline_grid()[0])
     mu1 = fam.mu_prime0
     t1 = 2.0 * (gp @ p0 @ gp)
     t2 = 4.0 * mu1 * (gp @ d1_g0)
@@ -406,21 +389,21 @@ def mp_projected_kernel(x, y, a):
 
 
 @lru_cache(maxsize=None)
-def _mp_eigenvalue(a: float, refine: int = 1) -> float:
-    x, w = exp_measure_nodes(240 * refine)
+def _mp_eigenvalue(a: float) -> float:
+    x, w = exp_measure_nodes(240)
     mat = mp_projected_kernel(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
     return largest_eigenvalue(mat)
 
 
-def slope_L2_family(stat: StatisticId, fam, refine: int):
+def slope_L2_family(stat: StatisticId, fam):
     """c_coeff = (double integral against the scores) / (largest operator
     eigenvalue, doubled outside MP), a_T = 1 / that denominator."""
     if stat.name == "MP":
-        integral = _score_form(_pair_kernel("MP", stat.a, refine)[0], fam, refine)
-        eig = _mp_eigenvalue(stat.a, refine)
+        integral = _score_form(_pair_kernel("MP", stat.a)[0], fam)
+        eig = _mp_eigenvalue(stat.a)
         return integral / eig, 1.0 / eig
-    num = _l2_numerator(stat.name, stat.a, fam, refine=refine)
-    eig2 = 2.0 * _l2_operator_eigenvalue(stat.name, stat.a, refine)
+    num = _l2_numerator(stat.name, stat.a, fam)
+    eig2 = 2.0 * _l2_operator_eigenvalue(stat.name, stat.a)
     return num / eig2, 1.0 / eig2
 
 
@@ -442,23 +425,23 @@ _SLOPES = {
 }
 
 
-def _slope_and_tail(stat: StatisticId, fam, refine: int):
+def _slope_and_tail(stat: StatisticId, fam):
     """(c_coeff, a_T, quadratic) of a statistic on a local family object."""
     routine, quadratic = _SLOPES[stat.name]
-    c_coeff, a_t = globals()[routine](stat, fam, refine)
+    c_coeff, a_t = globals()[routine](stat, fam)
     return c_coeff, a_t, quadratic
 
 
-def slope_coefficient(stat: StatisticId, family, refine: int = 1) -> float:
+def slope_coefficient(stat: StatisticId, family) -> float:
     """theta^2-coefficient of the approximate Bahadur slope for any statistic."""
-    return _slope_and_tail(stat, _local_family(family), refine)[0]
+    return _slope_and_tail(stat, _local_family(family))[0]
 
 
-def efficiency(stat: StatisticId, family, refine: int = 1) -> SlopeReport:
+def efficiency(stat: StatisticId, family) -> SlopeReport:
     fam = _local_family(family)
-    c_coeff, a_t, quadratic = _slope_and_tail(stat, fam, refine)
+    c_coeff, a_t, quadratic = _slope_and_tail(stat, fam)
     b_coeff = c_coeff / a_t if quadratic else math.sqrt(max(c_coeff, 0.0) / a_t)
-    lrt = lrt_local_coefficient(fam, refine)
+    lrt = lrt_local_coefficient(fam)
     eff = c_coeff / lrt
     return SlopeReport(statistic=stat, family=fam.id, a_T=a_t,
                        b_coeff=b_coeff, c_coeff=c_coeff, lrt_coeff=lrt,
@@ -481,10 +464,10 @@ def efficiency_rows(reports) -> list:
             for r in reports]
 
 
-def efficiency_curve(stat_name: str, family, a_grid, refine: int = 1):
+def efficiency_curve(stat_name: str, family, a_grid):
     """Efficiencies of a tuned statistic over a grid of tuning parameters."""
     out = []
     for a in a_grid:
-        rep = efficiency(StatisticId(stat_name, float(a)), family, refine)
+        rep = efficiency(StatisticId(stat_name, float(a)), family)
         out.append((float(a), rep.efficiency))
     return out

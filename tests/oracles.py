@@ -116,21 +116,27 @@ def plain_reference(name, sample):
     raise ValueError(name)
 
 
-def pair_score_integral(kernel, a, fam, refine=1):
-    """Double integral of kernel(x, y, a) g'(x) g'(y) over the pair grid,
-    with g' the family's scores at theta = 0 (MD and MP numerators)."""
-    from exptests.slopes import _pair_grid
-    xg, yg, wg = _pair_grid(refine)
+def _pair_grid(grid):
+    """x (k, 1), y (1, k) and weights (k, k) of the tensor grid of a
+    half-line grid (nodes, weights); by default the slopes' own grid."""
+    from exptests.slopes import _halfline_grid
+    x, w = _halfline_grid() if grid is None else grid
+    return x[:, None], x[None, :], np.outer(w, w)
+
+
+def pair_score_integral(kernel, a, fam, grid=None):
+    """Double integral of kernel(x, y, a) g'(x) g'(y) over the pair grid of
+    `grid`, with g' the family's scores at theta = 0 (MD and MP numerators)."""
+    xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0
     return float(np.sum(kernel(xg, yg, a) * gp(xg) * gp(yg) * wg))
 
 
-def l2_numerator_reference(kernel, a, fam, refine=1, h=1e-4):
+def l2_numerator_reference(kernel, a, fam, grid=None, h=1e-4):
     """theta^2-coefficient of b_T^2 for an L2 battery kernel Phi(x, y, mu, a):
-    three sums over the pair grid, with the mu-derivatives of the kernel at
-    mu = 1 by central differences of step h."""
-    from exptests.slopes import _pair_grid
-    xg, yg, wg = _pair_grid(refine)
+    three sums over the pair grid of `grid`, with the mu-derivatives of the
+    kernel at mu = 1 by central differences of step h."""
+    xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0(xg[:, 0])
     g0 = np.exp(-xg[:, 0])
     mu1 = fam.mu_prime0

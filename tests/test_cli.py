@@ -250,6 +250,21 @@ class TestParsing:
                           "--input", sample_file], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--a", ","],
+        ["critval", "--stat", "MD", "--a", ", ", "--n", "5", "--seed", "1"]])
+    def test_empty_a_list(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == "" and "--a expects a number" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one(self, threads, capsys):
+        code, out, err = run(["critval", "--stat", "MD", "--a", "1", "--n", "5",
+                              "--seed", "1", "--threads", threads], capsys)
+        assert code == 1
+        assert out == "" and "threads must be at least 1" in err
+
     def test_seed_randomized_when_absent(self, capsys):
         code, out, err = run(["critval", "--stat", "EP", "--n", "5",
                               "--replicates", "10000", "--threads", "1"],

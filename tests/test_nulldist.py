@@ -10,7 +10,8 @@ from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
                                covariance_K, eigen_matrix, expint_Ei,
                                grid_ladder_delta1, h2_tilde,
                                largest_eigenvalue_delta1, load_calibrations,
-                               matrix_largest_eigenvalue, p_value_mc,
+                               matrix_largest_eigenvalue, null_p_value,
+                               p_value_mc,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
 from exptests.slopes import efficiency
@@ -197,6 +198,16 @@ class TestCalibration:
             calibrate_critical_value(StatisticId("MD", 1.0), 20,
                                      replicates=500)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        stat = StatisticId("MD", 1.0)
+        with pytest.raises(DomainError, match="threads"):
+            simulate_null_statistics(stat, 10, 10, RngStream(5), threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            calibrate_critical_value(stat, 10, rng=RngStream(5), threads=threads)
+        with pytest.raises(DomainError, match="threads"):
+            p_value_mc(stat, [1.0, 2.0], 10, RngStream(5), threads=threads)
+
     def test_deterministic_and_thread_invariant(self):
         stat = StatisticId("MD", 1.0)
         v1 = simulate_null_statistics(stat, 10, 12_000, RngStream(5), threads=1)
@@ -252,8 +263,9 @@ class TestPValue:
     def test_sentinels(self, gen):
         x = gen.exponential(size=10)
         stat = StatisticId("MD", 1.0)
-        hi = p_value_mc(stat, x, 10_000, RngStream(3), observed=np.inf)
-        lo = p_value_mc(stat, x, 10_000, RngStream(3), observed=-np.inf)
+        null = simulate_null_statistics(stat, x.size, 10_000, RngStream(3))
+        hi = null_p_value(null, np.inf)
+        lo = null_p_value(null, -np.inf)
         assert abs(hi - 1.0 / 10_001) < 1e-15
         assert abs(lo - 1.0) < 1e-15
 

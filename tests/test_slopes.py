@@ -9,6 +9,8 @@ from exptests import slopes
 from exptests.errors import DomainError
 from exptests.families import LOCAL_FAMILIES, get_family
 from exptests.nulldist import h2_tilde, largest_eigenvalue_delta1
+from exptests.numeric import (graded_halfline_nodes, largest_eigenvalue,
+                              panel_gauss_nodes)
 from exptests.slopes import (EFFICIENCY_SLACK, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
                              min_pair_laplace, mp_projected_kernel, phi1_tilde,
@@ -27,19 +29,23 @@ MD_INTEGRALS = [
 ]
 
 
+def _rel(got, expected):
+    return abs(got - expected) / abs(expected)
+
+
 class TestLRTCoefficient:
     def test_weibull_exact(self):
-        assert abs(lrt_local_coefficient("weibull") - math.pi**2 / 6) < 2e-3
+        assert _rel(lrt_local_coefficient("weibull"), math.pi**2 / 6) < 1e-12
 
     def test_gamma_exact(self):
-        assert abs(lrt_local_coefficient("gamma") - (math.pi**2 / 6 - 1)) < 2e-3
+        assert _rel(lrt_local_coefficient("gamma"), math.pi**2 / 6 - 1) < 1e-12
 
     def test_lfr_exact(self):
-        assert abs(lrt_local_coefficient("lfr") - 1.0) < 2e-3
+        assert _rel(lrt_local_coefficient("lfr"), 1.0) < 1e-12
 
     def test_emnw_exact(self):
         # beta = 3: coefficient integrates to 16/45
-        assert abs(lrt_local_coefficient("emnw") - 16.0 / 45.0) < 1e-3
+        assert _rel(lrt_local_coefficient("emnw"), 16.0 / 45.0) < 1e-12
 
     def test_non_local_family_rejected(self):
         with pytest.raises(DomainError):
@@ -106,7 +112,7 @@ class TestProjections:
 class TestSlopeMechanics:
     def test_md_integral_oracles(self):
         for a, fam_id, expected in MD_INTEGRALS:
-            got = slopes._score_form(slopes._pair_kernel("MD", a, 1)[0],
+            got = slopes._score_form(slopes._pair_kernel("MD", a)[0],
                                      get_family(fam_id))
             assert abs(got - expected) < 1e-4 * abs(expected) + 1e-10
 
@@ -137,13 +143,26 @@ class TestSlopeMechanics:
         e2 = efficiency(StatisticId("MD", 1.02), "gamma").efficiency
         assert abs(e1 - e2) < 0.01
 
-    def test_refinement_self_consistency(self):
-        c1 = slope_coefficient(StatisticId("MD", 1.0), "gamma", refine=1)
-        c2 = slope_coefficient(StatisticId("MD", 1.0), "gamma", refine=2)
-        assert abs(c1 - c2) < 1e-4 * abs(c1)
-        w1 = slope_coefficient(StatisticId("W", 1.0), "weibull", refine=1)
-        w2 = slope_coefficient(StatisticId("W", 1.0), "weibull", refine=2)
-        assert abs(w1 - w2) < 1e-4 * abs(w1)
+    def test_quadrature_converged(self):
+        # the slopes on a grid twice as fine (half the inner panel, twice the
+        # panels, a longer tail) and, for W, on a covariance grid of twice
+        # the panels
+        fine = graded_halfline_nodes(inner=5e-5, outer=80.0, panels=120, npts=12)
+        md = StatisticId("MD", 1.0)
+        gamma = get_family("gamma")
+        c_fine = (pair_score_integral(h2_tilde, 1.0, gamma, fine)
+                  / largest_eigenvalue_delta1(1.0).delta1)
+        assert _rel(slope_coefficient(md, gamma), c_fine) < 1e-4
+
+        w = StatisticId("W", 1.0)
+        weibull = get_family("weibull")
+        kernel, cov, _ = slopes._L2_KERNELS["W"]
+        t, wt = panel_gauss_nodes(
+            np.concatenate([[0.0], np.geomspace(0.02, 100.0, 80)]), 20)
+        mass = np.sqrt(wt * np.exp(-t))
+        eig = largest_eigenvalue(cov(t[:, None], t[None, :]) * np.outer(mass, mass))
+        w_fine = l2_numerator_reference(kernel, 1.0, weibull, fine) / (2.0 * eig)
+        assert _rel(slope_coefficient(w, weibull), w_fine) < 1e-4
 
     @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
     def test_report_decomposition(self, name):
@@ -153,16 +172,6 @@ class TestSlopeMechanics:
         b_part = rep.b_coeff if slopes._SLOPES[name][1] else rep.b_coeff**2
         assert rep.a_T > 0
         assert abs(rep.a_T * b_part - rep.c_coeff) <= 1e-12 * abs(rep.c_coeff)
-
-    def test_tail_coefficient_follows_refine(self):
-        # a_T comes from the same refinement as the slope
-        rep = efficiency(StatisticId("MP", 1.0), "weibull", refine=2)
-        assert rep.a_T == 1.0 / slopes._mp_eigenvalue(1.0, 2)
-
-    def test_lrt_coefficient_follows_refine(self):
-        # the efficiency divides by the LRT coefficient of its own refinement
-        rep = efficiency(StatisticId("EP"), "weibull", refine=2)
-        assert rep.lrt_coeff == lrt_local_coefficient("weibull", 2)
 
     def test_efficiencies_within_unit_interval(self):
         for stat, fam in [(StatisticId("MD", 1.0), "gamma"),
@@ -188,10 +197,10 @@ def _per_family_slope(stat, fam):
                 / largest_eigenvalue_delta1(stat.a).delta1)
     if stat.name == "MP":
         return (pair_score_integral(mp_projected_kernel, stat.a, fam)
-                / slopes._mp_eigenvalue(stat.a, 1))
+                / slopes._mp_eigenvalue(stat.a))
     kernel = slopes._L2_KERNELS[stat.name][0]
     return (l2_numerator_reference(kernel, stat.a, fam)
-            / (2.0 * slopes._l2_operator_eigenvalue(stat.name, stat.a, 1)))
+            / (2.0 * slopes._l2_operator_eigenvalue(stat.name, stat.a)))
 
 
 @pytest.fixture(scope="module")
