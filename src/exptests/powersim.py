@@ -19,14 +19,19 @@ from .families import get_family, sample_alternative
 from .nulldist import NullCalibration, _map_blocks
 from .statistics import StatisticId, evaluate_many
 
-POWER_COLUMNS = ("statistic", "a", "family", "theta", "n", "alpha", "power",
-                 "se", "replicates", "seed", "stream", "key", "percent")
+POWER_COLUMNS = ("statistic", "a", "grid", "family", "theta", "n", "alpha",
+                 "power", "se", "replicates", "seed", "stream", "key",
+                 "percent")
 
 DEFAULT_TUNING_GRID = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
 class PowerCell:
+    """One power estimate.  `grid` is None for a fixed-a cell; a data-driven
+    cell (`estimate_power_adaptive`) chooses a from `grid` per replicate, and
+    its `statistic` carries grid[0]."""
+
     statistic: StatisticId
     family: str
     theta: Optional[float]
@@ -36,6 +41,7 @@ class PowerCell:
     power: float
     mc_se: float
     seed: RngStream
+    grid: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,8 @@ def _critical_value(calibration: Optional[NullCalibration], stat: StatisticId,
 
 
 def _power_cell(count, stat: StatisticId, fam, theta, n: int, alpha: float,
-                replicates: int, rng: RngStream, threads: int) -> PowerCell:
+                replicates: int, rng: RngStream, threads: int,
+                grid: Optional[tuple] = None) -> PowerCell:
     """The cell whose power is the fraction of replicates rejected, summed
     over the fixed blocks by count(k, size) (block k draws from substream k)."""
     p_hat = sum(_map_blocks(count, replicates, threads)) / replicates
@@ -72,7 +79,7 @@ def _power_cell(count, stat: StatisticId, fam, theta, n: int, alpha: float,
     return PowerCell(statistic=stat, family=fam.id,
                      theta=None if not fam.uses_theta else float(theta),
                      n=n, alpha=alpha, replicates=replicates,
-                     power=p_hat, mc_se=se, seed=rng)
+                     power=p_hat, mc_se=se, seed=rng, grid=grid)
 
 
 def estimate_power(stat: StatisticId, family, theta, n: int, alpha: float,
@@ -171,18 +178,21 @@ def estimate_power_adaptive(stat_name: str, family, theta, n: int, alpha: float,
         return int(np.count_nonzero(
             observed[np.arange(size), pick] > crits[pick]))
 
-    return _power_cell(count, StatisticId(stat_name, grid[0]), fam, theta, n,
-                       alpha, replicates, rng, threads=1)
+    return _power_cell(count, stats[0], fam, theta, n, alpha, replicates, rng,
+                       threads=1, grid=grid)
 
 
 def power_table_rows(cells: Sequence[PowerCell]):
     """One row per cell, keyed by POWER_COLUMNS.  The RngStream is written
-    whole (RngStream.csv_fields), so load_power_table gives the cell back."""
+    whole (RngStream.csv_fields), so load_power_table gives the cell back.
+    A data-driven cell has an empty `a` and its space-separated `grid`."""
     rows = []
     for c in cells:
         rows.append({
             "statistic": c.statistic.name,
-            "a": "" if c.statistic.a is None else repr(float(c.statistic.a)),
+            "a": ("" if c.statistic.a is None or c.grid is not None
+                  else repr(float(c.statistic.a))),
+            "grid": "" if c.grid is None else " ".join(map(repr, c.grid)),
             "family": c.family,
             "theta": "" if c.theta is None else repr(float(c.theta)),
             "n": c.n,
@@ -206,14 +216,19 @@ def write_power_table(path, cells: Sequence[PowerCell]) -> None:
 
 def load_power_table(path) -> list:
     """Read a power CSV back into PowerCells; files without the stream and
-    key columns load as stream 0 with an empty spawn key."""
+    key columns load as stream 0 with an empty spawn key, files without the
+    grid column as fixed-a cells."""
+    cells = []
     with open(path, newline="", encoding="utf-8") as fh:
-        return [PowerCell(
-            statistic=StatisticId(row["statistic"],
-                                  float(row["a"]) if row["a"] else None),
-            family=row["family"],
-            theta=float(row["theta"]) if row["theta"] else None,
-            n=int(row["n"]), alpha=float(row["alpha"]),
-            replicates=int(row["replicates"]), power=float(row["power"]),
-            mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row))
-            for row in csv.DictReader(fh)]
+        for row in csv.DictReader(fh):
+            grid = tuple(map(float, row.get("grid", "").split())) or None
+            a = float(row["a"]) if row["a"] else (grid[0] if grid else None)
+            cells.append(PowerCell(
+                statistic=StatisticId(row["statistic"], a),
+                family=row["family"],
+                theta=float(row["theta"]) if row["theta"] else None,
+                n=int(row["n"]), alpha=float(row["alpha"]),
+                replicates=int(row["replicates"]), power=float(row["power"]),
+                mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row),
+                grid=grid))
+    return cells

@@ -12,7 +12,7 @@ Two groups live here:
 Every statistic is scale-free: it is computed from Y_i = X_i / mean(X).
 Each one has a single batched kernel in the `_KERNELS` table, mapping the
 scaled rows y (r, n), their ascending sort z and the tuning parameter a to
-the r statistic values.  `evaluate_many` feeds it row chunks under one
+the r statistic values.  `evaluate_many` feeds it row chunks under an
 element budget and `evaluate` is its one-row case.  Integral-type statistics
 are evaluated through exact closed forms or O(n^2) kernel sums; numeric
 quadrature of the defining integrals is kept only as a test oracle.
@@ -32,9 +32,14 @@ from .numeric import maximize_log_grid
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# elements per (rows, n, n) temporary: fixes the rows of an evaluate_many
-# chunk and the grid points per LD scan step (and the rows of a
-# nulldist.eigen_matrix block)
+# elements (512 KiB) per (rows, n, n) temporary of a CACHE_SIZED kernel's
+# evaluate_many chunk and per (rows, points, n) temporary of an LD scan step,
+# so that they stay in a per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator
+# returned each freed temporary to the OS and every chunk paid its page
+# faults again.  MD, GINI, JP and LD's vn update one temporary in place.
+CACHE_BUDGET = 65_536
+# elements per evaluate_many chunk of the other kernels (LD's golden-section
+# refine gains from large chunks) and per nulldist.eigen_matrix row block
 ELEMENT_BUDGET = 1_000_000
 
 TUNED_STATISTICS = frozenset({"MD", "LD", "BH", "HE", "W", "HM1", "HM2",
@@ -87,12 +92,15 @@ def _md(y, z, a):
     """
     n = y.shape[1]
     w = min_pair_weights(n)
-    t1 = np.sum(1.0 / (y[:, :, None] + y[:, None, :] + a), axis=(1, 2)) / n**2
-    t2 = np.sum(w[None, None, :] / (y[:, :, None] + 2 * z[:, None, :] + a),
-                axis=(1, 2)) / n
-    t3 = np.sum(np.outer(w, w)[None, :, :]
-                / (2 * z[:, :, None] + 2 * z[:, None, :] + a), axis=(1, 2))
-    return t1 - 2 * t2 + t3
+
+    def term(u, v, weight):
+        # sum over (i, j) of weight / (u_i + v_j + a), one temporary per term
+        s = u[:, :, None] + v[:, None, :]
+        s += a
+        return np.divide(weight, s, out=s).sum(axis=(1, 2))
+
+    return (term(y, y, 1.0) / n**2 - 2 * (term(y, 2 * z, w) / n)
+            + term(2 * z, 2 * z, np.outer(w, w)))
 
 
 def _vn(y, z, a, t):
@@ -101,8 +109,11 @@ def _vn(y, z, a, t):
     # each transform is 1 + a weighted mean of expm1 (the pair weights sum to
     # 1), so the difference subtracts no two numbers near 1
     t = t[..., None]
-    d1 = np.expm1(-t * y[:, None, :]).mean(axis=-1)
-    e2 = np.expm1(-2.0 * t * z[:, None, :])
+    e = -t * y[:, None, :]
+    d1 = np.expm1(e, out=e).mean(axis=-1)
+    del e  # one (rows, k, n) temporary at a time
+    e2 = -2.0 * t * z[:, None, :]
+    np.expm1(e2, out=e2)
     # one 2-D product: a stacked matmul rounds differently
     d2 = (e2.reshape(-1, y.shape[1]) @ min_pair_weights(y.shape[1])).reshape(e2.shape[:-1])
     return (d1 - d2) * np.exp(-a * t[..., 0])
@@ -128,7 +139,7 @@ def _ld(y, z, a):
     """Supremum over t > 0 of |vn|: a 64-point log-spaced grid scan, then
     golden-section refinement of every local maximum of the scan to
     |dt| < 1e-8 (`maximize_log_grid`)."""
-    step = max(1, ELEMENT_BUDGET // y.size)  # grid points per scan step
+    step = max(1, CACHE_BUDGET // y.size)  # grid points per scan step
 
     def value(t, rows):
         yr, zr = y[rows], z[rows]
@@ -156,6 +167,12 @@ def kernel_ad(x, y, mu=1.0):
     return u + v - 1.0 - (mx + np.log1p(-np.exp(-mx)))
 
 
+def _abs_diffs(y):
+    """|y_i - y_j| of each row, as one (rows, n, n) temporary."""
+    d = y[:, :, None] - y[:, None, :]
+    return np.abs(d, out=d)
+
+
 def _pair_mean(kernel):
     """Batched V-statistic mean of an order-2 kernel(x, y, mu, a)."""
     return lambda y, z, a: kernel(y[:, :, None], y[:, None, :], 1.0, a).mean(axis=(1, 2))
@@ -165,8 +182,7 @@ def _gini(y, z, a):
     n = y.shape[1]
     if n < 2:
         raise DomainError("GINI requires n >= 2")
-    diffs = np.abs(y[:, :, None] - y[:, None, :]).sum(axis=(1, 2))
-    return np.abs(diffs / (2.0 * n * (n - 1)) - 0.5)
+    return np.abs(_abs_diffs(y).sum(axis=(1, 2)) / (2.0 * n * (n - 1)) - 0.5)
 
 
 def _ks(y, z, a):
@@ -240,9 +256,10 @@ def _mp_row(y: np.ndarray, a: float) -> float:
 
 
 def _jp(y, z, a):
-    pair = np.abs(y[:, :, None] - y[:, None, :])
+    pair = _abs_diffs(y)
+    pair += a
     return (np.mean(1.0 / (y + a), axis=1)
-            - np.sum(1.0 / (pair + a), axis=(1, 2)) / y.shape[1]**2)
+            - np.divide(1.0, pair, out=pair).sum(axis=(1, 2)) / y.shape[1]**2)
 
 
 # name -> batched kernel(y, z, a) of the scaled rows y (r, n), their ascending
@@ -267,6 +284,9 @@ _KERNELS = {
     "JP": _jp,
     "MP": lambda y, z, a: np.array([_mp_row(row, a) for row in y]),
 }
+# kernels building (rows, n, n) temporaries: chunks of CACHE_BUDGET // n^2 rows
+CACHE_SIZED = frozenset({"MD", "GINI", "JP", "CVM", "AD", "BH", "HE", "W",
+                         "HM1", "HM2"})
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +297,14 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     """Evaluate a statistic on each row of a (replicates, n) array.
 
     Every entry must be a positive finite real; the first one that is not is
-    named by row and column.  Rows are taken in chunks of
-    ELEMENT_BUDGET // n^2, each chunk is scaled to unit row means and sorted
-    once, and the statistic's batched kernel evaluates it.  Each row's value
-    does not depend on the chunking.
+    named by row and column.  The rows are scaled to unit means and sorted,
+    and the statistic's batched kernel takes them in chunks of
+    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED and of
+    ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not depend
+    on the chunking, except for LD: its scan and refine gather the chunk's
+    rows into one matrix-vector product, whose rounding depends on which rows
+    share the chunk, so LD rows agree across chunkings (and with `evaluate`)
+    to rounding only, below 1e-13 relative.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -288,12 +312,18 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     check_positive(x)
     kernel = _KERNELS[stat.name]
     r, n = x.shape
-    rows = max(1, ELEMENT_BUDGET // (n * n))
+    budget = CACHE_BUDGET if stat.name in CACHE_SIZED else ELEMENT_BUDGET
+    rows = max(1, budget // (n * n))
+    mean = x.mean(axis=1, keepdims=True)
+    # sorted whole, then scaled: the sorted copy is freed before the chunk
+    # loop, and glibc, which sizes its heap trimming by the largest block it
+    # has unmapped, then keeps the temporaries of the pair battery (several
+    # alive per chunk) instead of returning them to the OS after every chunk
+    z = np.sort(x, axis=1) / mean
     out = np.empty(r)
     for k0 in range(0, r, rows):
-        chunk = x[k0:k0 + rows]
-        y = chunk / chunk.mean(axis=1, keepdims=True)
-        out[k0:k0 + rows] = kernel(y, np.sort(y, axis=1), stat.a)
+        part = slice(k0, k0 + rows)
+        out[part] = kernel(x[part] / mean[part], z[part], stat.a)
     return out
 
 

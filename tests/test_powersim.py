@@ -154,18 +154,32 @@ class TestAdaptivePower:
                                        grid=grid, B=200)
         assert 0.60 <= cell.power <= 0.85
 
-    def test_adaptive_deterministic(self):
-        grid = (0.5, 2.0)
-        cals = {a: calibrate_critical_value(StatisticId("MD", a), 10,
+    @pytest.fixture(scope="class")
+    def md_cals_n10(self):
+        return {a: calibrate_critical_value(StatisticId("MD", a), 10,
                                             replicates=10_000,
                                             rng=RngStream(SEED))
-                for a in grid}
-        kw = dict(grid=grid, B=200)
+                for a in (0.5, 2.0)}
+
+    def test_adaptive_deterministic(self, md_cals_n10):
+        kw = dict(grid=(0.5, 2.0), B=200)
         c1 = estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 150,
-                                     RngStream(32, 1), cals, **kw)
+                                     RngStream(32, 1), md_cals_n10, **kw)
         c2 = estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 150,
-                                     RngStream(32, 1), cals, **kw)
+                                     RngStream(32, 1), md_cals_n10, **kw)
         assert c1.power == c2.power
+
+    def test_adaptive_cell_names_its_grid(self, md_cals_n10, tmp_path):
+        # a is chosen per replicate, so the row gives the grid, not one a
+        cell = estimate_power_adaptive("MD", "gamma", 1.0, 10, 0.05, 150,
+                                       RngStream(32, 1), md_cals_n10,
+                                       grid=(2.0, 0.5), B=200)
+        assert cell.grid == (0.5, 2.0)
+        (row,) = power_table_rows([cell])
+        assert (row["a"], row["grid"]) == ("", "0.5 2.0")
+        path = tmp_path / "power.csv"
+        write_power_table(path, [cell])
+        assert load_power_table(path) == [cell]
 
     @pytest.fixture(scope="class")
     def md1_cal_n10(self):
@@ -251,4 +265,5 @@ class TestPowerTables:
         (got,) = load_power_table(path)
         assert got.seed == RngStream(7, stream=0, key=())
         assert got.statistic == StatisticId("MD", 1.0)
+        assert got.grid is None
         assert got.power == 0.5

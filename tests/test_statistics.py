@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -5,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from exptests import statistics
 from exptests.core import scale_sample
 from exptests.errors import DomainError
-from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
+from exptests.statistics import (ALL_STATISTICS, CACHE_SIZED, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_ad, kernel_bh,
                                  kernel_cvm, kernel_he, kernel_hm1,
@@ -196,8 +199,9 @@ class TestEvaluateMany:
         np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
 
     def test_chunking_does_not_change_results(self, gen):
-        # n = 150 gives chunks of 44 rows.  LD's scan gathers the chunk's
-        # rows into one matrix product, so LD agrees to rounding only
+        # n = 150 gives chunks of 2 rows (CACHE_SIZED) or 44.  LD's scan
+        # gathers the chunk's rows into one matrix product, so LD agrees to
+        # rounding only
         x = gen.exponential(size=(100, 150))
         for name in sorted(ALL_STATISTICS - {"MP"}):
             stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
@@ -206,6 +210,39 @@ class TestEvaluateMany:
                                     for k in range(0, 100, 7)])
             np.testing.assert_allclose(whole, parts, atol=0,
                                        rtol=1e-12 if name == "LD" else 0)
+
+    @pytest.mark.parametrize("name", sorted(CACHE_SIZED))
+    def test_pair_kernel_chunking_is_exact_at_n50(self, name, gen):
+        # chunks of 26 rows against chunks of 7
+        stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+        x = gen.exponential(size=(60, 50))
+        parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
+                                for k in range(0, 60, 7)])
+        np.testing.assert_array_equal(evaluate_many(stat, x), parts)
+
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_ld_scan_step_does_not_change_results(self, n, gen, monkeypatch):
+        # one grid point per scan step up to the whole 64-point grid at once
+        x = gen.exponential(size=(40, n))
+        stat = StatisticId("LD", 1.0)
+        whole = evaluate_many(stat, x)
+        for budget in (1, 3 * x.size, 10 * x.size, 64 * x.size):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", budget)
+            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
+    @pytest.mark.parametrize("name,a", [("MD", 1.0), ("AD", None),
+                                        ("HM1", 1.0), ("LD", 1.0)])
+    def test_temporaries_stay_cache_sized(self, name, a, gen):
+        # 2000 rows at n = 50: one (400, 50, 50) temporary is 7.6 MiB; here
+        # the sorted rows take 0.8 MB and each CACHE_BUDGET temporary 0.5 MiB
+        x = gen.exponential(size=(2000, 50))
+        tracemalloc.start()
+        try:
+            evaluate_many(StatisticId(name, a), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_rejects_wrong_shape(self, gen):
         with pytest.raises(DomainError):
