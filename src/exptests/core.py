@@ -101,6 +101,12 @@ def check_positive(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def check_tuning(a: float) -> None:
+    """Raise DomainError unless the tuning parameter a is a positive finite real."""
+    if not 0 < a < np.inf:
+        raise DomainError(f"tuning parameter a must be a positive finite real, got {a}")
+
+
 def scale_sample(raw) -> ScaledSample:
     """Scale a raw positive sample to unit mean (checked by check_positive)."""
     x = check_positive(np.asarray(raw, dtype=float).reshape(-1))

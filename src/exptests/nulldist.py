@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expi
 
-from .core import RngStream
+from .core import RngStream, check_tuning
 from .errors import DomainError, NumericsError
 from .numeric import exp_measure_nodes, largest_eigenvalue, maximize_log_grid
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
@@ -98,8 +98,7 @@ class CovarianceHandle:
 
 def sup_variance(a: float) -> CovarianceHandle:
     """Maximize K(t, t; a) over t > 0 (grid scan + golden section)."""
-    if not (a > 0):
-        raise DomainError(f"tuning parameter a must be positive, got {a}")
+    check_tuning(a)
     (val,), (argt,) = maximize_log_grid(lambda t, rows: covariance_K(t, t, a),
                                         1e-4, ld_upper_bound(a), tol=1e-10)
     return CovarianceHandle(a=a, sup_variance=float(val), argmax_t=float(argt))
@@ -284,8 +283,7 @@ def largest_eigenvalue_delta1(a: float,
     to agree within rel_tol relative; raises NumericsError with the trace on
     non-convergence.  Results are cached per argument list; failures are not.
     """
-    if not (a > 0):
-        raise DomainError(f"tuning parameter a must be positive, got {a}")
+    check_tuning(a)
     trace = tuple((n, gl_nystrom_delta1(a, n)) for n in ladder)
     est = trace[-1][1]
     prev = trace[-2][1] if len(trace) > 1 else est
@@ -322,13 +320,13 @@ def _map_blocks(run, replicates: int, threads: int = 1) -> list:
     on a thread pool; the fixed layout keeps results independent of the
     thread count.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be at least 1, got {threads}")
-    nblocks = (replicates + _BLOCK_ROWS - 1) // _BLOCK_ROWS
-    sizes = [min(_BLOCK_ROWS, replicates - k * _BLOCK_ROWS) for k in range(nblocks)]
+    for name, count in (("threads", threads), ("replicates", replicates)):
+        if count < 1:
+            raise DomainError(f"{name} must be at least 1, got {count}")
+    sizes = [min(_BLOCK_ROWS, replicates - k) for k in range(0, replicates, _BLOCK_ROWS)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(nblocks), sizes))
+            return list(pool.map(run, range(len(sizes)), sizes))
     return [run(k, size) for k, size in enumerate(sizes)]
 
 

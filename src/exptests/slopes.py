@@ -46,11 +46,8 @@ from .families import family_mean, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
                       largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
 from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
-from .statistics import (StatisticId, kernel_ad, kernel_bh, kernel_cvm,
-                         kernel_he, kernel_hm1, kernel_hm2, kernel_w,
-                         ld_upper_bound)
-
-EULER_GAMMA = float(np.euler_gamma)
+from .statistics import (EULER_GAMMA, StatisticId, kernel_ad, kernel_bh, kernel_cvm,
+                         kernel_he, kernel_hm1, kernel_hm2, kernel_w, ld_upper_bound)
 
 EFFICIENCY_SLACK = 1.02
 
@@ -334,9 +331,9 @@ def _cov_hm(s, t):
 
 
 _L2_KERNELS = {
-    # id -> (kernel Phi(x, y, mu, a?), covariance K(s,t), weight kind)
-    "CVM": (lambda x, y, mu, a: kernel_cvm(x, y, mu), _cov_cvm, "embedded"),
-    "AD": (lambda x, y, mu, a: kernel_ad(x, y, mu), _cov_ad, "embedded"),
+    # id -> (kernel Phi(x, y, mu, a), covariance K(s,t), weight kind)
+    "CVM": (kernel_cvm, _cov_cvm, "embedded"),
+    "AD": (kernel_ad, _cov_ad, "embedded"),
     "BH": (kernel_bh, _cov_bh, "exp"),
     "HE": (kernel_he, _cov_he, "exp"),
     "W": (kernel_w, _cov_w, "exp"),

@@ -1,9 +1,12 @@
-"""Independent quadrature oracles for the integral-type statistics.
+"""Independent oracles for the integral-type statistics.
 
-Each statistic in the package is computed through a closed form or an O(n^2)
-kernel sum; the functions here instead evaluate the defining integrals by
-adaptive quadrature on the empirical transforms, so agreement is a genuine
-cross-check rather than a re-run of the same code path.
+The package computes each statistic through a closed form, an O(n^2) kernel
+sum, a sorted-sample formula or (MP) a trapezoid rule in log t; the
+functions here instead evaluate the defining integrals by adaptive
+quadrature on the empirical transforms, so agreement is a genuine
+cross-check rather than a re-run of the same code path.  `mp_mpmath`
+evaluates MP's closed form in 40-digit arithmetic, where its cancellation
+does not matter.
 
 The pair-grid references at the end evaluate the slope numerators of MD, MP
 and the L2 battery one family at a time: the kernel is evaluated on the
@@ -13,6 +16,7 @@ one product array, with no matrix shared between families.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -94,6 +98,25 @@ def oracle_statistic(name, sample, a=None):
         return sum(_quad(f, lo, hi)
                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo)
     raise ValueError(name)
+
+
+def mp_mpmath(sample, a, dps=40):
+    """MP of a raw sample in `dps`-digit arithmetic.  D(t) - L(t) is a sum of
+    w_k e^{-t c_k} over the pair distances |Y_i - Y_j| (weight 1/n^2 each)
+    and the observations Y_i (weight -1/n), so MP is the double sum of
+    w_k w_l / (a + c_k + c_l); equal exponents are merged first."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        n, mean = len(x), mpmath.fsum(x) / len(x)
+        y = [v / mean for v in x]
+        weights = {}
+        for u in y:
+            weights[u] = weights.get(u, 0) - mpmath.mpf(1) / n
+            for v in y:
+                weights[abs(u - v)] = weights.get(abs(u - v), 0) + mpmath.mpf(1) / n**2
+        terms = list(weights.items())
+        return float(mpmath.fsum(wk * wl / (a + ck + cl)
+                                 for ck, wk in terms for cl, wl in terms))
 
 
 def plain_reference(name, sample):

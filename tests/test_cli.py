@@ -258,6 +258,19 @@ class TestParsing:
         assert code == 1
         assert out == "" and "--a expects a number" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "--stat", "MD", "--a", "inf", "--seed", "1", "--threads", "1"],
+        ["eigen", "--a", "inf"],
+        ["efficiency", "--stat", "LD", "--a", "inf", "--family", "weibull"],
+        ["critval", "--stat", "MP", "--a", "nan", "--n", "5", "--seed", "1"]])
+    def test_nonfinite_a(self, argv, sample_file, capsys):
+        if argv[0] == "test":
+            argv = argv + ["--input", sample_file]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == "" and "Traceback" not in err
+        assert "error: tuning parameter a must be a positive finite real" in err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_thread_count_below_one(self, threads, capsys):
         code, out, err = run(["critval", "--stat", "MD", "--a", "1", "--n", "5",

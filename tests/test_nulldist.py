@@ -97,6 +97,11 @@ class TestSupVariance:
     def test_invalid_a(self):
         with pytest.raises(DomainError):
             sup_variance(0.0)
+        for a in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="positive finite"):
+                sup_variance(a)
+            with pytest.raises(DomainError, match="positive finite"):
+                largest_eigenvalue_delta1(a)
 
 
 def _grid(m, B):
@@ -207,6 +212,14 @@ class TestCalibration:
             calibrate_critical_value(stat, 10, rng=RngStream(5), threads=threads)
         with pytest.raises(DomainError, match="threads"):
             p_value_mc(stat, [1.0, 2.0], 10, RngStream(5), threads=threads)
+
+    @pytest.mark.parametrize("replicates", [0, -5])
+    def test_rejects_replicate_count_below_one(self, replicates):
+        stat = StatisticId("EP")
+        with pytest.raises(DomainError, match="replicates"):
+            simulate_null_statistics(stat, 10, replicates, RngStream(5))
+        with pytest.raises(DomainError, match="replicates"):
+            p_value_mc(stat, [1.0, 2.0], replicates, RngStream(5))
 
     def test_deterministic_and_thread_invariant(self):
         stat = StatisticId("MD", 1.0)

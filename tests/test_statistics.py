@@ -10,14 +10,14 @@ from scipy.optimize import minimize_scalar
 from exptests import statistics
 from exptests.core import scale_sample
 from exptests.errors import DomainError
-from exptests.statistics import (ALL_STATISTICS, CACHE_SIZED, PLAIN_STATISTICS,
+from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_ad, kernel_bh,
                                  kernel_cvm, kernel_he, kernel_hm1,
                                  kernel_hm2, kernel_w, ld_upper_bound,
                                  vn_process)
 
-from oracles import oracle_statistic, plain_reference
+from oracles import mp_mpmath, oracle_statistic, plain_reference
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -36,6 +36,9 @@ class TestStatisticId:
             StatisticId("MD")          # tuned, missing a
         with pytest.raises(DomainError):
             StatisticId("MD", -1.0)    # nonpositive a
+        for a in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DomainError, match="positive finite"):
+                StatisticId("LD", a)
         with pytest.raises(DomainError):
             StatisticId("KS", 1.0)     # plain, spurious a
 
@@ -146,6 +149,29 @@ class TestMDAndLD:
             evaluate(StatisticId("LD", -2.0), x)
         with pytest.raises(DomainError):
             vn_process(scale_sample(x), 0.0, 1.0)
+        with pytest.raises(DomainError, match="positive finite"):
+            vn_process(scale_sample(x), np.inf, 1.0)
+
+
+class TestBatteryForms:
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    def test_mp_against_mpmath(self, n, a):
+        # the trapezoid rule in log t against MP's closed form in 40 digits
+        x = np.random.default_rng(n).standard_exponential((4, n))
+        ref = np.array([mp_mpmath(row, a) for row in x])
+        np.testing.assert_allclose(evaluate_many(StatisticId("MP", a), x),
+                                   ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name,kernel", [("CVM", kernel_cvm),
+                                             ("AD", kernel_ad)])
+    def test_sorted_forms_match_pair_means(self, name, kernel, gen):
+        # the V-statistic means of the kernels that the slopes use
+        x = gen.exponential(size=(30, 17)) * 2.0
+        y = x / x.mean(axis=1, keepdims=True)
+        pair = kernel(y[:, :, None], y[:, None, :]).mean(axis=(1, 2))
+        np.testing.assert_allclose(evaluate_many(StatisticId(name), x), pair,
+                                   rtol=1e-12, atol=0)
 
 
 class TestKernels:
@@ -203,7 +229,7 @@ class TestEvaluateMany:
         # gathers the chunk's rows into one matrix product, so LD agrees to
         # rounding only
         x = gen.exponential(size=(100, 150))
-        for name in sorted(ALL_STATISTICS - {"MP"}):
+        for name in sorted(ALL_STATISTICS):
             stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
             whole = evaluate_many(stat, x)
             parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
@@ -211,9 +237,9 @@ class TestEvaluateMany:
             np.testing.assert_allclose(whole, parts, atol=0,
                                        rtol=1e-12 if name == "LD" else 0)
 
-    @pytest.mark.parametrize("name", sorted(CACHE_SIZED))
+    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS - {"LD"}))
     def test_pair_kernel_chunking_is_exact_at_n50(self, name, gen):
-        # chunks of 26 rows against chunks of 7
+        # chunks of 26 (CACHE_SIZED) or 400 rows against chunks of 7
         stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
         x = gen.exponential(size=(60, 50))
         parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
@@ -231,7 +257,8 @@ class TestEvaluateMany:
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
 
     @pytest.mark.parametrize("name,a", [("MD", 1.0), ("AD", None),
-                                        ("HM1", 1.0), ("LD", 1.0)])
+                                        ("HM1", 1.0), ("LD", 1.0),
+                                        ("MP", 1.0)])
     def test_temporaries_stay_cache_sized(self, name, a, gen):
         # 2000 rows at n = 50: one (400, 50, 50) temporary is 7.6 MiB; here
         # the sorted rows take 0.8 MB and each CACHE_BUDGET temporary 0.5 MiB
