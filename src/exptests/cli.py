@@ -139,7 +139,7 @@ def _cmd_eigen(args):
     for a in _parse_a_list(args.a):
         result = nulldist.largest_eigenvalue_delta1(a)
         for n_nodes, est in result.trace:
-            rows.append({"a": f"{a:g}", "method": "gauss-legendre",
+            rows.append({"a": f"{a:g}", "method": "covariance-nystrom",
                          "size": n_nodes, "B": "", "delta1": repr(est)})
         extr, trace = nulldist.grid_ladder_delta1(a)
         for m, B, est in trace:
@@ -149,7 +149,8 @@ def _cmd_eigen(args):
                      "B": "", "delta1": repr(extr)})
         rows.append({"a": f"{a:g}", "method": "final", "size": "", "B": "",
                      "delta1": repr(result.delta1)})
-        # the matrix route checks the Nystrom route: relative gap of the two
+        # relative gap of the grid route from the converged Nystrom value:
+        # the grid route's own error
         rows.append({"a": f"{a:g}", "method": "route-disagreement", "size": "",
                      "B": "", "delta1": repr(abs(extr - result.delta1)
                                              / result.delta1)})

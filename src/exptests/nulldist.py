@@ -7,13 +7,18 @@ Contents:
 * the closed-form covariance K(s, t; a) of the limiting Gaussian process of
   the supremum statistic, and its maximal variance sup_t K(t, t);
 * the largest eigenvalue delta1 of the integral operator with kernel
-  h2_tilde on L2(Exp(1)), from two symmetric discretizations: a
-  Gauss-Legendre Nystrom ladder (the primary estimate) and an equal-width
-  grid with exponential cell masses (the matrix route, built in row blocks).
-  On the equal-width midpoint grid every two-argument term of h2_tilde
-  depends on i+j or 2i+j only, so the default grid matrix is read from 1-D
-  tables of O(m) expi calls; a custom kernel is broadcast over the grid.
-  Only the top eigenvalue is computed, by Lanczos iteration
+  h2_tilde on L2(Exp(1)).  h2_tilde factors through the pair-minimum
+  process: h2_tilde(u, v; a) = (2/3) int_0^inf e^{-at} phi(u, t) phi(v, t) dt
+  with E phi(X, s) phi(X, t) = K(s, t; 0), so delta1 is (2/3) times the top
+  eigenvalue of the operator with kernel K(s, t; a/2) on L2(dt).  The
+  primary estimate is a Nystrom ladder of that kernel on graded Gauss
+  t-panels (covariance_t_nodes), which needs no Ei.  Two x-side routes
+  check it: a Gauss-Legendre Nystrom of h2_tilde (gl_nystrom_delta1) and an
+  equal-width grid with exponential cell masses (the matrix route, built in
+  row blocks).  On the equal-width midpoint grid every two-argument term of
+  h2_tilde depends on i+j or 2i+j only, so the default grid matrix is read
+  from 1-D tables of O(m) expi calls; a custom kernel is broadcast over the
+  grid.  Only the top eigenvalue is computed, by Lanczos iteration
   (numeric.largest_eigenvalue);
 * Monte Carlo calibration of critical values and p-values.
 """
@@ -33,7 +38,8 @@ from scipy.special import expi
 
 from .core import RngStream, check_tuning
 from .errors import DomainError, NumericsError
-from .numeric import exp_measure_nodes, largest_eigenvalue, maximize_log_grid
+from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
+                      panel_gauss_nodes)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
 
@@ -266,25 +272,47 @@ class EigenDelta:
 
 
 def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
-    """Nystrom approximation of delta1 with Gauss-Legendre nodes in the
-    Exp(1) probability scale (u = 1 - e^{-x}); spectrally convergent."""
+    """Nystrom approximation of delta1 from h2_tilde, with Gauss-Legendre
+    nodes in the Exp(1) probability scale (u = 1 - e^{-x}).  It converges
+    only algebraically (x = -log(1 - u) is singular at u = 1), so it serves
+    as an x-side cross-check of largest_eigenvalue_delta1."""
     x, w = exp_measure_nodes(n_nodes)
     mat = h2_tilde(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
     return largest_eigenvalue(mat)
 
 
+DELTA1_LADDER = (4, 8, 16)  # Gauss points per t-panel of the delta1 ladder
+
+
+def covariance_t_nodes(a: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on (0, inf) for functions of t damped like
+    e^{-at}: npts points on each of 23 geometrically graded panels between
+    1e-3 min(1, 1/a) and max(60/a, 4), plus the panel from 0."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-3 * min(1.0, 1.0 / a),
+                                                max(60.0 / a, 4.0), 24)])
+    return panel_gauss_nodes(edges, npts)
+
+
 @lru_cache(maxsize=None)
 def largest_eigenvalue_delta1(a: float,
-                              ladder: Sequence[int] = (120, 240, 480),
-                              rel_tol: float = 1e-4) -> EigenDelta:
+                              ladder: Sequence[int] = DELTA1_LADDER,
+                              rel_tol: float = 1e-10) -> EigenDelta:
     """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)).
 
-    Runs the Gauss-Legendre Nystrom ladder and requires the two finest rungs
-    to agree within rel_tol relative; raises NumericsError with the trace on
-    non-convergence.  Results are cached per argument list; failures are not.
+    delta1 = (2/3) lambda_max[K(t_i, t_j; a/2) sqrt(w_i w_j)] on the nodes of
+    covariance_t_nodes(a, npts), for each npts of the ladder; the trace
+    records (node count, estimate) per rung.  The two finest rungs must agree
+    within rel_tol relative; otherwise NumericsError is raised with the
+    trace.  Results are cached per argument list; failures are not.
     """
     check_tuning(a)
-    trace = tuple((n, gl_nystrom_delta1(a, n)) for n in ladder)
+    trace = []
+    for npts in ladder:
+        t, w = covariance_t_nodes(a, npts)
+        sq = np.sqrt(w)
+        mat = covariance_K(t[:, None], t[None, :], a / 2) * np.outer(sq, sq)
+        trace.append((t.size, 2.0 / 3.0 * largest_eigenvalue(mat)))
+    trace = tuple(trace)
     est = trace[-1][1]
     prev = trace[-2][1] if len(trace) > 1 else est
     if est <= 0 or abs(est - prev) > rel_tol * abs(est):

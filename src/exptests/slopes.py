@@ -15,7 +15,11 @@ Conventions per statistic type:
 
 * quadratic (L2) statistics with weighted chi-square limits: c_coeff is the
   ratio (double integral of the projected kernel against the scores) over
-  the largest operator eigenvalue, with the combination constant cancelling;
+  the largest operator eigenvalue, with the combination constant cancelling.
+  MP and the L2 battery take the double integral on the pair grid of the
+  half-line grid.  MD takes it, and delta1, through the factorisation of
+  h2_tilde by the pair-minimum process (nulldist): one integral over x per
+  node of delta1's t-grid, so no h2_tilde matrix is built;
 * supremum statistics: c_coeff = sup_t (projection integral)^2 / sup_t K(t,t);
 * asymptotically normal statistics: c_coeff = (score integral)^2 / variance.
 
@@ -45,7 +49,8 @@ from .errors import DomainError
 from .families import family_mean, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
                       largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
-from .nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1, sup_variance
+from .nulldist import (DELTA1_LADDER, covariance_t_nodes,
+                       largest_eigenvalue_delta1, sup_variance)
 from .statistics import (EULER_GAMMA, StatisticId, kernel_ad, kernel_bh, kernel_cvm,
                          kernel_he, kernel_hm1, kernel_hm2, kernel_w, ld_upper_bound)
 
@@ -95,23 +100,21 @@ MU_STEP = 1e-4  # central-difference step of the L2 mu-derivatives
 
 @lru_cache(maxsize=1)
 def _pair_kernel(name: str, a: Optional[float]):
-    """Family-independent part of a pair-grid double integral (MD, MP and
-    the L2 battery), so that each family costs one quadratic form.
+    """Family-independent part of a pair-grid double integral (MP and the
+    L2 battery), so that each family costs one quadratic form.
 
     Returns (K, d, c) with K_ij = Phi(x_i, x_j) W_ij, the kernel weighted by
-    the pair-grid quadrature weights W; Phi is h2_tilde for MD,
-    mp_projected_kernel for MP and the battery kernel at mu = 1 for an L2
-    member.  For an L2 member d = D1 g0 and c = g0' D2 g0 contract the
-    weighted mu-derivatives D1, D2 of the kernel (central differences with
-    step MU_STEP) with g0 = e^{-x}; both are None for MD and MP.
+    the pair-grid quadrature weights W; Phi is mp_projected_kernel for MP
+    and the battery kernel at mu = 1 for an L2 member.  For an L2 member
+    d = D1 g0 and c = g0' D2 g0 contract the weighted mu-derivatives D1, D2
+    of the kernel (central differences with step MU_STEP) with g0 = e^{-x};
+    both are None for MP.
 
     One entry suffices because sweeps of the efficiency tables loop over the
     families innermost; it also means no 720 x 720 matrix outlives the next
     (statistic, a).
     """
     xg, yg, wg = _pair_grid()
-    if name == "MD":
-        return h2_tilde(xg, yg, a) * wg, None, None
     if name == "MP":
         return mp_projected_kernel(xg, yg, a) * wg, None, None
     kernel, _, _ = _L2_KERNELS[name]
@@ -123,13 +126,6 @@ def _pair_kernel(name: str, a: Optional[float]):
     d1 = (pp - pm) / (2 * h) * wg
     d2 = (pp - 2 * p0 + pm) / (h * h) * wg
     return p0 * wg, d1 @ g0, float(g0 @ d2 @ g0)
-
-
-def _score_form(mat, fam) -> float:
-    """gp' mat gp with gp the family's scores g'(x; 0) on the half-line grid:
-    the double integral of a _pair_kernel matrix against the scores."""
-    gp = fam.deriv0(_halfline_grid()[0])
-    return float(gp @ mat @ gp)
 
 
 def _single_integral(f) -> float:
@@ -162,12 +158,23 @@ def lrt_local_coefficient(family) -> float:
 # MD: quadratic pair-minimum statistic
 # ---------------------------------------------------------------------------
 
+def _md_numerator(a: float, fam) -> float:
+    """Double integral of h2_tilde(x, y; a) against the scores g'(x) g'(y).
+
+    By h2_tilde's factorisation (nulldist) it is
+    (2/3) int_0^inf (int phi1_tilde(x, t; a/2) g'(x) dx)^2 dt: the inner
+    integral on the half-line grid, the outer one on delta1's finest t-grid.
+    """
+    xs, ws = _halfline_grid()
+    t, wt = covariance_t_nodes(a, DELTA1_LADDER[-1])
+    inner = phi1_tilde(xs, t[:, None], a / 2) @ (fam.deriv0(xs) * ws)
+    return 2.0 / 3.0 * float(wt @ (inner * inner))
+
+
 def slope_MD(stat: StatisticId, fam):
-    """c_coeff = (double integral of h2_tilde against the scores) / delta1,
-    a_T = 1/(6 delta1)."""
-    integral = _score_form(_pair_kernel("MD", stat.a)[0], fam)
+    """c_coeff = _md_numerator / delta1, a_T = 1/(6 delta1)."""
     delta1 = largest_eigenvalue_delta1(stat.a).delta1
-    return integral / delta1, 1.0 / (6.0 * delta1)
+    return _md_numerator(stat.a, fam) / delta1, 1.0 / (6.0 * delta1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,8 @@ def slope_L2_family(stat: StatisticId, fam):
     """c_coeff = (double integral against the scores) / (largest operator
     eigenvalue, doubled outside MP), a_T = 1 / that denominator."""
     if stat.name == "MP":
-        integral = _score_form(_pair_kernel("MP", stat.a)[0], fam)
+        gp = fam.deriv0(_halfline_grid()[0])
+        integral = float(gp @ _pair_kernel("MP", stat.a)[0] @ gp)
         eig = _mp_eigenvalue(stat.a)
         return integral / eig, 1.0 / eig
     num = _l2_numerator(stat.name, stat.a, fam)

@@ -237,21 +237,32 @@ def kernel_hm2(x, y, mu=1.0, a=1.0):
                    * np.exp(-s * s / (4 * a)))
 
 
+MP_STEP = 0.25  # trapezoid step in s = log t of MP's rule
+
+
+def _mp_nodes(a):
+    """Trapezoid nodes t = e^s of MP: step MP_STEP in s on
+    [min(-14, log(60/a) - 18), log(60/a)], so the rule starts at least 18
+    units of s below the damping scale 1/a of e^{-at}."""
+    top = np.log(60.0 / a)
+    return np.exp(np.arange(min(-14.0, top - 18.0), top, MP_STEP))
+
+
 def _mp(y, z, a):
     """Weighted L2 distance of the V-empirical transform D of |Y_i - Y_j| from the
     sample transform L: the integral of (D - L)^2 t e^{-at} over s = log t by the
-    trapezoid rule, step 0.25 on [-14, log(60/a)], which converges geometrically
+    trapezoid rule on _mp_nodes, which converges geometrically
     (Trefethen & Weideman 2014, SIAM Rev. 56; about 1e-8 at step 0.35).
     D = (n + 2 sum_j S_j) / n^2, S_1 = 0, S_j = e^{-t(Z_j - Z_{j-1})} (S_{j-1} + 1)."""
-    n, h = z.shape[1], 0.25
-    t = np.exp(np.arange(-14.0, np.log(60.0 / a), h))
+    n = z.shape[1]
+    t = _mp_nodes(a)
     lap, s, pairs = np.exp(np.multiply.outer(z[:, 0], -t)), 0.0, 0.0
     for j in range(1, n):  # (rows, nodes) arrays, one column of z at a time
         lap += np.exp(np.multiply.outer(z[:, j], -t))
         s = (s + 1.0) * np.exp(np.multiply.outer(z[:, j] - z[:, j - 1], -t))
         pairs = pairs + s
     diff = (n + 2.0 * pairs) / (n * n) - lap / n
-    return h * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
+    return MP_STEP * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
 
 
 def _jp(y, z, a):
@@ -284,7 +295,7 @@ _KERNELS = {
     "JP": _jp,
     "MP": _mp,
 }
-# kernels with (rows, n, n) or, MP, (rows, 72 nodes at a=1) arrays: CACHE_BUDGET // n^2 rows
+# kernels with (rows, n, n) arrays, or MP's (rows, nodes) ones, chunked by CACHE_BUDGET
 CACHE_SIZED = frozenset({"MD", "JP", "BH", "HE", "W", "HM1", "HM2", "MP"})
 
 
@@ -298,7 +309,8 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     Every entry must be a positive finite real; the first one that is not is
     named by row and column.  The rows are scaled to unit means and sorted,
     and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED and of
+    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED (MP, whose
+    arrays are (rows, nodes): CACHE_BUDGET // nodes) and of
     ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not depend
     on the chunking, except for LD: its scan and refine gather the chunk's
     rows into one matrix-vector product, whose rounding depends on which rows
@@ -312,7 +324,8 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     kernel = _KERNELS[stat.name]
     r, n = x.shape
     budget = CACHE_BUDGET if stat.name in CACHE_SIZED else ELEMENT_BUDGET
-    rows = max(1, budget // (n * n))
+    width = _mp_nodes(stat.a).size if stat.name == "MP" else n * n
+    rows = max(1, budget // width)
     mean = x.mean(axis=1, keepdims=True)
     # sorted whole, then scaled: the sorted copy is freed before the chunk
     # loop, and glibc, which sizes its heap trimming by the largest block it

@@ -195,7 +195,7 @@ def test_eigen_separable_kernel():
 def test_delta1_ladder_converges(a):
     result = largest_eigenvalue_delta1(a)  # raises NumericsError on failure
     (_, e0), (_, e1) = result.trace[-2:]
-    assert abs(e1 - e0) < 1e-4 * abs(e1)
+    assert abs(e1 - e0) < 1e-10 * abs(e1)
     assert result.delta1 > 0
 
 

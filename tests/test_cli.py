@@ -211,7 +211,7 @@ class TestEigenSubcommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         methods = {r["method"] for r in rows}
-        assert {"gauss-legendre", "grid", "grid-extrapolated",
+        assert {"covariance-nystrom", "grid", "grid-extrapolated",
                 "final", "route-disagreement"} <= methods
 
     def test_route_disagreement_row(self, capsys):

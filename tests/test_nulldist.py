@@ -8,19 +8,21 @@ from exptests.core import RngStream
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
                                covariance_K, eigen_matrix, expint_Ei,
-                               grid_ladder_delta1, h2_tilde,
+                               gl_nystrom_delta1, grid_ladder_delta1, h2_tilde,
                                largest_eigenvalue_delta1, load_calibrations,
                                matrix_largest_eigenvalue, null_p_value,
                                p_value_mc,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
+from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
 from exptests.slopes import efficiency
 from exptests.statistics import StatisticId
 
 # frozen reference values computed independently (high-precision quadrature /
-# converged eigen ladders recorded at development time)
-DELTA1 = {0.2: 0.012922696, 0.5: 0.0059438167, 1.0: 0.002717757,
-          2.0: 0.001016955, 5.0: 0.0001975224, 10.0: 4.4267565e-05}
+# converged eigen ladders recorded at development time; DELTA1 to 12 digits,
+# on which the t-panel ladder and the graded x-panel Nystrom of h2_tilde agree)
+DELTA1 = {0.2: 0.012922695697, 0.5: 0.0059438169337, 1.0: 0.0027177573569,
+          2.0: 0.0010169556120, 5.0: 0.00019752315824, 10.0: 4.4268184145e-05}
 SUP_K = {0.2: 4.3953884947e-3, 0.5: 2.7628622457e-3, 1.0: 1.6213725806e-3,
          2.0: 7.9500460052e-4, 5.0: 2.3507992139e-4, 10.0: 7.8062109557e-5}
 
@@ -59,6 +61,27 @@ class TestH2Tilde:
         val, _ = integrate.quad(lambda v: h2_tilde(u, v, 1.0) * math.exp(-v),
                                 0, 60.0, limit=400)
         assert abs(val) < 1e-9
+
+    def test_factorises_through_the_pair_minimum_process(self, gen):
+        # h2_tilde(u, v; a) = (2/3) int e^{-at} phi(u, t) phi(v, t) dt and
+        # K(s, t; 0) = E phi(X, s) phi(X, t), with phi the centred first
+        # projection of (e^{-tx} + e^{-ty})/2 - e^{-2t min(x, y)}
+        def phi(x, t):
+            q = 2.0 * t + 1.0
+            return (0.5 * math.exp(-t * x) + 0.5 / (1.0 + t)
+                    - (-math.expm1(-q * x)) / q - math.exp(-q * x))
+
+        def quad(f):
+            return integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                                  limit=500)[0]
+
+        for a in (0.2, 1.0, 5.0):
+            u, v = gen.uniform(0.01, 5.0, size=2)
+            val = 2.0 / 3.0 * quad(lambda t: math.exp(-a * t) * phi(u, t) * phi(v, t))
+            assert abs(val - h2_tilde(u, v, a)) < 1e-10 * abs(val), (u, v, a)
+        for s_, t_ in gen.uniform(0.01, 5.0, size=(3, 2)):
+            val = quad(lambda x: math.exp(-x) * phi(x, s_) * phi(x, t_))
+            assert abs(val - covariance_K(s_, t_, 0.0)) < 1e-12 * val, (s_, t_)
 
 
 class TestCovarianceK:
@@ -158,7 +181,25 @@ class TestEigenMachinery:
     @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
     def test_frozen_delta1(self, a):
         est = largest_eigenvalue_delta1(a).delta1
-        assert abs(est - DELTA1[a]) < 2e-4 * DELTA1[a]
+        assert abs(est - DELTA1[a]) < 1e-9 * DELTA1[a]
+
+    @pytest.mark.parametrize("a", sorted(DELTA1))
+    def test_matches_graded_x_panel_nystrom(self, a):
+        # the x-side check: Nystrom of h2_tilde itself, 12 Gauss points on
+        # each panel of {0} u geomspace(1e-3, 45, 40), Exp(1) weights
+        edges = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 40)])
+        x, w = panel_gauss_nodes(edges, 12)
+        sq = np.sqrt(w * np.exp(-x))
+        ref = largest_eigenvalue(h2_tilde(x[:, None], x[None, :], a)
+                                 * np.outer(sq, sq))
+        assert abs(largest_eigenvalue_delta1(a).delta1 - ref) < 1e-9 * ref
+
+    def test_gauss_legendre_route_closes_in_from_below(self):
+        # the u-scale Nystrom of h2_tilde converges only algebraically
+        d = largest_eigenvalue_delta1(1.0).delta1
+        gaps = [d - gl_nystrom_delta1(1.0, n) for n in (120, 240, 480)]
+        assert 0 < gaps[2] < gaps[1] < gaps[0]
+        assert gaps[2] < 1e-6 * d
 
     def test_ladder_trace_and_cache(self):
         r1 = largest_eigenvalue_delta1(1.0)
@@ -167,7 +208,8 @@ class TestEigenMachinery:
         assert len(r1.trace) == 3
         n0, e0 = r1.trace[-2]
         n1, e1 = r1.trace[-1]
-        assert abs(e1 - e0) < 1e-4 * e1
+        assert n0 < n1
+        assert abs(e1 - e0) < 1e-10 * e1
 
     def test_grid_route_agrees_with_primary(self):
         extr, trace = grid_ladder_delta1(1.0)
@@ -188,7 +230,7 @@ class TestEigenMachinery:
 class TestTailCoefficient:
     def test_md_and_ld(self):
         a_md = efficiency(StatisticId("MD", 1.0), "gamma").a_T
-        assert abs(a_md - 1.0 / (6.0 * DELTA1[1.0])) < 1e-3 * a_md
+        assert abs(a_md - 1.0 / (6.0 * DELTA1[1.0])) < 1e-9 * a_md
         a_ld = efficiency(StatisticId("LD", 1.0), "gamma").a_T
         assert abs(a_ld - 1.0 / SUP_K[1.0]) < 1e-6 * a_ld
 

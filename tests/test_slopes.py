@@ -111,10 +111,14 @@ class TestProjections:
 
 class TestSlopeMechanics:
     def test_md_integral_oracles(self):
+        # the t-grid numerator against the frozen oracles (6 digits) and
+        # against the double integral of h2_tilde on the pair grid
         for a, fam_id, expected in MD_INTEGRALS:
-            got = slopes._score_form(slopes._pair_kernel("MD", a)[0],
-                                     get_family(fam_id))
-            assert abs(got - expected) < 1e-4 * abs(expected) + 1e-10
+            fam = get_family(fam_id)
+            got = slopes._md_numerator(a, fam)
+            assert abs(got - expected) < 1e-5 * abs(expected)
+            pair = pair_score_integral(h2_tilde, a, fam)
+            assert abs(got - pair) < 1e-13 * abs(pair)
 
     def test_zero_score_gives_zero_slope(self):
         stub = dataclasses.replace(get_family("gamma"),

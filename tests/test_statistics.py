@@ -163,6 +163,33 @@ class TestBatteryForms:
         np.testing.assert_allclose(evaluate_many(StatisticId("MP", a), x),
                                    ref, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("a", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_mp_against_mpmath_at_large_a(self, a):
+        # the rule reaches below the damping scale 1/a; what is left is the
+        # rounding of D - L, which cancels to O(t) at t ~ 1/a
+        x = np.random.default_rng(8).standard_exponential((3, 8))
+        ref = np.array([mp_mpmath(row, a) for row in x])
+        np.testing.assert_allclose(evaluate_many(StatisticId("MP", a), x),
+                                   ref, rtol=1e-14 * a, atol=0)
+
+    def test_mp_chunks_sized_by_nodes(self, monkeypatch):
+        # 10^4 rows at n = 5: chunks of CACHE_BUDGET // n^2 rows would hold
+        # (2621, 73) arrays; chunking by MP's node count keeps the peak low
+        # and leaves every value unchanged
+        x = np.random.default_rng(5).standard_exponential((10_000, 5))
+        stat = StatisticId("MP", 1.0)
+        tracemalloc.start()
+        try:
+            whole = evaluate_many(stat, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        nodes = statistics._mp_nodes(1.0).size
+        for rows in (7, 1000):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * nodes)
+            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
     @pytest.mark.parametrize("name,kernel", [("CVM", kernel_cvm),
                                              ("AD", kernel_ad)])
     def test_sorted_forms_match_pair_means(self, name, kernel, gen):
