@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .core import RngStream
 from .errors import DomainError
+from .numeric import special
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -122,7 +122,7 @@ def _make_families():
         pdf=lambda x, th: (1 + th) * x**th * np.exp(-x**(1 + th)),
         cdf=lambda x, th: -np.expm1(-x**(1 + th)),
         inverse_cdf=lambda u, th: (-np.log1p(-u)) ** (1.0 / (1 + th)),
-        mean_analytic=lambda th: special.gamma(1 + 1.0 / (1 + th)),
+        mean_analytic=lambda th: special().gamma(1 + 1.0 / (1 + th)),
         deriv0=lambda x: np.exp(-x) * (1 + np.log(x) - x * np.log(x)),
         mu_prime0=EULER_GAMMA - 1.0,
     )
@@ -130,9 +130,9 @@ def _make_families():
     fams["gamma"] = AlternativeFamily(
         id="gamma",
         theta_domain=(-1.0, math.inf),
-        pdf=lambda x, th: x**th * np.exp(-x) / special.gamma(th + 1),
-        cdf=lambda x, th: special.gammainc(th + 1, x),
-        inverse_cdf=lambda u, th: special.gammaincinv(th + 1, u),
+        pdf=lambda x, th: x**th * np.exp(-x) / special().gamma(th + 1),
+        cdf=lambda x, th: special().gammainc(th + 1, x),
+        inverse_cdf=lambda u, th: special().gammaincinv(th + 1, u),
         mean_analytic=lambda th: th + 1.0,
         deriv0=lambda x: np.exp(-x) * (np.log(x) + EULER_GAMMA),
         mu_prime0=1.0,
@@ -145,6 +145,9 @@ def _make_families():
         pdf=lambda x, th: (1 + th * x) * np.exp(-x - th * x * x / 2),
         cdf=lambda x, th: -np.expm1(-x - th * x * x / 2),
         inverse_cdf=_inv_lfr,
+        # the survival function e^{-x - theta x^2/2} integrated
+        mean_analytic=lambda th: (math.sqrt(math.pi / (2 * th))
+                                  * special().erfcx(1 / math.sqrt(2 * th))),
         deriv0=lambda x: np.exp(-x) * (x - x * x / 2),
         mu_prime0=-1.0,
     )
@@ -167,8 +170,8 @@ def _make_families():
         theta_domain=(-math.inf, math.inf),
         uses_theta=False,
         pdf=lambda x, th=None: math.sqrt(2.0 / math.pi) * np.exp(-x * x / 2),
-        cdf=lambda x, th=None: special.erf(x / math.sqrt(2.0)),
-        inverse_cdf=lambda u, th=None: math.sqrt(2.0) * special.erfinv(u),
+        cdf=lambda x, th=None: special().erf(x / math.sqrt(2.0)),
+        inverse_cdf=lambda u, th=None: math.sqrt(2.0) * special().erfinv(u),
         mean_analytic=lambda th=None: math.sqrt(2.0 / math.pi),
         sampler=lambda fam, gen, th, size: np.abs(gen.standard_normal(size=size)),
     )
@@ -208,9 +211,9 @@ def _make_families():
         theta_domain=(0.0, math.inf),
         pdf=lambda x, th: np.exp(-np.log(x) ** 2 / (2 * th * th))
         / (x * th * math.sqrt(2 * math.pi)),
-        cdf=lambda x, th: 0.5 * (1 + special.erf(np.log(x) / (th * math.sqrt(2.0)))),
-        inverse_cdf=lambda u, th: np.exp(th * math.sqrt(2.0)
-                                         * special.erfinv(2 * np.asarray(u, float) - 1)),
+        cdf=lambda x, th: 0.5 * (1 + special().erf(np.log(x) / (th * math.sqrt(2.0)))),
+        inverse_cdf=lambda u, th: np.exp(
+            th * math.sqrt(2.0) * special().erfinv(2 * np.asarray(u, float) - 1)),
         mean_analytic=lambda th: math.exp(th * th / 2.0),
         sampler=lambda fam, gen, th, size: np.exp(th * gen.standard_normal(size=size)),
     )

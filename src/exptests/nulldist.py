@@ -34,12 +34,11 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expi
 
 from .core import RngStream, check_tuning
 from .errors import DomainError, NumericsError
 from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
-                      panel_gauss_nodes)
+                      panel_gauss_nodes, special)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
 
@@ -53,7 +52,7 @@ def expint_Ei(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr == 0.0):
         raise DomainError("Ei has a pole at x = 0")
-    out = expi(arr)
+    out = special().expi(arr)
     return out if out.ndim else float(out)
 
 
@@ -65,7 +64,7 @@ def h2_tilde(u, v, a):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    Ei = expi
+    Ei = special().expi
     e = np.exp
     return (1.0 / 6.0) * (
         3.0 + 1.0 / (a + u + v) - 2 * e(-u) / (a + 2 * u + v)
@@ -132,7 +131,7 @@ def _ei_of_sum(c, d):
     z = c + d
     cd = z - c
     dz = (c - (z - cd)) + (d - cd)
-    return expi(z) + dz * np.exp(z) / z
+    return special().expi(z) + dz * np.exp(z) / z
 
 
 def _h2_tilde_half_grid(a: float, m: int, h: float, sq: np.ndarray,
@@ -153,7 +152,7 @@ def _h2_tilde_half_grid(a: float, m: int, h: float, sq: np.ndarray,
     window S[i:i+m+1], and by 2i+j the window F[2i:2i+m+1], so row blocks are
     filled from strided views with no index arrays.
     """
-    e = np.exp
+    e, expi = np.exp, special().expi
     x = (np.arange(m + 1) + 0.5) * h
     ea2 = e(a / 2)
     w = np.arange(1, 2 * m + 2) * h                  # x_i + x_j, s = i + j

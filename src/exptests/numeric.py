@@ -1,10 +1,11 @@
 """Shared numerical helpers: quadrature grids, 1-D maximization, the largest
-eigenvalue of a symmetric matrix, scaled Ei."""
+eigenvalue of a symmetric matrix, scaled Ei, and scipy.special on first use."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expi
 
 from .errors import NumericsError
 
@@ -98,22 +99,56 @@ def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
     return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
 
 
+def special():
+    """The scipy.special module, imported on the first call."""
+    # imported here: scipy.special costs start-up time in every process
+    from scipy import special as module
+    return module
+
+
+LANCZOS_STEPS = 300  # most Lanczos steps of largest_eigenvalue
+LANCZOS_TOL = 1e-13  # residual norm, relative to the eigenvalue, that stops it
+
+
 def largest_eigenvalue(mat) -> float:
     """Largest eigenvalue of a dense symmetric matrix.
 
-    Lanczos iteration (ARPACK) for the top eigenvalue only, to machine
-    precision, from the fixed start vector of ones so that repeated calls
-    return the same float.  Raises NumericsError if ARPACK does not converge.
+    Lanczos iteration with full reorthogonalisation, from the fixed start
+    vector of ones so that repeated calls return the same float.  After step
+    k the top eigenvalue theta of the k x k tridiagonal matrix T is the
+    estimate, and beta_k |s_k| (s the eigenvector of theta in T) is the
+    residual norm |A y - theta y| of its Ritz vector y, which bounds the
+    error of theta.  The iteration stops when that residual falls to
+    LANCZOS_TOL |theta|, or when the basis spans the whole space.  Raises
+    NumericsError when a Lanczos vector is not finite (a NaN or infinite
+    entry of the matrix shows in the first product with the start vector,
+    which has no zero entry) or the residual test still fails after
+    LANCZOS_STEPS steps.
     """
-    # imported here: scipy.sparse.linalg costs start-up time in every process
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-    try:
-        (val,) = eigsh(mat, k=1, which="LA", v0=np.ones(mat.shape[0]),
-                       return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NumericsError(f"largest eigenvalue of a {mat.shape[0]}x"
-                            f"{mat.shape[1]} matrix did not converge: {exc}") from exc
-    return float(val)
+    n = mat.shape[0]
+    steps = min(n, LANCZOS_STEPS)
+    basis = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = np.full(n, 1.0 / math.sqrt(n))
+    for k in range(steps):
+        basis[k] = q
+        w = mat @ q
+        alpha[k] = q @ w
+        done = basis[:k + 1]
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w -= (w @ done.T) @ done
+        beta[k] = math.sqrt(w @ w)
+        if not math.isfinite(beta[k]):
+            raise NumericsError(f"largest eigenvalue of a {n}x{mat.shape[1]} "
+                                f"matrix: Lanczos step {k + 1} is not finite")
+        tri = np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta, vecs = np.linalg.eigh(tri)
+        if beta[k] * abs(vecs[-1, -1]) <= LANCZOS_TOL * abs(theta[-1]) or k == n - 1:
+            return float(theta[-1])
+        q = w / beta[k]
+    raise NumericsError(f"largest eigenvalue of a {n}x{mat.shape[1]} matrix did "
+                        f"not converge in {steps} Lanczos steps: residual "
+                        f"{beta[-1] * abs(vecs[-1, -1]):.3g}, estimate {theta[-1]:.17g}")
 
 
 def ei_scaled(z):
@@ -121,7 +156,7 @@ def ei_scaled(z):
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = z < 50.0
-    out[small] = np.exp(-z[small]) * expi(z[small])
+    out[small] = np.exp(-z[small]) * special().expi(z[small])
     zz = z[~small]
     acc = np.zeros_like(zz)
     term = 1.0 / zz

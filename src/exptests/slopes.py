@@ -43,12 +43,12 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1, expi
 
 from .errors import DomainError
 from .families import family_mean, get_family
 from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
-                      largest_eigenvalue, maximize_log_grid, panel_gauss_nodes)
+                      largest_eigenvalue, maximize_log_grid, panel_gauss_nodes,
+                      special)
 from .nulldist import (DELTA1_LADDER, covariance_t_nodes,
                        largest_eigenvalue_delta1, sup_variance)
 from .statistics import (EULER_GAMMA, StatisticId, kernel_ad, kernel_bh, kernel_cvm,
@@ -137,21 +137,26 @@ def _single_integral(f) -> float:
 # LRT benchmark
 # ---------------------------------------------------------------------------
 
+LRT_STEP = 0.05  # trapezoid step in s = log x of the LRT integral
+
+
 @lru_cache(maxsize=None)
 def lrt_local_coefficient(family) -> float:
     """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)) for a
     local family (an id or the family object itself):
     int_0^inf h^2 e^x dx - mu'(0)^2 with h = g'(x; 0).
 
-    The scores carry a factor e^{-x}, so h^2 underflows long before e^x
-    overflows (at x = 709); the integral stops at 700.
+    The integral is the trapezoid rule in s = log x with step LRT_STEP on
+    [-45, log 700], which converges geometrically as MP's rule does: the
+    integrand x h(x)^2 e^x is analytic in s and decays at both ends.  The
+    scores carry a factor e^{-x}, so h^2 underflows long before e^x
+    overflows (at x = 709); the rule stops at 700, and h^2 e^x is formed as
+    (h e^{x/2})^2 so that no 0 * inf appears.
     """
-    # imported here: scipy.integrate costs start-up time in every process
-    from scipy import integrate
     fam = _local_family(family)
-    fisher, _ = integrate.quad(lambda x: fam.deriv0(x) ** 2 * math.exp(x),
-                               0.0, 700.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return fisher - fam.mu_prime0 ** 2
+    x = np.exp(np.arange(-45.0, math.log(700.0), LRT_STEP))
+    root = fam.deriv0(x) * np.exp(x / 2)
+    return LRT_STEP * float(np.sum(root * root * x)) - fam.mu_prime0 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +248,7 @@ def psi_JD(x, a):
     """Projection of the pair-minimum first-order kernel under Exp(1)."""
     x = np.asarray(x, dtype=float)
     c = a / 2.0
+    exp1 = special().exp1
     e_full = math.exp(a) * exp1(a)
     int_head = 0.5 * math.exp(c) * (exp1(c) - exp1(c + x))
     e_min = int_head + np.exp(-x) / (2.0 * x + a)
@@ -252,9 +258,10 @@ def psi_JD(x, a):
 def psi_JP(x, a):
     """Projection of the pairwise-difference first-order kernel under Exp(1)."""
     x = np.asarray(x, dtype=float)
-    e_full = math.exp(a) * exp1(a)
+    e_full = math.exp(a) * special().exp1(a)
     # E e^{-t|x - X|} integrated against e^{-at}: stable via e^{-z} Ei(z)
-    e_abs = ei_scaled(a + x) - np.exp(-x - a) * expi(a) + np.exp(-x) * e_full
+    e_abs = (ei_scaled(a + x) - np.exp(-x - a) * special().expi(a)
+             + np.exp(-x) * e_full)
     return 0.5 * (1.0 / (x + a) + e_full) - e_abs
 
 
@@ -382,7 +389,7 @@ def mp_projected_kernel(x, y, a):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ex, ey = np.exp(x), np.exp(y)
-    t1 = (np.exp(a - x - y) * expi(-a)
+    t1 = (np.exp(a - x - y) * special().expi(-a)
           * (a * (ex - 2) * (ey - 2) - ex - ey + 4)) / 6.0
     t2 = (np.exp(-x - y) * ei_scaled(a) * (4 * a + ex + ey - 4)
           - (np.exp(-y) * ei_scaled(a + x) * (4 * (a + x - 1) + ey)

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expi
 
 from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
 from .errors import DomainError
-from .numeric import maximize_log_grid
+from .numeric import maximize_log_grid, special
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -208,6 +207,7 @@ def kernel_bh(x, y, mu=1.0, a=1.0):
 
 def kernel_he(x, y, mu=1.0, a=1.0):
     u, v = np.asarray(x) / mu, np.asarray(y) / mu
+    expi = special().expi
     return (1.0 / (a + u + v) + np.exp(a + u) * expi(-(a + u))
             + np.exp(a + v) * expi(-(a + v)) + 1.0 + a * np.exp(a) * expi(-a))
 
@@ -253,15 +253,21 @@ def _mp(y, z, a):
     sample transform L: the integral of (D - L)^2 t e^{-at} over s = log t by the
     trapezoid rule on _mp_nodes, which converges geometrically
     (Trefethen & Weideman 2014, SIAM Rev. 56; about 1e-8 at step 0.35).
-    D = (n + 2 sum_j S_j) / n^2, S_1 = 0, S_j = e^{-t(Z_j - Z_{j-1})} (S_{j-1} + 1)."""
+    With S_j = sum_{i<j} e^{-t(Z_j - Z_i)} for j = 0, ..., n-1,
+    D = (n + 2 sum_j S_j) / n^2 and L = mean e^{-tZ} are both near 1 where
+    D - L = O(t), so both are taken in expm1 form:
+    D - L = 2 sum_j E_j / n^2 - mean expm1(-tZ) with E_j = S_j - j, and
+    E_j = e^{-t Delta_j} E_{j-1} + expm1(-t Delta_j) j
+        = E_{j-1} + expm1(-t Delta_j) (E_{j-1} + j),  Delta_j = Z_j - Z_{j-1}."""
     n = z.shape[1]
     t = _mp_nodes(a)
-    lap, s, pairs = np.exp(np.multiply.outer(z[:, 0], -t)), 0.0, 0.0
+    lap, e, pairs = np.expm1(np.multiply.outer(z[:, 0], -t)), 0.0, 0.0
     for j in range(1, n):  # (rows, nodes) arrays, one column of z at a time
-        lap += np.exp(np.multiply.outer(z[:, j], -t))
-        s = (s + 1.0) * np.exp(np.multiply.outer(z[:, j] - z[:, j - 1], -t))
-        pairs = pairs + s
-    diff = (n + 2.0 * pairs) / (n * n) - lap / n
+        lap += np.expm1(np.multiply.outer(z[:, j], -t))
+        step = np.expm1(np.multiply.outer(z[:, j] - z[:, j - 1], -t))
+        e = e + step * (e + j)
+        pairs = pairs + e
+    diff = 2.0 * pairs / (n * n) - lap / n
     return MP_STEP * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
 
 

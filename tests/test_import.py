@@ -7,17 +7,73 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# modules that only some computations need; importing them costs every
-# process start-up time, so the package imports them where they are used
-DEFERRED = ("scipy.integrate", "scipy.sparse.linalg")
+# packages that only some computations need; importing them costs every
+# process start-up time, so the package imports them where they are used.
+# A name covers the package and all its submodules.
+DEFERRED = ("scipy",)
+
+
+def _loaded_after(code, deferred=DEFERRED):
+    """Run `code` in a fresh interpreter; the loaded modules under `deferred`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    check = (f"\nprint(','.join(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {deferred!r})))")
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code + check],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
 
 
 @pytest.mark.parametrize("module", ["exptests", "exptests.cli"])
-def test_import_defers_integrate_and_arpack(module):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    code = (f"import sys, {module}\n"
-            f"print(','.join(m for m in {DEFERRED!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+def test_import_defers_scipy(module):
+    assert _loaded_after(f"import {module}") == ""
+
+
+def test_monte_carlo_commands_load_no_scipy(tmp_path):
+    # `exptests test` for the bench statistics, and a calibration with power
+    # cells on the families whose samplers need no special function
+    data = tmp_path / "sample.txt"
+    code = f"""
+import contextlib, io
+import numpy as np
+from exptests import RngStream, StatisticId, calibrate_critical_value, estimate_power
+from exptests.cli import run_command
+np.savetxt({str(data)!r}, np.random.default_rng(1).standard_exponential(50))
+for name, a in (("MD", "1"), ("LD", "1"), ("AD", None), ("HM1", "1")):
+    argv = ["test", "--stat", name, "--input", {str(data)!r},
+            "--replicates", "10000", "--seed", "1", "--threads", "2"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run_command(argv + (["--a", a] if a else [])) == 0
+stat = StatisticId("MD", 1.0)
+cal = calibrate_critical_value(stat, 20, rng=RngStream(2))
+for family, theta in (("weibull", 0.4), ("emnw", 0.5), ("uniform", None), ("lognormal", 0.8)):
+    estimate_power(stat, family, theta, 20, 0.05, 1000, RngStream(3), cal)
+"""
+    assert _loaded_after(code) == ""
+
+
+def test_efficiency_path_defers_integrate_and_arpack():
+    # the KS slope takes LFR means and delta1 takes a top eigenvalue: neither
+    # loads quadrature or ARPACK (scipy.special is used, and may be loaded)
+    code = """
+from exptests import StatisticId, efficiency, largest_eigenvalue_delta1
+efficiency(StatisticId("KS"), "lfr")
+largest_eigenvalue_delta1(1.0)
+"""
+    assert _loaded_after(code, ("scipy.integrate", "scipy.sparse")) == ""
+
+
+def test_first_scipy_use_inside_thread_pool():
+    # HE's kernel calls Ei, so in a fresh process scipy.special is first
+    # imported by the pool's threads; the result must not depend on that
+    code = """
+import numpy as np
+from exptests import RngStream, StatisticId
+from exptests.nulldist import simulate_null_statistics
+stat = StatisticId("HE", 1.0)
+assert "scipy.special" not in sys.modules
+pooled = simulate_null_statistics(stat, 20, 10_000, RngStream(3), threads=2)
+serial = simulate_null_statistics(stat, 20, 10_000, RngStream(3), threads=1)
+assert np.array_equal(pooled, serial)
+"""
+    assert "scipy.special" in _loaded_after(code, ("scipy.special",)).split(",")
