@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, check_positive
 from .errors import DomainError
 from .families import get_family, sample_alternative
 from .nulldist import NullCalibration, _map_blocks
@@ -128,11 +128,15 @@ def bootstrap_select_a(stat_name: str, sample, grid: Sequence[float],
     Nonparametric bootstrap: B resamples of the observed data per candidate;
     the score of a candidate is the fraction of resamples rejected at the
     null critical value for that candidate.  Ties go to the smallest a.
+    The sample must be 1-D and positive; a bad entry is named by its index.
     """
     grid = _tuning_grid(grid)
     if B < 200:
         raise DomainError("bootstrap requires B >= 200")
     x = np.asarray(sample, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(f"bootstrap_select_a expects a 1-D sample, got shape {x.shape}")
+    check_positive(x)
     stats = [StatisticId(stat_name, a) for a in grid]
     crits = [_critical_value(calibrations.get(a), s, x.size, alpha)
              for a, s in zip(grid, stats)]

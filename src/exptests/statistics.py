@@ -15,6 +15,9 @@ scaled rows y (r, n), their ascending sort z and the tuning parameter a to
 the r statistic values.  `evaluate_many` feeds it row chunks under an
 element budget and `evaluate` is its one-row case.  Integral-type statistics
 use closed forms, O(n^2) pair sums, sorted-sample formulas or (MP) quadrature.
+LD's transform difference takes both transforms from one expm1 per sorted
+point, and HM1's kernel is written in reciprocals of a^2 + (u -+ v)^2 so that
+no two nearly equal terms are subtracted.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ EULER_GAMMA = float(np.euler_gamma)
 # evaluate_many chunk and per (rows, points, n) temporary of an LD scan step,
 # so that they stay in a per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator
 # returned each freed temporary to the OS and every chunk paid its page
-# faults again.  MD, JP and LD's vn update one temporary in place.
+# faults again.  MD and JP update one temporary in place; LD's vn keeps two,
+# E = expm1(-tz) and E (E + 2); HM1's kernel keeps three.
 CACHE_BUDGET = 65_536
 # elements per evaluate_many chunk of the other kernels (LD's golden-section
 # refine gains from large chunks) and per nulldist.eigen_matrix row block
@@ -100,19 +104,23 @@ def _md(y, z, a):
             + term(2 * z, 2 * z, np.outer(w, w)))
 
 
-def _vn(y, z, a, t):
-    """Difference of the two empirical transforms of each row of y (z sorted)
-    at t, which broadcasts against (rows, k); damped by e^{-at}."""
-    # each transform is 1 + a weighted mean of expm1 (the pair weights sum to
-    # 1), so the difference subtracts no two numbers near 1
+def _vn(z, a, t):
+    """Difference of the two empirical transforms of each sorted row z at t,
+    which broadcasts against (rows, k); damped by e^{-at}.
+
+    Each transform is 1 + a weighted mean of expm1 (the pair weights sum to
+    1), so the difference subtracts no two numbers near 1.  Both come from
+    one E = expm1(-tz): expm1(-2tz) = E (E + 2), exactly and without
+    cancellation (E lies in (-1, 0]).
+    """
     t = t[..., None]
-    e = -t * y[:, None, :]
-    d1 = np.expm1(e, out=e).mean(axis=-1)
-    del e  # one (rows, k, n) temporary at a time
-    e2 = -2.0 * t * z[:, None, :]
-    np.expm1(e2, out=e2)
+    e = -t * z[:, None, :]
+    np.expm1(e, out=e)
+    d1 = e.mean(axis=-1)
+    e2 = e + 2.0
+    e2 *= e
     # one 2-D product: a stacked matmul rounds differently
-    d2 = (e2.reshape(-1, y.shape[1]) @ min_pair_weights(y.shape[1])).reshape(e2.shape[:-1])
+    d2 = (e2.reshape(-1, z.shape[1]) @ min_pair_weights(z.shape[1])).reshape(e2.shape[:-1])
     return (d1 - d2) * np.exp(-a * t[..., 0])
 
 
@@ -120,8 +128,7 @@ def vn_process(s: ScaledSample, a: float, t) -> float:
     """Difference of the two empirical transforms at t, damped by e^{-at}."""
     check_tuning(a)
     t = np.asarray(t, dtype=float)
-    out = _vn(s.values[None, :], s.sorted_values[None, :], a,
-              t.reshape(1, -1))[0].reshape(t.shape)
+    out = _vn(s.sorted_values[None, :], a, t.reshape(1, -1))[0].reshape(t.shape)
     return out if out.ndim else float(out)
 
 
@@ -135,11 +142,11 @@ def _ld(y, z, a):
     """Supremum over t > 0 of |vn|: a 64-point log-spaced grid scan, then
     golden-section refinement of every local maximum of the scan to
     |dt| < 1e-8 (`maximize_log_grid`)."""
-    step = max(1, CACHE_BUDGET // y.size)  # grid points per scan step
+    step = max(1, CACHE_BUDGET // z.size)  # grid points per scan step
 
     def value(t, rows):
-        yr, zr = y[rows], z[rows]
-        return np.concatenate([np.abs(_vn(yr, zr, a, t[:, k:k + step]))
+        zr = z[rows]
+        return np.concatenate([np.abs(_vn(zr, a, t[:, k:k + step]))
                                for k in range(0, t.shape[1], step)], axis=1)
 
     return maximize_log_grid(value, 1e-4, ld_upper_bound(a), ngrid=64)[0]
@@ -220,12 +227,46 @@ def kernel_w(x, y, mu=1.0, a=1.0):
 
 
 def kernel_hm1(x, y, mu=1.0, a=1.0):
+    """Henze-Meintanis L2 kernel, with d = u - v, s = u + v:
+
+        a/(2(a^2+d^2)) - a/(2(a^2+s^2)) + a(a^2-3d^2)/(a^2+d^2)^3
+            + a(a^2-3s^2)/(a^2+s^2)^3 - 2as/(a^2+s^2)^2
+        = a [2uv r_d r_s + r_d^2 (4a^2 r_d - 3) + r_s^2 (4a^2 r_s - 3 - 2s)]
+
+    with r_d = 1/(a^2+d^2), r_s = 1/(a^2+s^2) and s^2 - d^2 = 4uv, so no two
+    nearly equal terms are subtracted.  Evaluated in place in three arrays of
+    the broadcast shape.
+    """
     u, v = np.asarray(x) / mu, np.asarray(y) / mu
-    d, s = u - v, u + v
-    return (a / (2 * (a * a + d * d)) - a / (2 * (a * a + s * s))
-            + a * (a * a - 3 * d * d) / (a * a + d * d)**3
-            + a * (a * a - 3 * s * s) / (a * a + s * s)**3
-            - 2 * a * s / (a * a + s * s)**2)
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    dtype = np.result_type(u, v, float)
+    a2x4 = 4.0 * a * a
+    out = np.add(u, v, out=np.empty(shape, dtype))      # s
+    r = np.multiply(out, out, out=np.empty(shape, dtype))
+    r += a * a
+    np.reciprocal(r, out=r)                              # r_s
+    tmp = np.multiply(r, a2x4, out=np.empty(shape, dtype))
+    out *= -2.0
+    out -= 3.0
+    out += tmp
+    out *= r
+    out *= r                                             # r_s^2 (4a^2 r_s - 3 - 2s)
+    np.subtract(u, v, out=tmp)
+    tmp *= tmp
+    tmp += a * a
+    np.reciprocal(tmp, out=tmp)                          # r_d
+    r *= tmp
+    r *= u
+    r *= v
+    r *= 2.0
+    out += r                                             # + 2uv r_d r_s
+    np.multiply(tmp, a2x4, out=r)
+    r -= 3.0
+    r *= tmp
+    r *= tmp
+    out += r                                             # + r_d^2 (4a^2 r_d - 3)
+    out *= a
+    return out if out.ndim else out[()]
 
 
 def kernel_hm2(x, y, mu=1.0, a=1.0):

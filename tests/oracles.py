@@ -4,9 +4,10 @@ The package computes each statistic through a closed form, an O(n^2) kernel
 sum, a sorted-sample formula or (MP) a trapezoid rule in log t; the
 functions here instead evaluate the defining integrals by adaptive
 quadrature on the empirical transforms, so agreement is a genuine
-cross-check rather than a re-run of the same code path.  `mp_mpmath`
-evaluates MP's closed form in 40-digit arithmetic, where its cancellation
-does not matter.
+cross-check rather than a re-run of the same code path.  `mp_mpmath`,
+`hm1_mpmath` and `h2_tilde_mpmath` evaluate MP's closed form, HM1's
+published kernel and h2_tilde's closed form in 40-digit arithmetic, where
+their cancellation does not matter.
 
 The pair-grid references at the end evaluate the slope numerators of MD, MP
 and the L2 battery one family at a time: the kernel is evaluated on the
@@ -117,6 +118,48 @@ def mp_mpmath(sample, a, dps=40):
         terms = list(weights.items())
         return float(mpmath.fsum(wk * wl / (a + ck + cl)
                                  for ck, wk in terms for cl, wl in terms))
+
+
+def hm1_mpmath(sample, a, dps=40):
+    """HM1 of a raw sample in `dps`-digit arithmetic: the pair mean of the
+    kernel in its published form (Henze & Meintanis 2005, Metrika 61), with
+    d = u - v and s = u + v.  Also returns the pair mean of |kernel|, the
+    scale of the float64 rounding of the sum."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        mean = mpmath.fsum(x) / len(x)
+        y = [v / mean for v in x]
+        a = mpmath.mpf(a)
+        terms = []
+        for u in y:
+            for v in y:
+                d2, s = (u - v) ** 2, u + v
+                terms.append(a / (2 * (a * a + d2)) - a / (2 * (a * a + s * s))
+                             + a * (a * a - 3 * d2) / (a * a + d2) ** 3
+                             + a * (a * a - 3 * s * s) / (a * a + s * s) ** 3
+                             - 2 * a * s / (a * a + s * s) ** 2)
+        return (float(mpmath.fsum(terms) / len(terms)),
+                float(mpmath.fsum(abs(t) for t in terms) / len(terms)))
+
+
+def h2_tilde_mpmath(u, v, a, dps=40):
+    """nulldist.h2_tilde's closed form in `dps`-digit arithmetic."""
+    with mpmath.workdps(dps):
+        u, v, a = mpmath.mpf(u), mpmath.mpf(v), mpmath.mpf(a)
+        e, Ei = mpmath.exp, mpmath.ei
+        return float((
+            3 + 1 / (a + u + v) - 2 * e(-u) / (a + 2 * u + v)
+            - 2 * e(-v) / (a + u + 2 * v)
+            - (4 - a) * e(a) * Ei(-a)
+            + e((a + v) / 2) * (Ei(-(a + v) / 2) - Ei(-(a + 2 * u + v) / 2))
+            + e(a + u) * (4 * Ei(-a - 2 * u) - Ei(-a - u))
+            + e((a + u) / 2) * (Ei(-(a + u) / 2) - Ei(-(a + u + 2 * v) / 2))
+            + e(a + v) * (4 * Ei(-a - 2 * v) - Ei(-a - v))
+            + e(-u - v) / (a + 2 * (u + v)) * (2 * a + 4 * (1 + u + v))
+            - 2 * (e(-u) + e(-v))
+            + e(a / 2) * (-(4 + a + 2 * u) * Ei(-a / 2 - u) + (a + 4) * Ei(-a / 2)
+                          + (a + 2 * (2 + u + v)) * Ei(-a / 2 - u - v)
+                          - (4 + a + 2 * v) * Ei(-a / 2 - v))) / 6)
 
 
 def plain_reference(name, sample):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from exptests import nulldist
 from exptests.core import RngStream
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
@@ -17,6 +18,8 @@ from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
 from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
 from exptests.slopes import efficiency
 from exptests.statistics import StatisticId
+
+from oracles import h2_tilde_mpmath
 
 # frozen reference values computed independently (high-precision quadrature /
 # converged eigen ladders recorded at development time; DELTA1 to 12 digits,
@@ -53,6 +56,15 @@ class TestH2Tilde:
 
     def test_reference_value(self):
         assert abs(h2_tilde(1.0, 2.0, 1.0) - (-8.974622e-5)) < 1e-9
+
+    def test_against_mpmath_near_origin_at_large_a(self):
+        # at a = 10 the closed form's O(1) terms cancel to h2_tilde ~ 2e-4
+        # near the origin; Ei arguments that extend an e^x factor's x are
+        # summed exactly (_ei_of_sum), which keeps the error near 1e-12
+        pts = np.array([1e-4, 1e-3, 1e-2, 5e-2])
+        u, v = np.meshgrid(pts, pts, indexing="ij")
+        ref = np.array([[h2_tilde_mpmath(s, t, 10.0) for t in pts] for s in pts])
+        assert np.max(np.abs(h2_tilde(u, v, 10.0) / ref - 1)) < 1.2e-12
 
     @pytest.mark.parametrize("u", [0.3, 1.0, 2.5])
     def test_first_projection_vanishes(self, u):
@@ -327,6 +339,14 @@ class TestPValue:
     def test_rejects_single_observation(self):
         with pytest.raises(DomainError):
             p_value_mc(StatisticId("MD", 1.0), [1.5], 10_000, RngStream(3))
+
+    @pytest.mark.parametrize("raw", [[1.0, -2.0, 3.0], [1.5]])
+    def test_checks_sample_before_null_run(self, raw, monkeypatch):
+        def no_null_run(*args, **kwargs):
+            raise AssertionError("the null was simulated for a bad sample")
+        monkeypatch.setattr(nulldist, "simulate_null_statistics", no_null_run)
+        with pytest.raises(DomainError, match="index 1" if len(raw) > 1 else "at least 2"):
+            p_value_mc(StatisticId("MD", 1.0), raw, 20_000, RngStream(3))
 
     def test_never_zero_or_above_one(self, gen):
         x = gen.exponential(size=12)

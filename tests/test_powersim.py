@@ -131,6 +131,18 @@ class TestBootstrapSelection:
         with pytest.raises(DomainError):
             bootstrap_select_a("MD", x, [1.0], 50, 0.05, RngStream(0), cals)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_entry_named_by_sample_index(self, cals, gen, bad):
+        x = gen.exponential(size=15)
+        x[9] = bad
+        with pytest.raises(DomainError, match="index 9"):
+            bootstrap_select_a("MD", x, [1.0], 200, 0.05, RngStream(0), cals)
+
+    def test_rejects_2d_sample(self, cals, gen):
+        x = gen.exponential(size=(3, 15))
+        with pytest.raises(DomainError, match="1-D"):
+            bootstrap_select_a("MD", x, [1.0], 200, 0.05, RngStream(0), cals)
+
     def test_deterministic(self, cals, gen):
         x = gen.exponential(size=15)
         s1 = bootstrap_select_a("MD", x, list(cals), 200, 0.05,

@@ -17,7 +17,7 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  kernel_hm2, kernel_w, ld_upper_bound,
                                  vn_process)
 
-from oracles import mp_mpmath, oracle_statistic, plain_reference
+from oracles import hm1_mpmath, mp_mpmath, oracle_statistic, plain_reference
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -84,8 +84,8 @@ class TestMDAndLD:
 
     @pytest.mark.parametrize("a", [5.0, 10.0])
     def test_vn_process_against_mpmath(self, a):
-        # 40-digit oracle on one n=50 row: the expm1 form beats the direct
-        # difference of the two transforms, which both sit near 1 at small t
+        # 40-digit oracle on one n=50 row: both transforms come from one
+        # expm1 per point, so no two numbers near 1 are subtracted
         s = scale_sample(np.random.default_rng(0).standard_exponential(50))
         n = s.values.size
         ts = np.geomspace(1e-4, ld_upper_bound(a), 16)
@@ -97,12 +97,7 @@ class TestMDAndLD:
                 (mpmath.fsum(mpmath.exp(-t * v) for v in y) / n
                  - mpmath.fsum(wi * mpmath.exp(-2 * t * v) for wi, v in zip(w, z)))
                 * mpmath.exp(-a * t)) for t in map(mpmath.mpf, ts)])
-        direct = (np.exp(-ts[:, None] * s.values).mean(axis=1)
-                  - np.exp(-2 * ts[:, None] * s.sorted_values) @ s.min_weights
-                  ) * np.exp(-a * ts)
-        err = np.max(np.abs(vn_process(s, a, ts) / ref - 1))
-        err_direct = np.max(np.abs(direct / ref - 1))
-        assert err < err_direct / 10
+        assert np.max(np.abs(vn_process(s, a, ts) / ref - 1)) < 2e-13
 
     def test_ld_matches_dense_grid(self, gen):
         x = gen.exponential(size=14)
@@ -171,6 +166,19 @@ class TestBatteryForms:
         ref = np.array([mp_mpmath(row, a) for row in x])
         np.testing.assert_allclose(evaluate_many(StatisticId("MP", a), x),
                                    ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 10.0])
+    def test_hm1_against_mpmath(self, a):
+        # 40-digit pair mean of the published kernel.  Where the pair mean
+        # cancels strongly (row 0 at a = 10: mean|kernel| is 7e4 times HM1),
+        # rounding the kernel values alone costs more than 5e-13 relative, so
+        # the bound is the larger of 5e-13 relative and eps/4 of the pair
+        # mean of |kernel|
+        x = np.random.default_rng(0).standard_exponential((4, 50))
+        ref, scale = np.array([hm1_mpmath(row, a) for row in x]).T
+        err = np.abs(evaluate_many(StatisticId("HM1", a), x) - ref)
+        eps = np.finfo(float).eps
+        assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
 
     def test_mp_chunks_sized_by_nodes(self, monkeypatch):
         # 10^4 rows at n = 5: chunks of CACHE_BUDGET // n^2 rows would hold
