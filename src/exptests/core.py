@@ -15,6 +15,7 @@ ordered pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,11 @@ class RngStream:
     seed: int
     stream: int = 0
     key: tuple = ()  # substream indices, outermost first
+
+    def __post_init__(self):
+        ids = (self.seed, self.stream) + tuple(self.key)
+        if not all(isinstance(v, (int, np.integer)) and v >= 0 for v in ids):
+            raise DomainError(f"seed, stream and key entries must be non-negative ints: {self}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,) + self.key)
@@ -56,6 +62,7 @@ class RngStream:
                    tuple(int(k) for k in (row.get("key") or "").split(":") if k))
 
 
+@lru_cache
 def min_pair_weights(n: int) -> np.ndarray:
     """Weights w_i = (2(n-i)+1)/n^2 for ascending order statistics.
 
@@ -63,12 +70,13 @@ def min_pair_weights(n: int) -> np.ndarray:
     i-th smallest observation, so that
     (1/n^2) sum_{j,k} e^{-2 t min(Y_j, Y_k)} = sum_i w_i e^{-2 t Z_i}
     with Z the ascending values.  Ties are handled by stable sort order; any
-    consistent tie rule gives the same weighted sum.
+    consistent tie rule gives the same weighted sum.  Cached, so read-only.
     """
     if n < 1:
         raise DomainError("sample size must be at least 1")
-    i = np.arange(1, n + 1, dtype=float)
-    return (2.0 * (n - i) + 1.0) / n**2
+    w = (2.0 * (n - np.arange(1, n + 1)) + 1.0) / n**2
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

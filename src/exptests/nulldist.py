@@ -468,8 +468,7 @@ def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CALIBRATION_COLUMNS)
         writer.writeheader()
-        for cal in calibrations:
-            writer.writerows(calibration_rows(cal))
+        writer.writerows(row for cal in calibrations for row in calibration_rows(cal))
 
 
 def load_calibrations(path) -> list:
@@ -482,9 +481,8 @@ def load_calibrations(path) -> list:
             stat = StatisticId(row["statistic"], a)
             seed = RngStream.from_csv_fields(row)
             key = (stat, int(row["n"]), int(row["replicates"]), seed)
-            rec = out.setdefault(key, {})
-            rec[float(row["alpha"])] = (float(row["critical_value"]),
-                                        float(row["se"]))
+            out.setdefault(key, {})[float(row["alpha"])] = (float(row["critical_value"]),
+                                                            float(row["se"]))
     cals = []
     for (stat, n, reps, seed), rec in out.items():
         alphas = tuple(sorted(rec))

@@ -16,11 +16,8 @@ def panel_gauss_nodes(edges, npts):
     """Composite Gauss-Legendre nodes/weights over consecutive [edges] panels."""
     g, gw = np.polynomial.legendre.leggauss(npts)
     edges = np.asarray(edges, dtype=float)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (hi - lo) * g + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    return (0.5 * (hi - lo) * g + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * gw).ravel()
 
 
 def graded_halfline_nodes(inner=1e-4, outer=60.0, panels=60, npts=12):
@@ -36,9 +33,7 @@ def exp_measure_nodes(n):
     sum w_i f(x_i) approximates the integral of f(x) e^-x dx over (0, inf).
     """
     u, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
-    return -np.log1p(-u), w
+    return -np.log1p(-0.5 * (u + 1.0)), 0.5 * w
 
 
 def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):

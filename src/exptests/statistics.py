@@ -14,8 +14,8 @@ Each one has a single batched kernel in the `_KERNELS` table, mapping the
 scaled rows y (r, n), their ascending sort z and the tuning parameter a to
 the r statistic values.  `evaluate_many` feeds it row chunks under an
 element budget and `evaluate` is its one-row case.  Integral-type statistics
-use closed forms, O(n^2) pair sums, sorted-sample formulas or (MP) quadrature.
-LD's transform difference takes both transforms from one expm1 per sorted
+use closed forms, O(n^2) pair sums, sorted-sample formulas or (MD, MP) one
+trapezoid rule in log t.  LD takes both transforms from one expm1 per sorted
 point, and HM1's kernel is written in reciprocals of a^2 + (u -+ v)^2 so that
 no two nearly equal terms are subtracted.
 """
@@ -34,11 +34,12 @@ from .numeric import maximize_log_grid, special
 EULER_GAMMA = float(np.euler_gamma)
 
 # elements (512 KiB) per (rows, n, n) temporary of a CACHE_SIZED kernel's
-# evaluate_many chunk and per (rows, points, n) temporary of an LD scan step,
-# so that they stay in a per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator
-# returned each freed temporary to the OS and every chunk paid its page
-# faults again.  MD and JP update one temporary in place; LD's vn keeps two,
-# E = expm1(-tz) and E (E + 2); HM1's kernel keeps three.
+# evaluate_many chunk (MD's is (rows, n, nodes)) and per (rows, points, n)
+# temporary of an LD scan step, so that they stay in a per-core L2.  At
+# ELEMENT_BUDGET (8 MB) the allocator returned each freed temporary to the OS
+# and every chunk paid its page faults again.  MD and JP update one temporary
+# in place; LD's vn keeps two, E = expm1(-tz) and E (E + 2); HM1's kernel
+# keeps three.
 CACHE_BUDGET = 65_536
 # elements per evaluate_many chunk of the other kernels (LD's golden-section
 # refine gains from large chunks) and per nulldist.eigen_matrix row block
@@ -85,23 +86,29 @@ class StatValue:
 # MD / LD: pair-minimum Laplace transform statistics
 # ---------------------------------------------------------------------------
 
+LOG_T_STEP = 0.25  # trapezoid step in s = log t of MD's and MP's rule
+
+
+def _log_t_nodes(a):
+    """Trapezoid nodes t = e^s of MD and MP: step LOG_T_STEP in s on
+    [min(-14, log(60/a) - 18), log(60/a)], so the rule starts at least 18
+    units of s below the damping scale 1/a of e^{-at}."""
+    top = np.log(60.0 / a)
+    return np.exp(np.arange(min(-14.0, top - 18.0), top, LOG_T_STEP))
+
+
 def _md(y, z, a):
-    """Weighted L2 distance between the sample Laplace transform and the
-    V-empirical transform of 2 min(Y_i, Y_j), integrated against e^{-at}.
-
-    Closed form via int_0^inf e^{-(a+c)t} dt = 1/(a+c); O(n^2) per row.
-    """
-    n = y.shape[1]
-    w = min_pair_weights(n)
-
-    def term(u, v, weight):
-        # sum over (i, j) of weight / (u_i + v_j + a), one temporary per term
-        s = u[:, :, None] + v[:, None, :]
-        s += a
-        return np.divide(weight, s, out=s).sum(axis=(1, 2))
-
-    return (term(y, y, 1.0) / n**2 - 2 * (term(y, 2 * z, w) / n)
-            + term(2 * z, 2 * z, np.outer(w, w)))
+    """Weighted L2 distance of the sample Laplace transform L = mean E from
+    the V-empirical transform D = sum w E^2 of 2 min(Y_i, Y_j), E = exp(-tZ):
+    the integral of (L - D)^2 t e^{-at} over s = log t by the trapezoid rule
+    on _log_t_nodes.  L - D cancels only at small t, where t (L - D)^2 = O(t^3)."""
+    t = _log_t_nodes(a)
+    e = np.multiply.outer(z, -t)  # (rows, n, nodes): t contiguous
+    np.exp(e, out=e)
+    diff = np.full(z.shape[1], 1.0 / z.shape[1]) @ e
+    e *= e
+    diff -= min_pair_weights(z.shape[1]) @ e
+    return LOG_T_STEP * (diff * diff * (t * np.exp(-a * t))).sum(axis=1)
 
 
 def _vn(z, a, t):
@@ -125,9 +132,11 @@ def _vn(z, a, t):
 
 
 def vn_process(s: ScaledSample, a: float, t) -> float:
-    """Difference of the two empirical transforms at t, damped by e^{-at}."""
+    """Difference of the two empirical transforms at t >= 0, damped by e^{-at}."""
     check_tuning(a)
     t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise DomainError(f"t must be non-negative finite reals, got {t}")
     out = _vn(s.sorted_values[None, :], a, t.reshape(1, -1))[0].reshape(t.shape)
     return out if out.ndim else float(out)
 
@@ -278,21 +287,10 @@ def kernel_hm2(x, y, mu=1.0, a=1.0):
                    * np.exp(-s * s / (4 * a)))
 
 
-MP_STEP = 0.25  # trapezoid step in s = log t of MP's rule
-
-
-def _mp_nodes(a):
-    """Trapezoid nodes t = e^s of MP: step MP_STEP in s on
-    [min(-14, log(60/a) - 18), log(60/a)], so the rule starts at least 18
-    units of s below the damping scale 1/a of e^{-at}."""
-    top = np.log(60.0 / a)
-    return np.exp(np.arange(min(-14.0, top - 18.0), top, MP_STEP))
-
-
 def _mp(y, z, a):
     """Weighted L2 distance of the V-empirical transform D of |Y_i - Y_j| from the
     sample transform L: the integral of (D - L)^2 t e^{-at} over s = log t by the
-    trapezoid rule on _mp_nodes, which converges geometrically
+    trapezoid rule on _log_t_nodes, which converges geometrically
     (Trefethen & Weideman 2014, SIAM Rev. 56; about 1e-8 at step 0.35).
     With S_j = sum_{i<j} e^{-t(Z_j - Z_i)} for j = 0, ..., n-1,
     D = (n + 2 sum_j S_j) / n^2 and L = mean e^{-tZ} are both near 1 where
@@ -301,7 +299,7 @@ def _mp(y, z, a):
     E_j = e^{-t Delta_j} E_{j-1} + expm1(-t Delta_j) j
         = E_{j-1} + expm1(-t Delta_j) (E_{j-1} + j),  Delta_j = Z_j - Z_{j-1}."""
     n = z.shape[1]
-    t = _mp_nodes(a)
+    t = _log_t_nodes(a)
     lap, e, pairs = np.expm1(np.multiply.outer(z[:, 0], -t)), 0.0, 0.0
     for j in range(1, n):  # (rows, nodes) arrays, one column of z at a time
         lap += np.expm1(np.multiply.outer(z[:, j], -t))
@@ -309,7 +307,7 @@ def _mp(y, z, a):
         e = e + step * (e + j)
         pairs = pairs + e
     diff = 2.0 * pairs / (n * n) - lap / n
-    return MP_STEP * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
+    return LOG_T_STEP * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
 
 
 def _jp(y, z, a):
@@ -342,7 +340,7 @@ _KERNELS = {
     "JP": _jp,
     "MP": _mp,
 }
-# kernels with (rows, n, n) arrays, or MP's (rows, nodes) ones, chunked by CACHE_BUDGET
+# kernels with (rows, n, n), MD's (rows, n, nodes) or MP's (rows, nodes) arrays
 CACHE_SIZED = frozenset({"MD", "JP", "BH", "HE", "W", "HM1", "HM2", "MP"})
 
 
@@ -356,8 +354,8 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     Every entry must be a positive finite real; the first one that is not is
     named by row and column.  The rows are scaled to unit means and sorted,
     and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED (MP, whose
-    arrays are (rows, nodes): CACHE_BUDGET // nodes) and of
+    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED (MD: // (n nodes),
+    MP: // nodes) and of
     ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not depend
     on the chunking, except for LD: its scan and refine gather the chunk's
     rows into one matrix-vector product, whose rounding depends on which rows
@@ -371,8 +369,8 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     kernel = _KERNELS[stat.name]
     r, n = x.shape
     budget = CACHE_BUDGET if stat.name in CACHE_SIZED else ELEMENT_BUDGET
-    width = _mp_nodes(stat.a).size if stat.name == "MP" else n * n
-    rows = max(1, budget // width)
+    nodes = _log_t_nodes(stat.a).size if stat.name in ("MD", "MP") else n
+    rows = max(1, budget // (nodes if stat.name == "MP" else n * nodes))
     mean = x.mean(axis=1, keepdims=True)
     # sorted whole, then scaled: the sorted copy is freed before the chunk
     # loop, and glibc, which sizes its heap trimming by the largest block it

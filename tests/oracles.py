@@ -1,13 +1,14 @@
 """Independent oracles for the integral-type statistics.
 
 The package computes each statistic through a closed form, an O(n^2) kernel
-sum, a sorted-sample formula or (MP) a trapezoid rule in log t; the
+sum, a sorted-sample formula or (MD and MP) a trapezoid rule in log t; the
 functions here instead evaluate the defining integrals by adaptive
 quadrature on the empirical transforms, so agreement is a genuine
-cross-check rather than a re-run of the same code path.  `mp_mpmath`,
-`hm1_mpmath` and `h2_tilde_mpmath` evaluate MP's closed form, HM1's
-published kernel and h2_tilde's closed form in 40-digit arithmetic, where
-their cancellation does not matter.
+cross-check rather than a re-run of the same code path.  `md_mpmath`,
+`mp_mpmath`, `hm1_mpmath` and `h2_tilde_mpmath` evaluate MD's and MP's
+double sums of 1/(a + c_p + c_q), HM1's published kernel and h2_tilde's
+closed form in 40-digit arithmetic, where their cancellation does not
+matter.
 
 The pair-grid references at the end evaluate the slope numerators of MD, MP
 and the L2 battery one family at a time: the kernel is evaluated on the
@@ -118,6 +119,21 @@ def mp_mpmath(sample, a, dps=40):
         terms = list(weights.items())
         return float(mpmath.fsum(wk * wl / (a + ck + cl)
                                  for ck, wk in terms for cl, wl in terms))
+
+
+def md_mpmath(sample, a, dps=40):
+    """MD of a raw sample in `dps`-digit arithmetic.  L(t) - M(t) is a sum of
+    c_p e^{-t s_p} over the 2n points s_p: the observations Y_i (weight 1/n)
+    and twice the order statistics 2 Z_i (weight -w_i), so MD is the double
+    sum of c_p c_q / (a + s_p + s_q)."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        n, mean = len(x), mpmath.fsum(x) / len(x)
+        z = sorted(v / mean for v in x)
+        terms = ([(v, mpmath.mpf(1) / n) for v in z]
+                 + [(2 * v, -mpmath.mpf(2 * (n - i) - 1) / n**2) for i, v in enumerate(z)])
+        return float(mpmath.fsum(cp * cq / (a + sp + sq)
+                                 for sp, cp in terms for sq, cq in terms))
 
 
 def hm1_mpmath(sample, a, dps=40):

@@ -35,6 +35,15 @@ class TestMinPairWeights:
         with pytest.raises(DomainError):
             min_pair_weights(0)
 
+    def test_cached_array_is_read_only(self):
+        w = min_pair_weights(6)
+        assert min_pair_weights(6) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        np.testing.assert_array_equal(w, np.arange(11, 0, -2) / 36.0)
+
 
 class TestScaleSample:
     def test_unit_mean_and_sorted(self, gen):
@@ -120,3 +129,26 @@ class TestRngStream:
         s = RngStream(7, stream=3).substream(2).substream(5)
         direct = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3, 2, 5)))
         np.testing.assert_array_equal(s.generator().random(4), direct.random(4))
+
+    @pytest.mark.parametrize("args", [(-1,), (1.5,), ("7",), (7, -1), (7, 1.0),
+                                      (7, 0, (2, -3)), (7, 0, (np.float64(2.0),))])
+    def test_rejects_bad_identity_at_construction(self, args):
+        with pytest.raises(DomainError, match="non-negative ints"):
+            RngStream(*args)
+
+    def test_accepts_numpy_ints(self):
+        s = RngStream(np.int64(7), np.uint8(3), (np.int32(2),))
+        assert s == RngStream(7, 3, (2,))
+        np.testing.assert_array_equal(s.generator().random(3),
+                                      RngStream(7, 3, (2,)).generator().random(3))
+
+    @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, 3),
+                                        RngStream(7, 3).substream(0).substream(12)])
+    def test_csv_fields_round_trip(self, stream):
+        row = {k: str(v) for k, v in stream.csv_fields().items()}
+        back = RngStream.from_csv_fields(row)
+        assert back == stream and hash(back) == hash(stream)
+
+    def test_csv_row_with_negative_seed_is_rejected(self):
+        with pytest.raises(DomainError):
+            RngStream.from_csv_fields({"seed": "-4", "stream": "", "key": ""})

@@ -17,7 +17,8 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  kernel_hm2, kernel_w, ld_upper_bound,
                                  vn_process)
 
-from oracles import hm1_mpmath, mp_mpmath, oracle_statistic, plain_reference
+from oracles import (hm1_mpmath, md_mpmath, mp_mpmath, oracle_statistic,
+                     plain_reference)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -71,6 +72,15 @@ class TestMDAndLD:
         # MD is a squared distance: strictly positive on finite samples
         x = gen.exponential(size=15)
         assert evaluate(StatisticId("MD", 1.0), x).value > 0
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    def test_md_against_mpmath(self, n, a):
+        # the trapezoid rule in log t against MD's double sum in 40 digits
+        x = np.random.default_rng(0).standard_exponential((4, n))
+        ref = np.array([md_mpmath(row, a) for row in x])
+        np.testing.assert_allclose(evaluate_many(StatisticId("MD", a), x),
+                                   ref, rtol=5e-12, atol=0)
 
     def test_vn_process_matches_direct(self, gen):
         x = gen.exponential(size=9)
@@ -147,6 +157,16 @@ class TestMDAndLD:
         with pytest.raises(DomainError, match="positive finite"):
             vn_process(scale_sample(x), np.inf, 1.0)
 
+    @pytest.mark.parametrize("t", [-5.0, -1e-300, np.nan, np.inf, [0.5, np.nan]])
+    def test_vn_process_rejects_bad_t(self, t, gen):
+        with pytest.raises(DomainError, match="non-negative finite"):
+            vn_process(scale_sample(gen.exponential(size=5)), 1.0, t)
+
+    def test_vn_process_is_zero_at_t_zero(self, gen):
+        s = scale_sample(gen.exponential(size=5))
+        assert vn_process(s, 1.0, 0.0) == 0.0
+        np.testing.assert_array_equal(vn_process(s, 1.0, [0.0, 0.0]), [0.0, 0.0])
+
 
 class TestBatteryForms:
     @pytest.mark.parametrize("n", [5, 20])
@@ -193,7 +213,7 @@ class TestBatteryForms:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
-        nodes = statistics._mp_nodes(1.0).size
+        nodes = statistics._log_t_nodes(1.0).size
         for rows in (7, 1000):
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * nodes)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
