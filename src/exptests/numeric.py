@@ -20,10 +20,19 @@ def panel_gauss_nodes(edges, npts):
     return (0.5 * (hi - lo) * g + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * gw).ravel()
 
 
-def graded_halfline_nodes(inner=1e-4, outer=60.0, panels=60, npts=12):
-    """Geometrically graded panels on (0, outer] for integrands decaying like e^-x."""
-    edges = np.concatenate([[0.0], np.geomspace(inner, outer, panels)])
-    return panel_gauss_nodes(edges, npts)
+def panel_gauss_below(npts, panels):
+    """The matrix B that stands in for 1{t_j < t_i} on the nodes of
+    panel_gauss_nodes(edges, npts) with `panels` panels: sum_j B_ij w_j f_j
+    integrates the panel-wise interpolant of f from 0 to t_i, so a kernel
+    with a kink on its diagonal, such as e^{-max(s,t)}, keeps spectral
+    accuracy.  B + B^T = 1 to rounding (Gauss rules integrate the product of
+    two interpolants exactly), so such a kernel's matrix stays symmetric."""
+    leg = np.polynomial.legendre
+    g, gw = leg.leggauss(npts)
+    within = (leg.legvander(g, npts) @ leg.legint(np.eye(npts), lbnd=-1)
+              @ np.linalg.inv(leg.legvander(g, npts - 1))) / gw
+    return (np.kron(np.tri(panels, k=-1), np.ones((npts, npts)))
+            + np.kron(np.eye(panels), within))
 
 
 def exp_measure_nodes(n):

@@ -11,26 +11,25 @@ lrt_coeff = int_0^inf h(x)^2 e^x dx - mu'(0)^2 of the family's scores
 h = g'(x; 0) and mean derivative mu'(0) (Nikitin 1995, Asymptotic Efficiency
 of Nonparametric Tests).
 
-Conventions per statistic type:
-
-* quadratic (L2) statistics with weighted chi-square limits: c_coeff is the
-  ratio (double integral of the projected kernel against the scores) over
-  the largest operator eigenvalue, with the combination constant cancelling.
-  MP and the L2 battery take the double integral on the pair grid of the
-  half-line grid.  MD takes it, and delta1, through the factorisation of
-  h2_tilde by the pair-minimum process (nulldist): one integral over x per
-  node of delta1's t-grid, so no h2_tilde matrix is built;
-* supremum statistics: c_coeff = sup_t (projection integral)^2 / sup_t K(t,t);
+Every slope comes from one projection f(x, t) per statistic: an L2
+statistic is int Z_n(t)^2 w(t) dt and a supremum statistic sup_t |Z_n(t)|
+for Z_n(t) = mean f(Y_i, t) of the scaled sample.  Estimating the scale
+turns f into f~(x, t) = f(x, t) - (x - 1) int f(y, t) (y - 1) e^{-y} dy,
+whose Gram under Exp(1) is the covariance K(s, t) of the limiting process;
+the local drift is b(t) = int f~(x, t) g'(x) dx.  Then
+* L2 statistics: c_coeff = int b^2 w dt / lambda1, a_T = 1/lambda1, with
+  lambda1 the top eigenvalue of K on L2(w dt); MD's projection comes from
+  the factorisation of h2_tilde (nulldist), and nMD converges to
+  6 sum delta_k W_k^2, so lambda1 = 6 delta1;
+* supremum statistics: c_coeff = sup_t b^2 / sup_t K(t,t), a_T = 1/sup_t K(t,t);
 * asymptotically normal statistics: c_coeff = (score integral)^2 / variance.
-
-Tail coefficients: the L2 statistic nMD converges to 6 sum delta_k W_k^2, so
-its Bahadur tail coefficient is 1/(6 delta1); the supremum statistic's is
-1/sup_t K(t,t).
+CVM, AD and KS share f = 1{x <= t} - F_0(t); every other x-integral is the
+trapezoid rule in log x of the LRT coefficient (_x_rule).
 
 One table, _SLOPES, maps each statistic name to its slope routine and a
 `quadratic` flag.  Every routine takes (stat, fam) and returns
 (c_coeff, a_T) from one computation.  The report splits c_coeff as
-c = a_T * b for quadratic statistics (b is the theta^2-coefficient of b_T^2)
+c = a_T * b for quadratic statistics (b is the theta^2-coefficient of b_T)
 and as c = a_T * b^2 for normal and supremum statistics (b is the
 theta-coefficient of b_T).
 """
@@ -45,14 +44,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .families import family_mean, get_family
-from .numeric import (ei_scaled, exp_measure_nodes, graded_halfline_nodes,
-                      largest_eigenvalue, maximize_log_grid, panel_gauss_nodes,
-                      special)
+from .families import get_family
+from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
+                      panel_gauss_below, panel_gauss_nodes, special)
 from .nulldist import (DELTA1_LADDER, covariance_t_nodes,
                        largest_eigenvalue_delta1, sup_variance)
-from .statistics import (EULER_GAMMA, StatisticId, kernel_ad, kernel_bh, kernel_cvm,
-                         kernel_he, kernel_hm1, kernel_hm2, kernel_w, ld_upper_bound)
+from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
 
 EFFICIENCY_SLACK = 1.02
 
@@ -80,83 +77,41 @@ def _local_family(family):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature grids (built on first use, then cached)
+# The x-rule and the LRT benchmark
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _halfline_grid():
-    return graded_halfline_nodes(inner=1e-4, outer=60.0, panels=60, npts=12)
+LRT_STEP = 0.05  # trapezoid step in s = log x of the x-rule
 
 
-@lru_cache(maxsize=1)
-def _pair_grid():
-    """Tensor grid of _halfline_grid: x (k, 1), y (1, k) and weights (k, k)."""
-    x, w = _halfline_grid()
-    return x[:, None], x[None, :], np.outer(w, w)
-
-
-MU_STEP = 1e-4  # central-difference step of the L2 mu-derivatives
-
-
-@lru_cache(maxsize=1)
-def _pair_kernel(name: str, a: Optional[float]):
-    """Family-independent part of a pair-grid double integral (MP and the
-    L2 battery), so that each family costs one quadratic form.
-
-    Returns (K, d, c) with K_ij = Phi(x_i, x_j) W_ij, the kernel weighted by
-    the pair-grid quadrature weights W; Phi is mp_projected_kernel for MP
-    and the battery kernel at mu = 1 for an L2 member.  For an L2 member
-    d = D1 g0 and c = g0' D2 g0 contract the weighted mu-derivatives D1, D2
-    of the kernel (central differences with step MU_STEP) with g0 = e^{-x};
-    both are None for MP.
-
-    One entry suffices because sweeps of the efficiency tables loop over the
-    families innermost; it also means no 720 x 720 matrix outlives the next
-    (statistic, a).
-    """
-    xg, yg, wg = _pair_grid()
-    if name == "MP":
-        return mp_projected_kernel(xg, yg, a) * wg, None, None
-    kernel, _, _ = _L2_KERNELS[name]
-    h = MU_STEP
-    g0 = np.exp(-xg[:, 0])
-    p0 = kernel(xg, yg, 1.0, a)
-    pp = kernel(xg, yg, 1.0 + h, a)
-    pm = kernel(xg, yg, 1.0 - h, a)
-    d1 = (pp - pm) / (2 * h) * wg
-    d2 = (pp - 2 * p0 + pm) / (h * h) * wg
-    return p0 * wg, d1 @ g0, float(g0 @ d2 @ g0)
+@lru_cache(maxsize=2)
+def _x_rule(step: float):
+    """Nodes x = e^s and weights step * x of the trapezoid rule in s = log x
+    on [-45, log 700].  It converges geometrically, as MP's rule in log t
+    does (Trefethen & Weideman 2014, SIAM Rev. 56): every integrand here is
+    analytic in s and decays at both ends."""
+    x = np.exp(np.arange(-45.0, math.log(700.0), step))
+    return x, step * x
 
 
 def _single_integral(f) -> float:
-    x, w = _halfline_grid()
-    return float(np.dot(f(x), w))
-
-
-# ---------------------------------------------------------------------------
-# LRT benchmark
-# ---------------------------------------------------------------------------
-
-LRT_STEP = 0.05  # trapezoid step in s = log x of the LRT integral
+    x, w = _x_rule(LRT_STEP)
+    return float(f(x) @ w)
 
 
 @lru_cache(maxsize=None)
 def lrt_local_coefficient(family) -> float:
     """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)) for a
     local family (an id or the family object itself):
-    int_0^inf h^2 e^x dx - mu'(0)^2 with h = g'(x; 0).
+    int_0^inf h^2 e^x dx - mu'(0)^2 with h = g'(x; 0), on the x-rule.
 
-    The integral is the trapezoid rule in s = log x with step LRT_STEP on
-    [-45, log 700], which converges geometrically as MP's rule does: the
-    integrand x h(x)^2 e^x is analytic in s and decays at both ends.  The
-    scores carry a factor e^{-x}, so h^2 underflows long before e^x
+    The scores carry a factor e^{-x}, so h^2 underflows long before e^x
     overflows (at x = 709); the rule stops at 700, and h^2 e^x is formed as
     (h e^{x/2})^2 so that no 0 * inf appears.
     """
     fam = _local_family(family)
-    x = np.exp(np.arange(-45.0, math.log(700.0), LRT_STEP))
+    x, w = _x_rule(LRT_STEP)
     root = fam.deriv0(x) * np.exp(x / 2)
-    return LRT_STEP * float(np.sum(root * root * x)) - fam.mu_prime0 ** 2
+    return float(root * root @ w) - fam.mu_prime0 ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +123,9 @@ def _md_numerator(a: float, fam) -> float:
 
     By h2_tilde's factorisation (nulldist) it is
     (2/3) int_0^inf (int phi1_tilde(x, t; a/2) g'(x) dx)^2 dt: the inner
-    integral on the half-line grid, the outer one on delta1's finest t-grid.
+    integral on the x-rule, the outer one on delta1's finest t-grid.
     """
-    xs, ws = _halfline_grid()
+    xs, ws = _x_rule(LRT_STEP)
     t, wt = covariance_t_nodes(a, DELTA1_LADDER[-1])
     inner = phi1_tilde(xs, t[:, None], a / 2) @ (fam.deriv0(xs) * ws)
     return 2.0 / 3.0 * float(wt @ (inner * inner))
@@ -206,7 +161,7 @@ def slope_LD(stat: StatisticId, fam):
     """c_coeff = sup_t (int phi1_tilde g')^2 / sup_t K(t,t),
     a_T = 1/sup_t K(t,t)."""
     a = stat.a
-    xs, ws = _halfline_grid()
+    xs, ws = _x_rule(LRT_STEP)
     gpx = fam.deriv0(xs) * ws
 
     def inner_sq(t, rows):
@@ -276,8 +231,29 @@ def slope_J_family(stat: StatisticId, fam):
 
 
 # ---------------------------------------------------------------------------
-# KS (Lilliefors Kolmogorov-Smirnov)
+# EDF statistics: CVM, AD (L2) and KS (supremum)
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _edf_s_rule():
+    return panel_gauss_nodes(np.linspace(-50.0, 0.0, 51), 8)
+
+
+def _edf_drift(fam, t):
+    """Drift b(t) = int_0^t g' + mu'(0) t e^{-t} of f = 1{x <= t} - F_0(t), t of
+    any shape; f~ jumps at x = t, so the head is taken in x = t e^s by Gauss
+    panels (the trapezoid rule is O(h^2) on an integrand not 0 at s = 0)."""
+    s, ws = _edf_s_rule()
+    x = t[..., None] * np.exp(s)
+    return (fam.deriv0(x) * x) @ ws + fam.mu_prime0 * t * np.exp(-t)
+
+
+def _cov_edf(t, below):
+    """Covariance e^{-max(s,t)} - (1 + st) e^{-s-t} of the EDF process on the
+    nodes t, its kink integrated exactly by `below` (panel_gauss_below)."""
+    es, eu = np.exp(-t)[:, None], np.exp(-t)[None, :]
+    return eu + (es - eu) * below - (1.0 + np.outer(t, t)) * es * eu
+
 
 @lru_cache(maxsize=None)
 def _ks_tail_coefficient() -> float:
@@ -288,42 +264,30 @@ def _ks_tail_coefficient() -> float:
 
 
 def slope_KS(stat: StatisticId, fam):
-    """KS slope: a_KS = 1/sup_x e^{-2x}(e^x - x^2 - 1); the b-coefficient is
-    the local rate of the scaled Kolmogorov distance, extracted numerically."""
-
-    def b_of(th):
-        mu = family_mean(fam, th)
-
-        def dist(x, rows):
-            return np.abs(fam.cdf(x * mu, th) + np.expm1(-x))
-
-        (val,), _ = maximize_log_grid(dist, 1e-3, 25.0, ngrid=512, tol=1e-10)
-        return float(val)
-
-    v = [b_of(th) / th for th in (0.02, 0.01, 0.005)]
-    r1 = v[1] + (v[1] - v[0])
-    r2 = v[2] + (v[2] - v[1])
-    # halving theta leaves an O(theta^2) remainder after the first step
-    b1 = r2 + (r2 - r1) / 3.0
+    """c_coeff = a_KS sup_t b(t)^2 with the EDF drift b, and
+    a_KS = 1/sup_t K(t,t) = 1/sup_t e^{-2t}(e^t - t^2 - 1)."""
+    (sup_b2,), _ = maximize_log_grid(lambda t, rows: _edf_drift(fam, t) ** 2,
+                                     1e-3, 40.0, ngrid=512, tol=1e-10)
     a_t = _ks_tail_coefficient()
-    return a_t * b1 * b1, a_t
+    return a_t * float(sup_b2), a_t
 
 
 # ---------------------------------------------------------------------------
 # L2-type battery members (weighted integral statistics)
 # ---------------------------------------------------------------------------
 
-def _cov_cvm(s, t):
-    """Covariance with the CvM weight already embedded."""
-    return np.exp(-1.5 * (s + t)) * (np.exp(np.minimum(s, t)) - 1.0 - s * t)
+def _proj_hm(x, t):
+    return np.sin(t * x) - t * np.cos(t * x)
 
 
-def _cov_ad(s, t):
-    """AD covariance, written overflow-free for large s + t."""
-    mn = np.minimum(s, t)
-    num = np.exp(mn - s - t) - (1.0 + s * t) * np.exp(-(s + t))
-    den = np.sqrt((-np.expm1(-s)) * (-np.expm1(-t)))
-    return num / den
+def _proj_mp(x, t):
+    """Projection 2 E e^{-t|x - X|} - e^{-tx} - 1/(1 + t) of D - L, with
+    E e^{-t|x - X|} = e^{-min(t,1) x} (1 - e^{-|t-1| x})/|t - 1| + e^{-x}/(1 + t)."""
+    d = np.abs(t - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        near = np.where(d == 0.0, x, -np.expm1(-d * x) / d)
+    return (2.0 * np.exp(-np.minimum(t, 1.0) * x) * near
+            + (2.0 * np.exp(-x) - 1.0) / (1.0 + t) - np.exp(-t * x))
 
 
 def _cov_bh(s, t):
@@ -344,79 +308,106 @@ def _cov_hm(s, t):
             - s * t / ((1 + s * s) * (1 + t * t)))
 
 
-_L2_KERNELS = {
-    # id -> (kernel Phi(x, y, mu, a), covariance K(s,t), weight kind)
-    "CVM": (kernel_cvm, _cov_cvm, "embedded"),
-    "AD": (kernel_ad, _cov_ad, "embedded"),
-    "BH": (kernel_bh, _cov_bh, "exp"),
-    "HE": (kernel_he, _cov_he, "exp"),
-    "W": (kernel_w, _cov_w, "exp"),
-    "HM1": (kernel_hm1, _cov_hm, "exp"),
-    "HM2": (kernel_hm2, _cov_hm, "gauss"),
+_WEIGHTS = {
+    # kind -> (weight w(t, a), the scale of t on which w decays)
+    "exp": (lambda t, a: np.exp(-a * t), lambda a: a),
+    "gauss": (lambda t, a: np.exp(-a * t * t), math.sqrt),
+    "cvm": (lambda t, a: np.exp(-t), lambda a: 1.0),
+    "ad": (lambda t, a: 1.0 / -np.expm1(-t), lambda a: 1.0),
 }
+
+_L2_STATISTICS = {
+    # id -> (projection f(x, t) or None (EDF); closed-form covariance K(s, t)
+    #        of f~ or None (lambda1 found otherwise); weight kind)
+    "CVM": (None, None, "cvm"),
+    "AD": (None, None, "ad"),
+    "BH": (lambda x, t: (1.0 - x - t * x) * np.exp(-t * x), _cov_bh, "exp"),
+    "HE": (lambda x, t: np.exp(-t * x) - 1.0 / (1.0 + t), _cov_he, "exp"),
+    "W": (lambda x, t: (1.0 + t) * np.exp(-t * x) - 1.0, _cov_w, "exp"),
+    "HM1": (_proj_hm, _cov_hm, "exp"),
+    "HM2": (_proj_hm, _cov_hm, "gauss"),
+    "MP": (_proj_mp, None, "exp"),
+}
+
+T_PANELS = 56  # panels of _t_rule
+EIGEN_POINTS, DRIFT_POINTS = 20, 8  # Gauss points per panel for lambda1, drift
+WEIGHT_KEPT = math.exp(-36.0)  # the t-rules end where the weight falls below this
+HM_STEP = 0.9  # largest x-step of HM times the largest t the weight keeps
+
+
+@lru_cache(maxsize=None)
+def _t_rule(scale: float, npts: int):
+    """Gauss nodes and weights on (0, inf), npts per panel, for a weight that
+    decays on the t-scale 1/scale: the panel [0, 1e-4 min(1, 1/scale)] holds
+    the drift's t log t (weibull, gamma), and T_PANELS - 1 geometric panels up
+    to max(100, 60/scale) resolve HM's covariance, a ridge of unit width."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-4 * min(1.0, 1.0 / scale),
+                                                max(100.0, 60.0 / scale), T_PANELS)])
+    return panel_gauss_nodes(edges, npts)
+
+
+def _l2_t_rule(name: str, a: Optional[float], npts: int):
+    """(t, weights of the t-rule times w(t, a)) of an L2 member, up to the
+    last node where w(t, a) is at least WEIGHT_KEPT (w decreases in t)."""
+    weight, scale = _WEIGHTS[_L2_STATISTICS[name][2]]
+    t, wt = _t_rule(scale(a), npts)
+    w = weight(t, a)
+    return t[w >= WEIGHT_KEPT], (wt * w)[w >= WEIGHT_KEPT]
+
+
+def _x_step(name: str, a: Optional[float]) -> float:
+    """LRT_STEP, or for HM, whose projection oscillates like sin(tx), HM_STEP
+    over the largest t-node its weight keeps (about a/40 for HM1)."""
+    if _L2_STATISTICS[name][0] is not _proj_hm:
+        return LRT_STEP
+    return min(LRT_STEP, HM_STEP / _l2_t_rule(name, a, DRIFT_POINTS)[0][-1])
+
+
+def _influence(proj, t, x, w):
+    """f~(x, t) = f(x, t) - (x - 1) int f(y, t) (y - 1) e^{-y} dy on the
+    nodes t (rows) and the x-rule (x, w) (columns)."""
+    f = proj(x, t[:, None])
+    f -= np.multiply.outer(f @ ((x - 1.0) * np.exp(-x) * w), x - 1.0)
+    return f
+
+
+def _drift(name: str, a: Optional[float], fam, t):
+    """b(t) = int f~(x, t) g'(x) dx on the nodes t, in row blocks of
+    CACHE_BUDGET elements."""
+    proj = _L2_STATISTICS[name][0]
+    if proj is None:
+        return _edf_drift(fam, t)
+    x, w = _x_rule(_x_step(name, a))
+    gw = fam.deriv0(x) * w
+    rows = max(1, CACHE_BUDGET // x.size)
+    return np.concatenate([_influence(proj, t[k:k + rows], x, w) @ gw
+                           for k in range(0, t.size, rows)])
 
 
 @lru_cache(maxsize=None)
 def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
-    """Largest eigenvalue of the weighted covariance operator on L2(Lebesgue)."""
-    _, cov, weight = _L2_KERNELS[name]
-    edges = np.concatenate([[0.0], np.geomspace(0.02, 100.0, 40)])
-    t, w = panel_gauss_nodes(edges, 20)
-    if weight == "exp":
-        mass = w * np.exp(-a * t)
-    elif weight == "gauss":
-        mass = w * np.exp(-a * t * t)
+    """lambda1: top eigenvalue of K on L2(w dt) by Nystrom on _t_rule; K is the
+    closed form, the EDF covariance, or (MP) the Gram of f~ on the x-rule."""
+    proj, cov, _ = _L2_STATISTICS[name]
+    t, mass = _l2_t_rule(name, a, EIGEN_POINTS)
+    if proj is None:
+        mat = _cov_edf(t, panel_gauss_below(EIGEN_POINTS, T_PANELS)[:t.size, :t.size])
+    elif cov is None:
+        x, w = _x_rule(_x_step(name, a))
+        f = _influence(proj, t, x, w)
+        mat = (f * (np.exp(-x) * w)) @ f.T
     else:
-        mass = w
-    mat = cov(t[:, None], t[None, :]) * np.sqrt(np.outer(mass, mass))
-    return largest_eigenvalue(mat)
-
-
-def _l2_numerator(name: str, a: Optional[float], fam) -> float:
-    """theta^2-coefficient of b_T^2: expands Phi(x, y; mu(theta)) under
-    g_theta x g_theta, with mu-derivatives by central differences."""
-    p0, d1_g0, c = _pair_kernel(name, a)
-    gp = fam.deriv0(_halfline_grid()[0])
-    mu1 = fam.mu_prime0
-    t1 = 2.0 * (gp @ p0 @ gp)
-    t2 = 4.0 * mu1 * (gp @ d1_g0)
-    t3 = mu1 * mu1 * c
-    return float(t1 + t2 + t3)
-
-
-def mp_projected_kernel(x, y, a):
-    """Second projection of the pairwise-difference L2 kernel under Exp(1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ex, ey = np.exp(x), np.exp(y)
-    t1 = (np.exp(a - x - y) * special().expi(-a)
-          * (a * (ex - 2) * (ey - 2) - ex - ey + 4)) / 6.0
-    t2 = (np.exp(-x - y) * ei_scaled(a) * (4 * a + ex + ey - 4)
-          - (np.exp(-y) * ei_scaled(a + x) * (4 * (a + x - 1) + ey)
-             + np.exp(-x) * ei_scaled(a + y) * (4 * (a + y - 1) + ex)
-             - 4 * (a + x + y - 1) * ei_scaled(a + x + y))) / 6.0
-    t3 = -0.5 + (np.exp(-x) + np.exp(-y)) / 3.0 + 1.0 / (6 * (a + x + y))
-    return t1 + t2 + t3
-
-
-@lru_cache(maxsize=None)
-def _mp_eigenvalue(a: float) -> float:
-    x, w = exp_measure_nodes(240)
-    mat = mp_projected_kernel(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
-    return largest_eigenvalue(mat)
+        mat = cov(t[:, None], t[None, :])
+    sq = np.sqrt(mass)
+    return largest_eigenvalue(mat * np.outer(sq, sq))
 
 
 def slope_L2_family(stat: StatisticId, fam):
-    """c_coeff = (double integral against the scores) / (largest operator
-    eigenvalue, doubled outside MP), a_T = 1 / that denominator."""
-    if stat.name == "MP":
-        gp = fam.deriv0(_halfline_grid()[0])
-        integral = float(gp @ _pair_kernel("MP", stat.a)[0] @ gp)
-        eig = _mp_eigenvalue(stat.a)
-        return integral / eig, 1.0 / eig
-    num = _l2_numerator(stat.name, stat.a, fam)
-    eig2 = 2.0 * _l2_operator_eigenvalue(stat.name, stat.a)
-    return num / eig2, 1.0 / eig2
+    """c_coeff = int b^2 w dt / lambda1, a_T = 1/lambda1."""
+    t, mass = _l2_t_rule(stat.name, stat.a, DRIFT_POINTS)
+    b = _drift(stat.name, stat.a, fam, t)
+    lam = _l2_operator_eigenvalue(stat.name, stat.a)
+    return float(mass @ (b * b)) / lam, 1.0 / lam
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +418,7 @@ def slope_L2_family(stat: StatisticId, fam):
 # so that a rebound module attribute (a wrapper, say) is the one called
 _SLOPES = {
     **{name: ("slope_normal_family", False) for name in _NORMAL_SHAPES},
-    **{name: ("slope_L2_family", True) for name in _L2_KERNELS},
-    "MP": ("slope_L2_family", True),
+    **{name: ("slope_L2_family", True) for name in _L2_STATISTICS},
     "MD": ("slope_MD", True),
     "LD": ("slope_LD", False),
     "KS": ("slope_KS", False),

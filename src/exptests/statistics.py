@@ -165,23 +165,23 @@ def _ld(y, z, a):
 # Classical battery; GINI, CVM and AD from the sorted sample (Stephens 1974)
 # ---------------------------------------------------------------------------
 
-def kernel_cvm(x, y, mu=1.0, a=None):
-    """Lilliefors Cramer-von Mises kernel at estimated mean mu."""
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_cvm(x, y, a=None):
+    """Lilliefors Cramer-von Mises kernel of the scaled sample."""
+    u, v = np.asarray(x), np.asarray(y)
     return 1.0 / 3.0 + 0.5 * (np.exp(-2 * u) + np.exp(-2 * v)) - np.exp(-np.minimum(u, v))
 
 
-def kernel_ad(x, y, mu=1.0, a=None):
-    """Lilliefors Anderson-Darling kernel at estimated mean mu."""
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_ad(x, y, a=None):
+    """Lilliefors Anderson-Darling kernel of the scaled sample."""
+    u, v = np.asarray(x), np.asarray(y)
     mx = np.maximum(u, v)
     # u+v-1-log(e^max - 1), written to avoid overflow for large max
     return u + v - 1.0 - (mx + np.log1p(-np.exp(-mx)))
 
 
 def _pair_mean(kernel):
-    """Batched V-statistic mean of an order-2 kernel(x, y, mu, a)."""
-    return lambda y, z, a: kernel(y[:, :, None], y[:, None, :], 1.0, a).mean(axis=(1, 2))
+    """Batched V-statistic mean of an order-2 kernel(x, y, a)."""
+    return lambda y, z, a: kernel(y[:, :, None], y[:, None, :], a).mean(axis=(1, 2))
 
 
 def _gini(y, z, a):
@@ -215,27 +215,27 @@ def _ks(y, z, a):
 # Laplace-transform competitors (order-2 kernels and closed forms)
 # ---------------------------------------------------------------------------
 
-def kernel_bh(x, y, mu=1.0, a=1.0):
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_bh(x, y, a=1.0):
+    u, v = np.asarray(x), np.asarray(y)
     s = a + u + v
     return (1 - u) * (1 - v) / s - (u + v - 2 * u * v) / s**2 + 2 * u * v / s**3
 
 
-def kernel_he(x, y, mu=1.0, a=1.0):
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_he(x, y, a=1.0):
+    u, v = np.asarray(x), np.asarray(y)
     expi = special().expi
     return (1.0 / (a + u + v) + np.exp(a + u) * expi(-(a + u))
             + np.exp(a + v) * expi(-(a + v)) + 1.0 + a * np.exp(a) * expi(-a))
 
 
-def kernel_w(x, y, mu=1.0, a=1.0):
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_w(x, y, a=1.0):
+    u, v = np.asarray(x), np.asarray(y)
     s = a + u + v
     return (1.0 / a - (1 / (a + u) + 1 / (a + u)**2) - (1 / (a + v) + 1 / (a + v)**2)
             + 1 / s + 2 / s**2 + 2 / s**3)
 
 
-def kernel_hm1(x, y, mu=1.0, a=1.0):
+def kernel_hm1(x, y, a=1.0):
     """Henze-Meintanis L2 kernel, with d = u - v, s = u + v:
 
         a/(2(a^2+d^2)) - a/(2(a^2+s^2)) + a(a^2-3d^2)/(a^2+d^2)^3
@@ -246,7 +246,7 @@ def kernel_hm1(x, y, mu=1.0, a=1.0):
     nearly equal terms are subtracted.  Evaluated in place in three arrays of
     the broadcast shape.
     """
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+    u, v = np.asarray(x), np.asarray(y)
     shape = np.broadcast_shapes(u.shape, v.shape)
     dtype = np.result_type(u, v, float)
     a2x4 = 4.0 * a * a
@@ -278,8 +278,8 @@ def kernel_hm1(x, y, mu=1.0, a=1.0):
     return out if out.ndim else out[()]
 
 
-def kernel_hm2(x, y, mu=1.0, a=1.0):
-    u, v = np.asarray(x) / mu, np.asarray(y) / mu
+def kernel_hm2(x, y, a=1.0):
+    u, v = np.asarray(x), np.asarray(y)
     d, s = u - v, u + v
     pref = np.sqrt(np.pi / a) / 4.0
     return pref * ((1 + 1 / (2 * a) - d * d / (4 * a * a)) * np.exp(-d * d / (4 * a))

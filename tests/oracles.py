@@ -10,19 +10,23 @@ double sums of 1/(a + c_p + c_q), HM1's published kernel and h2_tilde's
 closed form in 40-digit arithmetic, where their cancellation does not
 matter.
 
-The pair-grid references at the end evaluate the slope numerators of MD, MP
-and the L2 battery one family at a time: the kernel is evaluated on the
-package's pair grid for every family and summed against the family scores as
-one product array, with no matrix shared between families.
+The references at the end check the slopes: the pair-grid double integrals
+of the MD and L2 battery numerators (the kernel against the family scores,
+with the mu-derivatives of a battery kernel by central differences), MP's
+second-projection kernel in closed form, the CVM and AD slope numerators as
+the defining limit b_T(theta)/theta^2 in 40-digit arithmetic, and the top
+eigenvalue of the CVM and AD covariance from the Brownian bridge's
+eigenpairs.
 """
 
 import math
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from exptests.core import min_pair_weights
+from exptests.numeric import ei_scaled, panel_gauss_nodes, special
 
 
 def _scaled(sample):
@@ -198,36 +202,130 @@ def plain_reference(name, sample):
     raise ValueError(name)
 
 
+def graded_halfline_grid(inner, outer, panels, npts):
+    """Gauss nodes and weights on geometrically graded panels of (0, outer]."""
+    return panel_gauss_nodes(np.concatenate([[0.0], np.geomspace(inner, outer, panels)]), npts)
+
+
 def _pair_grid(grid):
     """x (k, 1), y (1, k) and weights (k, k) of the tensor grid of a
-    half-line grid (nodes, weights); by default the slopes' own grid."""
-    from exptests.slopes import _halfline_grid
-    x, w = _halfline_grid() if grid is None else grid
+    half-line grid (nodes, weights); by default the slopes' x-rule up to
+    x = 60, where h2_tilde's e^{a+u} factors are still finite and the
+    scores are below e^{-60}."""
+    if grid is None:
+        from exptests.slopes import LRT_STEP, _x_rule
+        x, w = _x_rule(LRT_STEP)
+        grid = x[x < 60.0], w[x < 60.0]
+    x, w = grid
     return x[:, None], x[None, :], np.outer(w, w)
 
 
 def pair_score_integral(kernel, a, fam, grid=None):
     """Double integral of kernel(x, y, a) g'(x) g'(y) over the pair grid of
-    `grid`, with g' the family's scores at theta = 0 (MD and MP numerators)."""
+    `grid`, with g' the family's scores at theta = 0 (MD numerator)."""
     xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0
     return float(np.sum(kernel(xg, yg, a) * gp(xg) * gp(yg) * wg))
 
 
-def l2_numerator_reference(kernel, a, fam, grid=None, h=1e-4):
-    """theta^2-coefficient of b_T^2 for an L2 battery kernel Phi(x, y, mu, a):
-    three sums over the pair grid of `grid`, with the mu-derivatives of the
-    kernel at mu = 1 by central differences of step h."""
+def l2_numerator_reference(kernel, a, fam, grid, h=1e-4):
+    """theta^2-coefficient of b_T^2 for an L2 battery kernel Phi(x, y, a) of
+    the scaled sample, at estimated mean mu: Phi(x/mu, y/mu, a).  Three sums
+    over the pair grid of `grid`, with the mu-derivatives at mu = 1 by
+    central differences of step h."""
     xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0(xg[:, 0])
     g0 = np.exp(-xg[:, 0])
     mu1 = fam.mu_prime0
-    p0 = kernel(xg, yg, 1.0, a)
-    pp = kernel(xg, yg, 1.0 + h, a)
-    pm = kernel(xg, yg, 1.0 - h, a)
+    p0 = kernel(xg, yg, a)
+    pp = kernel(xg / (1.0 + h), yg / (1.0 + h), a)
+    pm = kernel(xg / (1.0 - h), yg / (1.0 - h), a)
     dp = (pp - pm) / (2 * h)
     d2p = (pp - 2 * p0 + pm) / (h * h)
     t1 = 2.0 * np.einsum("ij,i,j,ij->", p0, gp, gp, wg)
     t2 = 4.0 * mu1 * np.einsum("ij,i,j,ij->", dp, gp, g0, wg)
     t3 = mu1 * mu1 * np.einsum("ij,i,j,ij->", d2p, g0, g0, wg)
     return float(t1 + t2 + t3)
+
+
+def mp_projected_kernel(x, y, a):
+    """Second projection of the pairwise-difference L2 kernel under Exp(1),
+    in closed form: (1/6) int f(x, t) f(y, t) e^{-at} dt for MP's
+    projection f of D - L."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ex, ey = np.exp(x), np.exp(y)
+    t1 = (np.exp(a - x - y) * special().expi(-a)
+          * (a * (ex - 2) * (ey - 2) - ex - ey + 4)) / 6.0
+    t2 = (np.exp(-x - y) * ei_scaled(a) * (4 * a + ex + ey - 4)
+          - (np.exp(-y) * ei_scaled(a + x) * (4 * (a + x - 1) + ey)
+             + np.exp(-x) * ei_scaled(a + y) * (4 * (a + y - 1) + ex)
+             - 4 * (a + x + y - 1) * ei_scaled(a + x + y))) / 6.0
+    t3 = -0.5 + (np.exp(-x) + np.exp(-y)) / 3.0 + 1.0 / (6 * (a + x + y))
+    return t1 + t2 + t3
+
+
+def edf_weibull_limit(theta, ad, dps=40):
+    """b_T(theta) of CVM (or AD) on the weibull family in `dps`-digit
+    arithmetic: int (G_theta(t mu_theta) - F_0(t))^2 w(t) dF_0(t) with
+    w = 1 (or 1/(F_0 (1 - F_0))), G_theta(x) = 1 - exp(-x^(1+theta)) and
+    mu_theta = Gamma(1 + 1/(1 + theta))."""
+    with mpmath.workdps(dps):
+        th = mpmath.mpf(theta)
+        mu = mpmath.gamma(1 + 1 / (1 + th))
+
+        def f(t):
+            f0 = -mpmath.expm1(-t)
+            d2 = (-mpmath.expm1(-(t * mu) ** (1 + th)) - f0) ** 2
+            return d2 / f0 if ad else d2 * mpmath.exp(-t)
+
+        return mpmath.quad(f, [0, mpmath.mpf("1e-6"), mpmath.mpf("0.01"), 1, 5, 20,
+                               60, mpmath.inf])
+
+
+def edf_weibull_numerator(ad):
+    """lim b_T(theta)/theta^2 of edf_weibull_limit by Richardson
+    extrapolation from theta = 1e-3, 5e-4 and 2.5e-4 (the remainder is a
+    power series in theta)."""
+    v = [edf_weibull_limit(th, ad) / mpmath.mpf(th) ** 2 for th in (1e-3, 5e-4, 2.5e-4)]
+    r1, r2 = 2 * v[1] - v[0], 2 * v[2] - v[1]
+    return float((4 * r2 - r1) / 3)
+
+
+def edf_eigenvalue(ad, terms=200):
+    """Top eigenvalue of the estimated EDF covariance under Exp(1), in
+    u = F_0(t): min(u, v) - uv - g(u) g(v) with g(u) = -(1 - u) log(1 - u),
+    on L2(du) (CVM) or L2(du / (u (1 - u))) (AD).  The Brownian bridge
+    min(u, v) - uv has the eigenpairs 1/(k pi)^2, sqrt(2) sin(k pi u) on
+    L2(du) and 1/(k (k + 1)), c_k u (1 - u) P_k'(2u - 1) on the AD space, so
+    the top eigenvalue of the rank-one update is the root in
+    (lambda_2, lambda_1) of sum_k <g, e_k>^2 / (lambda_k - lambda) = 1; the
+    terms past `terms` enter as -(|g|^2 - sum_k <g, e_k>^2) / lambda, with
+    |g|^2 = 2/27 (CVM) or 2 (zeta(3) - 1) (AD)."""
+    k = np.arange(1, terms + 1)
+    s, ws = graded_halfline_grid(1e-7, 45.0, 600, 20)  # u resolves P_k' near 0
+    u = -np.expm1(-s)
+    g_du = s * np.exp(-2.0 * s) * ws  # g(u) du at u = 1 - e^{-s}
+    if ad:
+        lam = 1.0 / (k * (k + 1.0))
+        # e_k(u) / (u (1 - u)) = c_k P_k'(2u - 1), by its three-term recurrence
+        # (k + 1) P_{k+1}' = (2k + 1) x P_k' - k P_{k-1}'
+        x = 2.0 * u - 1.0
+        dp = np.empty((terms, u.size))
+        dp[0] = 1.0
+        if terms > 1:
+            dp[1] = 3.0 * x
+        for j in range(2, terms):
+            n = j + 1
+            dp[j] = ((2 * n - 1) * x * dp[j - 1] - n * dp[j - 2]) / (n - 1)
+        basis = np.sqrt(4.0 * (2 * k + 1) / (k * (k + 1.0)))[:, None] * dp
+        norm2 = 2.0 * (float(mpmath.zeta(3)) - 1.0)
+    else:
+        lam = 1.0 / (k * math.pi) ** 2
+        basis = math.sqrt(2.0) * np.sin(math.pi * k[:, None] * u)
+        norm2 = 2.0 / 27.0
+    gk = basis @ g_du
+    tail = norm2 - gk @ gk
+    return optimize.brentq(lambda v: np.sum(gk * gk / (lam - v)) - tail / v - 1.0,
+                           lam[1] * (1 + 1e-12), lam[0] * (1 - 1e-12),
+                           xtol=1e-20, rtol=1e-15)

@@ -53,14 +53,27 @@ for family, theta in (("weibull", 0.4), ("emnw", 0.5), ("uniform", None), ("logn
 
 
 def test_efficiency_path_defers_integrate_and_arpack():
-    # the KS slope takes LFR means and delta1 takes a top eigenvalue: neither
-    # loads quadrature or ARPACK (scipy.special is used, and may be loaded)
+    # the JD slope takes Ei and delta1 takes a top eigenvalue: neither loads
+    # quadrature or ARPACK (scipy.special is used, and may be loaded)
     code = """
 from exptests import StatisticId, efficiency, largest_eigenvalue_delta1
-efficiency(StatisticId("KS"), "lfr")
+efficiency(StatisticId("JD", 1.0), "lfr")
 largest_eigenvalue_delta1(1.0)
 """
     assert _loaded_after(code, ("scipy.integrate", "scipy.sparse")) == ""
+
+
+def test_efficiency_loads_scipy_only_for_the_j_statistics():
+    # every other slope, on every local family, is numpy quadrature
+    code = """
+from exptests import StatisticId, efficiency
+from exptests.families import LOCAL_FAMILIES
+from exptests.statistics import ALL_STATISTICS, TUNED_STATISTICS
+for name in sorted(ALL_STATISTICS - {"JD", "JP"}):
+    for family in LOCAL_FAMILIES:
+        efficiency(StatisticId(name, 1.0 if name in TUNED_STATISTICS else None), family)
+"""
+    assert _loaded_after(code) == ""
 
 
 def test_first_scipy_use_inside_thread_pool():

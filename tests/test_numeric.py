@@ -4,8 +4,8 @@ import pytest
 from exptests.errors import NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (LANCZOS_STEPS, exp_measure_nodes, largest_eigenvalue,
-                              maximize_log_grid, panel_gauss_nodes)
-from exptests.slopes import _cov_bh
+                              maximize_log_grid, panel_gauss_below, panel_gauss_nodes)
+from exptests.slopes import _cov_bh, _cov_edf
 
 
 def test_rows_are_maximized_together():
@@ -86,6 +86,12 @@ def _l2_covariance_matrix():
     return _cov_bh(t[:, None], t[None, :]) * np.sqrt(np.outer(mass, mass))
 
 
+def _edf_covariance_matrix():
+    t, w = panel_gauss_nodes(np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 24)]), 12)
+    sq = np.sqrt(w * np.exp(-t))
+    return _cov_edf(t, panel_gauss_below(12, 24)) * np.outer(sq, sq)
+
+
 def _rank_one_matrix():
     v = np.exp(-np.linspace(0.0, 5.0, 60))
     return np.outer(v, v)
@@ -93,8 +99,10 @@ def _rank_one_matrix():
 
 @pytest.mark.parametrize("build", [_nystrom_matrix,
                                    lambda: eigen_matrix(1.0, 500, 25.0).matrix,
-                                   _l2_covariance_matrix, _rank_one_matrix],
-                         ids=["nystrom", "grid", "l2-covariance", "rank-one"])
+                                   _l2_covariance_matrix, _edf_covariance_matrix,
+                                   _rank_one_matrix],
+                         ids=["nystrom", "grid", "l2-covariance", "edf-covariance",
+                              "rank-one"])
 def test_largest_eigenvalue_matches_full_spectrum(build):
     mat = build()
     expected = np.linalg.eigvalsh(mat)[-1]
@@ -117,3 +125,14 @@ def test_largest_eigenvalue_rejects_nan():
     mat[7, 30] = mat[30, 7] = np.nan
     with pytest.raises(NumericsError, match="not finite"):
         largest_eigenvalue(mat)
+
+
+def test_panel_gauss_below_integrates_the_interpolant():
+    # exact from 0 to every node for a polynomial of degree below npts, and
+    # each pair of nodes splits its unit between B_ij and B_ji
+    t, w = panel_gauss_nodes([0.0, 0.3, 1.0, 2.2], 6)
+    below = panel_gauss_below(6, 3)
+    f = 1.0 + t - 0.5 * t**3 + 0.1 * t**5
+    np.testing.assert_allclose(below @ (w * f), t + t**2 / 2 - t**4 / 8 + t**6 / 60,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(below + below.T, 1.0, rtol=0, atol=1e-14)

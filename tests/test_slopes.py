@@ -9,14 +9,16 @@ from exptests import slopes
 from exptests.errors import DomainError
 from exptests.families import LOCAL_FAMILIES, get_family
 from exptests.nulldist import h2_tilde, largest_eigenvalue_delta1
-from exptests.numeric import (graded_halfline_nodes, largest_eigenvalue,
-                              panel_gauss_nodes)
-from exptests.slopes import (EFFICIENCY_SLACK, SlopeReport, efficiency,
+from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
+from exptests.slopes import (EFFICIENCY_SLACK, LRT_STEP, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
-                             min_pair_laplace, mp_projected_kernel, phi1_tilde,
-                             psi_JD, psi_JP, slope_coefficient)
-from exptests.statistics import ALL_STATISTICS, TUNED_STATISTICS, StatisticId
-from oracles import l2_numerator_reference, pair_score_integral
+                             min_pair_laplace, phi1_tilde, psi_JD, psi_JP,
+                             slope_coefficient)
+from exptests.statistics import (ALL_STATISTICS, TUNED_STATISTICS, StatisticId,
+                                 kernel_w)
+from oracles import (edf_eigenvalue, edf_weibull_numerator, graded_halfline_grid,
+                     l2_numerator_reference, mp_projected_kernel,
+                     pair_score_integral)
 
 # frozen double-integral oracles (adaptive quadrature of the projected kernel
 # against the family scores, recorded at development time)
@@ -112,7 +114,7 @@ class TestProjections:
 class TestSlopeMechanics:
     def test_md_integral_oracles(self):
         # the t-grid numerator against the frozen oracles (6 digits) and
-        # against the double integral of h2_tilde on the pair grid
+        # against the double integral of h2_tilde on the x-rule's pair grid
         for a, fam_id, expected in MD_INTEGRALS:
             fam = get_family(fam_id)
             got = slopes._md_numerator(a, fam)
@@ -148,10 +150,10 @@ class TestSlopeMechanics:
         assert abs(e1 - e2) < 0.01
 
     def test_quadrature_converged(self):
-        # the slopes on a grid twice as fine (half the inner panel, twice the
-        # panels, a longer tail) and, for W, on a covariance grid of twice
-        # the panels
-        fine = graded_halfline_nodes(inner=5e-5, outer=80.0, panels=120, npts=12)
+        # the slopes against pair-grid double integrals of the kernels on a
+        # graded grid, for W with its mu-derivatives by central differences
+        # and on a covariance grid of its own
+        fine = graded_halfline_grid(5e-5, 80.0, 120, 12)
         md = StatisticId("MD", 1.0)
         gamma = get_family("gamma")
         c_fine = (pair_score_integral(h2_tilde, 1.0, gamma, fine)
@@ -160,13 +162,35 @@ class TestSlopeMechanics:
 
         w = StatisticId("W", 1.0)
         weibull = get_family("weibull")
-        kernel, cov, _ = slopes._L2_KERNELS["W"]
         t, wt = panel_gauss_nodes(
             np.concatenate([[0.0], np.geomspace(0.02, 100.0, 80)]), 20)
         mass = np.sqrt(wt * np.exp(-t))
-        eig = largest_eigenvalue(cov(t[:, None], t[None, :]) * np.outer(mass, mass))
-        w_fine = l2_numerator_reference(kernel, 1.0, weibull, fine) / (2.0 * eig)
+        eig = largest_eigenvalue(slopes._cov_w(t[:, None], t[None, :])
+                                 * np.outer(mass, mass))
+        w_fine = l2_numerator_reference(kernel_w, 1.0, weibull, fine) / (2.0 * eig)
         assert _rel(slope_coefficient(w, weibull), w_fine) < 1e-4
+
+    @pytest.mark.parametrize("stat", [StatisticId("CVM"), StatisticId("AD"),
+                                      StatisticId("HM1", 0.5), StatisticId("HM2", 0.2),
+                                      StatisticId("MP", 10.0), StatisticId("BH", 0.2)])
+    def test_halved_x_step_and_more_t_panels(self, stat, monkeypatch):
+        # the x-rules at half the step and 1.5 times the t-panels move no
+        # efficiency by 1e-9
+        def slopes_now():
+            for cached in (slopes._x_rule, slopes._t_rule,
+                           slopes._l2_operator_eigenvalue):
+                cached.cache_clear()
+            return [slope_coefficient(stat, fam) for fam in LOCAL_FAMILIES]
+
+        base = slopes_now()
+        monkeypatch.setattr(slopes, "LRT_STEP", slopes.LRT_STEP / 2)
+        monkeypatch.setattr(slopes, "HM_STEP", slopes.HM_STEP / 2)
+        monkeypatch.setattr(slopes, "T_PANELS", 3 * slopes.T_PANELS // 2)
+        fine = slopes_now()
+        monkeypatch.undo()
+        slopes_now()
+        for fam, c, c_fine in zip(LOCAL_FAMILIES, base, fine):
+            assert abs(c - c_fine) < 1e-9 * lrt_local_coefficient(fam), fam
 
     @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
     def test_report_decomposition(self, name):
@@ -188,58 +212,102 @@ class TestSlopeMechanics:
             assert 0.0 <= rep.efficiency <= EFFICIENCY_SLACK
 
 
-PAIR_GRID_STATISTICS = ([StatisticId("CVM"), StatisticId("AD")]
-                        + [StatisticId(name, a)
-                           for name in ("MD", "MP", "BH", "HE", "W", "HM1", "HM2")
-                           for a in (0.5, 2.0)])
+ROUTE_STATISTICS = ([StatisticId("CVM"), StatisticId("AD"), StatisticId("KS")]
+                    + [StatisticId(name, a)
+                       for name in ("MD", "MP", "BH", "HE", "W", "HM1", "HM2")
+                       for a in (0.5, 2.0)])
 
 
-def _per_family_slope(stat, fam):
-    """slope_coefficient with its numerator from the per-family references."""
-    if stat.name == "MD":
-        return (pair_score_integral(h2_tilde, stat.a, fam)
-                / largest_eigenvalue_delta1(stat.a).delta1)
-    if stat.name == "MP":
-        return (pair_score_integral(mp_projected_kernel, stat.a, fam)
-                / slopes._mp_eigenvalue(stat.a))
-    kernel = slopes._L2_KERNELS[stat.name][0]
-    return (l2_numerator_reference(kernel, stat.a, fam)
-            / (2.0 * slopes._l2_operator_eigenvalue(stat.name, stat.a)))
+def _fresh_slope(stat, fam):
+    """slope_coefficient with every cache of the slopes emptied first."""
+    for cached in (slopes._x_rule, slopes._t_rule,
+                   slopes._l2_operator_eigenvalue, slopes.lrt_local_coefficient):
+        cached.cache_clear()
+    return slope_coefficient(stat, fam)
 
 
 @pytest.fixture(scope="module")
-def per_family_slopes():
-    return {(stat, fam_id): _per_family_slope(stat, get_family(fam_id))
-            for stat in PAIR_GRID_STATISTICS for fam_id in LOCAL_FAMILIES}
+def fresh_slopes():
+    return {(stat, fam_id): _fresh_slope(stat, get_family(fam_id))
+            for stat in ROUTE_STATISTICS for fam_id in LOCAL_FAMILIES}
 
 
-class TestPairKernelContraction:
-    """One cached kernel matrix per (statistic, a) gives the slopes of the
-    per-family double integrals, whatever order the families come in."""
+class TestFamilyOrder:
+    """A slope depends on its statistic and family object only, whatever
+    order the families come in and whatever the caches hold."""
 
     @staticmethod
     def _check(stat, fam, expected):
         got = slope_coefficient(stat, fam)
         assert abs(got - expected) <= 1e-12 * abs(expected), (stat, fam)
 
-    def test_families_inner(self, per_family_slopes):
-        for stat in PAIR_GRID_STATISTICS:
+    def test_families_inner(self, fresh_slopes):
+        for stat in ROUTE_STATISTICS:
             for fam_id in LOCAL_FAMILIES:
-                self._check(stat, fam_id, per_family_slopes[stat, fam_id])
+                self._check(stat, fam_id, fresh_slopes[stat, fam_id])
 
-    def test_families_outer(self, per_family_slopes):
+    def test_families_outer(self, fresh_slopes):
         for fam_id in LOCAL_FAMILIES:
-            for stat in PAIR_GRID_STATISTICS:
-                self._check(stat, fam_id, per_family_slopes[stat, fam_id])
+            for stat in ROUTE_STATISTICS:
+                self._check(stat, fam_id, fresh_slopes[stat, fam_id])
 
-    def test_stub_family_sharing_an_id(self, per_family_slopes):
+    def test_stub_family_sharing_an_id(self, fresh_slopes):
         # scores come from the family object, not from its id
         weibull = get_family("weibull")
         stub = dataclasses.replace(get_family("gamma"), deriv0=weibull.deriv0,
                                    mu_prime0=weibull.mu_prime0)
-        for stat in PAIR_GRID_STATISTICS:
-            self._check(stat, "gamma", per_family_slopes[stat, "gamma"])
-            self._check(stat, stub, per_family_slopes[stat, "weibull"])
+        for stat in ROUTE_STATISTICS:
+            self._check(stat, "gamma", fresh_slopes[stat, "gamma"])
+            self._check(stat, stub, fresh_slopes[stat, "weibull"])
+
+
+class TestProjectionReferences:
+    """The projections, drifts and eigenvalues against references that do
+    not share their route."""
+
+    @pytest.mark.parametrize("name,a,step", [("BH", 0.7, LRT_STEP), ("HE", 0.7, LRT_STEP),
+                                             ("W", 0.7, LRT_STEP), ("HM1", 1.0, 0.02)])
+    def test_influence_gram_is_the_covariance(self, name, a, step):
+        # E f~(X, s) f~(X, t) under Exp(1) on the x-rule against K(s, t)
+        proj, cov, _ = slopes._L2_STATISTICS[name]
+        t = np.array([0.05, 0.4, 1.3, 2.7, 4.8])
+        x, w = slopes._x_rule(step)
+        f = slopes._influence(proj, t, x, w)
+        gram = (f * (np.exp(-x) * w)) @ f.T
+        expected = cov(t[:, None], t[None, :])
+        assert np.abs(gram - expected).max() < 1e-11 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
+    def test_mp_gram_is_the_projected_kernel(self, a):
+        # MP's projection needs no scale correction, and (1/6) of its t-Gram
+        # against e^{-at} is the closed-form second projection of its kernel
+        x = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
+        t, mass = slopes._l2_t_rule("MP", a, slopes.EIGEN_POINTS)
+        xs, ws = slopes._x_rule(LRT_STEP)
+        f = slopes._proj_mp(xs, t[:, None])
+        assert np.abs(slopes._influence(slopes._proj_mp, t, xs, ws) - f).max() < 1e-13
+        f = slopes._proj_mp(x[:, None], t[None, :])
+        expected = mp_projected_kernel(x[:, None], x[None, :], a)
+        assert np.abs((f * mass) @ f.T / 6.0 - expected).max() < 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name,ad", [("CVM", False), ("AD", True)])
+    def test_edf_numerator_is_the_defining_limit(self, name, ad):
+        # int b^2 w on weibull against lim b_T(theta)/theta^2 in 40 digits
+        weibull = get_family("weibull")
+        t, mass = slopes._l2_t_rule(name, None, slopes.DRIFT_POINTS)
+        b = slopes._drift(name, None, weibull, t)
+        assert _rel(float(mass @ (b * b)), edf_weibull_numerator(ad)) < 1e-8
+
+    @pytest.mark.parametrize("name,ad", [("CVM", False), ("AD", True)])
+    def test_edf_eigenvalue_from_the_brownian_bridge(self, name, ad):
+        assert _rel(slopes._l2_operator_eigenvalue(name, None), edf_eigenvalue(ad)) < 1e-10
+
+    def test_ks_lfr_closed_form(self):
+        # lfr's drift e^{-t}(t^2/2 - t) peaks in modulus at t = 2 - sqrt(2)
+        rep = efficiency(StatisticId("KS"), "lfr")
+        b = (math.sqrt(2.0) - 1.0) * math.exp(-(2.0 - math.sqrt(2.0)))
+        assert abs(rep.b_coeff - b) < 1e-9 * b
+        assert _rel(rep.efficiency, rep.a_T * b * b / lrt_local_coefficient("lfr")) < 1e-9
 
 
 class TestReferenceEfficiencies:
@@ -247,11 +315,11 @@ class TestReferenceEfficiencies:
 
     def test_co_weibull_is_optimal(self):
         assert abs(efficiency(StatisticId("CO"), "weibull").efficiency
-                   - 1.0) < 0.01
+                   - 1.0) < 1e-10
 
     def test_mo_gamma_is_optimal(self):
         assert abs(efficiency(StatisticId("MO"), "gamma").efficiency
-                   - 1.0) < 0.01
+                   - 1.0) < 1e-10
 
     def test_gini_matches_ep_on_weibull(self):
         # algebraic identity between the two score integrals
@@ -267,8 +335,7 @@ class TestReferenceEfficiencies:
         assert abs(e0 - efficiency(StatisticId("JD", 1.0), "lfr").efficiency) \
             < 1e-12
 
-    def test_ks_weibull_rate_extrapolates_to_limit(self):
-        # b/theta tends to 0.363397 as theta decreases (halving steps, so
-        # the second Richardson step removes an O(theta^2) remainder)
+    def test_ks_weibull_drift_coefficient(self):
+        # sup_t |b(t)| of the weibull drift int_0^t g' + mu'(0) t e^{-t}
         rep = efficiency(StatisticId("KS"), "weibull")
-        assert abs(rep.b_coeff - 0.363397) < 5e-6
+        assert abs(rep.b_coeff - 0.36339687) < 1e-8
