@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -45,6 +45,30 @@ def exp_measure_nodes(n):
     return -np.log1p(-0.5 * (u + 1.0)), 0.5 * w
 
 
+def _scan_then_refine(f, refine, lo, hi, ngrid, tol):
+    """maximize_log_grid's scan; refine(rows, a, t, b) refines the probes at t in [a, b]."""
+    if not (0.0 < lo < hi < np.inf and ngrid >= 2 and 0.0 < tol < np.inf):
+        raise DomainError(f"need 0 < lo < hi < inf, ngrid >= 2, tol > 0; got {lo, hi, ngrid, tol}")
+    ts = np.geomspace(lo, hi, ngrid)
+    vs = f(ts[None, :], slice(None))
+    nrows = vs.shape[0]
+    i = np.argmax(vs, axis=1)
+    best_v, best_t = vs[np.arange(nrows), i], ts[i]
+    peak = np.ones(vs.shape, dtype=bool)
+    peak[:, 1:] = vs[:, 1:] > vs[:, :-1]
+    peak[:, :-1] &= vs[:, :-1] >= vs[:, 1:]
+    peak[np.arange(nrows), i] = True
+    rows, k = np.nonzero(peak)
+    probe_v, probe_t = refine(rows, ts[np.maximum(k - 1, 0)], ts[k],
+                              ts[np.minimum(k + 1, ngrid - 1)])
+    # each row's largest refined value: first of its run, best first
+    order = np.lexsort((-probe_v, rows))
+    first = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
+    refined_v, refined_t = probe_v[first], probe_t[first]
+    better = refined_v > best_v
+    return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
+
+
 def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
     """Maximize every row of f over [lo, hi]: a log-spaced grid scan, then
     golden-section refinement of every grid-local maximum of each row.
@@ -59,48 +83,49 @@ def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
     takes the golden-section steps that shrink its own bracket below tol;
     the largest refined value of a row wins.  Returns (max values, argmax),
     each of shape (rows,).  A returned value is never below its row's best
-    grid value.
+    grid value.  DomainError unless 0 < lo < hi < inf, ngrid >= 2, tol > 0.
+    The one-row efficiency objectives take golden section: they have no
+    cheap t-derivatives, which LD's newton_maximize_log_grid needs.
     """
-    ts = np.geomspace(lo, hi, ngrid)
-    vs = f(ts[None, :], slice(None))
-    nrows = vs.shape[0]
-    i = np.argmax(vs, axis=1)
-    best_v, best_t = vs[np.arange(nrows), i], ts[i]
-    peak = np.ones(vs.shape, dtype=bool)
-    peak[:, 1:] = vs[:, 1:] > vs[:, :-1]
-    peak[:, :-1] &= vs[:, :-1] >= vs[:, 1:]
-    peak[np.arange(nrows), i] = True
-    rows, k = np.nonzero(peak)
-    a = ts[np.maximum(k - 1, 0)]
-    b = ts[np.minimum(k + 1, ngrid - 1)]
-    width = b - a
-    steps = np.zeros(rows.size, dtype=np.intp)
-    wide = width > tol
-    steps[wide] = np.ceil(np.log(tol / width[wide]) / np.log(GOLDEN)) + 1
-    # the probes still stepping are always a prefix of this order
-    order = np.argsort(-steps, kind="stable")
-    rows, a, b, steps = rows[order], a[order], b[order], steps[order]
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = f(x1[:, None], rows)[:, 0]
-    f2 = f(x2[:, None], rows)[:, 0]
-    for m in np.searchsorted(-steps, -np.arange(steps[0] if steps.size else 0)):
-        left = f1[:m] >= f2[:m]  # the maximum lies in [a, x2]
-        am = np.where(left, a[:m], x1[:m])
-        bm = np.where(left, x2[:m], b[:m])
-        x1m = np.where(left, bm - GOLDEN * (bm - am), x2[:m])
-        x2m = np.where(left, x1[:m], am + GOLDEN * (bm - am))
-        fp = f(np.where(left, x1m, x2m)[:, None], rows[:m])[:, 0]
-        f1[:m], f2[:m] = np.where(left, fp, f2[:m]), np.where(left, f1[:m], fp)
-        a[:m], b[:m], x1[:m], x2[:m] = am, bm, x1m, x2m
-    up = f1 >= f2
-    probe_v, probe_t = np.where(up, f1, f2), np.where(up, x1, x2)
-    # each row's largest refined value: first of its run, best first
-    order = np.lexsort((-probe_v, rows))
-    first = order[np.r_[True, rows[order][1:] != rows[order][:-1]]]
-    refined_v, refined_t = probe_v[first], probe_t[first]
-    better = refined_v > best_v
-    return np.where(better, refined_v, best_v), np.where(better, refined_t, best_t)
+    def golden(rows, a, t, b):
+        steps = np.where(b - a > tol, np.ceil(np.log(tol / (b - a)) / np.log(GOLDEN)) + 1,
+                         0).astype(np.intp)
+        x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+        f1, f2 = f(x1[:, None], rows)[:, 0], f(x2[:, None], rows)[:, 0]
+        for k in range(steps.max(initial=0)):
+            m = steps > k  # the probes still stepping
+            left = f1[m] >= f2[m]  # the maximum lies in [a, x2]
+            am = np.where(left, a[m], x1[m])
+            bm = np.where(left, x2[m], b[m])
+            x1m = np.where(left, bm - GOLDEN * (bm - am), x2[m])
+            x2m = np.where(left, x1[m], am + GOLDEN * (bm - am))
+            fp = f(np.where(left, x1m, x2m)[:, None], rows[m])[:, 0]
+            f1[m], f2[m] = np.where(left, fp, f2[m]), np.where(left, f1[m], fp)
+            a[m], b[m], x1[m], x2[m] = am, bm, x1m, x2m
+        return np.where(f1 >= f2, f1, f2), np.where(f1 >= f2, x1, x2)
+
+    return _scan_then_refine(f, golden, lo, hi, ngrid, tol)
+
+
+def newton_maximize_log_grid(f, df, lo, hi, ngrid, tol=1e-8):
+    """maximize_log_grid by Newton steps on df(t, rows) = (f, f', f'') at the probes'
+    points t, in a bracket the slope's sign shrinks (its midpoint where a step leaves
+    it or f'' >= 0), until a step moves by tol or less; NumericsError after NEWTON_STEPS."""
+    def newton(rows, a, t, b):
+        probe_v, probe_t, live = np.empty(rows.size), t.copy(), np.arange(rows.size)
+        for _ in range(NEWTON_STEPS + 1):
+            probe_v[live], g1, g2 = df(t, rows[live])
+            a, b = np.where(g1 > 0, t, a), np.where(g1 > 0, b, t)
+            step = t - np.divide(g1, g2, out=np.full_like(t, np.inf), where=g2 < 0)
+            step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+            moving = np.abs(step - t) > tol
+            if not moving.any():
+                return probe_v, probe_t
+            live, a, b, t = live[moving], a[moving], b[moving], step[moving]
+            probe_t[live] = t
+        raise NumericsError(f"Newton refine of row {rows[live[0]]} did not converge", (t, a, b))
+
+    return _scan_then_refine(f, newton, lo, hi, ngrid, tol)
 
 
 def special():
@@ -110,6 +135,7 @@ def special():
     return module
 
 
+NEWTON_STEPS = 60  # most steps of a newton_maximize_log_grid probe; bisection needs 35
 LANCZOS_STEPS = 300  # most Lanczos steps of largest_eigenvalue
 LANCZOS_TOL = 1e-13  # residual norm, relative to the eigenvalue, that stops it
 

@@ -8,7 +8,8 @@ cross-check rather than a re-run of the same code path.  `md_mpmath`,
 `mp_mpmath`, `hm1_mpmath` and `h2_tilde_mpmath` evaluate MD's and MP's
 double sums of 1/(a + c_p + c_q), HM1's published kernel and h2_tilde's
 closed form in 40-digit arithmetic, where their cancellation does not
-matter.
+matter; `vn_mpmath` is LD's process vn in that arithmetic and `ld_mpmath`
+its supremum by a dense scan and golden-section refine.
 
 The references at the end check the slopes: the pair-grid double integrals
 of the MD and L2 battery numerators (the kernel against the family scores,
@@ -125,19 +126,65 @@ def mp_mpmath(sample, a, dps=40):
                                  for ck, wk in terms for cl, wl in terms))
 
 
+def _transform_terms(sample):
+    """The 2n terms (s_p, c_p) of L(t) - M(t) = sum c_p e^{-t s_p}: the
+    observations Y_i (weight 1/n) and twice the order statistics 2 Z_i
+    (weight -w_i), as mpf at the working precision."""
+    x = [mpmath.mpf(float(v)) for v in sample]
+    n, mean = len(x), mpmath.fsum(x) / len(x)
+    z = sorted(v / mean for v in x)
+    return ([(v, mpmath.mpf(1) / n) for v in z]
+            + [(2 * v, -mpmath.mpf(2 * (n - i) - 1) / n**2) for i, v in enumerate(z)])
+
+
 def md_mpmath(sample, a, dps=40):
-    """MD of a raw sample in `dps`-digit arithmetic.  L(t) - M(t) is a sum of
-    c_p e^{-t s_p} over the 2n points s_p: the observations Y_i (weight 1/n)
-    and twice the order statistics 2 Z_i (weight -w_i), so MD is the double
-    sum of c_p c_q / (a + s_p + s_q)."""
+    """MD of a raw sample in `dps`-digit arithmetic: the double sum of
+    c_p c_q / (a + s_p + s_q) over the terms of L(t) - M(t)."""
     with mpmath.workdps(dps):
-        x = [mpmath.mpf(float(v)) for v in sample]
-        n, mean = len(x), mpmath.fsum(x) / len(x)
-        z = sorted(v / mean for v in x)
-        terms = ([(v, mpmath.mpf(1) / n) for v in z]
-                 + [(2 * v, -mpmath.mpf(2 * (n - i) - 1) / n**2) for i, v in enumerate(z)])
+        terms = _transform_terms(sample)
         return float(mpmath.fsum(cp * cq / (a + sp + sq)
                                  for sp, cp in terms for sq, cq in terms))
+
+
+def vn_mpmath(sample, a):
+    """vn(t) = e^{-at} (L(t) - M(t)) of a raw sample, as a function of t in
+    the working precision (the caller sets it with mpmath.workdps)."""
+    terms = _transform_terms(sample)
+    a = mpmath.mpf(a)
+    return lambda t: mpmath.exp(-a * t) * mpmath.fsum(c * mpmath.exp(-t * s)
+                                                       for s, c in terms)
+
+
+def ld_mpmath(sample, a, dps=40, points=512):
+    """LD of a raw sample in `dps`-digit arithmetic: |vn| on `points`
+    log-spaced t over LD's interval [1e-4, max(40/a, 4)], then golden
+    section in the bracket [t_{k-1}, t_{k+1}] of every scan-local maximum
+    until the bracket is below 1e-16 t; the largest refined value wins."""
+    with mpmath.workdps(dps):
+        f = vn_mpmath(sample, a)
+        g = lambda t: abs(f(t))
+        lo, hi = mpmath.log(mpmath.mpf("1e-4")), mpmath.log(max(40 / mpmath.mpf(a), 4))
+        ts = [mpmath.exp(lo + (hi - lo) * k / (points - 1)) for k in range(points)]
+        vs = [g(t) for t in ts]
+        golden = (mpmath.sqrt(5) - 1) / 2
+        best = max(vs)
+        for k in range(points):
+            if (k and vs[k] <= vs[k - 1]) or (k < points - 1 and vs[k] < vs[k + 1]):
+                continue
+            p, q = ts[max(k - 1, 0)], ts[min(k + 1, points - 1)]
+            x1, x2 = q - golden * (q - p), p + golden * (q - p)
+            f1, f2 = g(x1), g(x2)
+            while q - p > mpmath.mpf("1e-16") * q:
+                if f1 >= f2:
+                    q, x2, f2 = x2, x1, f1
+                    x1 = q - golden * (q - p)
+                    f1 = g(x1)
+                else:
+                    p, x1, f1 = x1, x2, f2
+                    x2 = p + golden * (q - p)
+                    f2 = g(x2)
+            best = max(best, f1, f2)
+        return float(best)
 
 
 def hm1_mpmath(sample, a, dps=40):

@@ -1,21 +1,67 @@
 import numpy as np
 import pytest
 
-from exptests.errors import NumericsError
+from exptests import numeric
+from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (LANCZOS_STEPS, exp_measure_nodes, largest_eigenvalue,
-                              maximize_log_grid, panel_gauss_below, panel_gauss_nodes)
+                              maximize_log_grid, newton_maximize_log_grid,
+                              panel_gauss_below, panel_gauss_nodes)
 from exptests.slopes import _cov_bh, _cov_edf
 
 
-def test_rows_are_maximized_together():
+def _log_parabolas(peaks):
+    # -log(t/p)^2 per row, and its value, slope and curvature in t
+    def f(t, rows):
+        return -np.log(t / peaks[rows]) ** 2
+
+    def df(t, rows):
+        s = np.log(t / peaks[rows][:, 0])
+        return np.array([-s * s, -2.0 * s / t, (2.0 * s - 2.0) / t**2])
+    return f, df
+
+
+def _maximize(newton, f, df, lo, hi, ngrid, tol):
+    if newton:
+        return newton_maximize_log_grid(f, df, lo, hi, ngrid, tol)
+    return maximize_log_grid(f, lo, hi, ngrid, tol)
+
+
+def test_rows_are_maximized_together(newton=False):
     # each row peaks at its own point of a log-scale parabola
-    peaks = np.array([[3e-3], [0.5], [30.0]])
-    values, argmax = maximize_log_grid(
-        lambda t, rows: -np.log(t / peaks[rows]) ** 2, 1e-4, 40.0, tol=1e-10)
+    f, df = _log_parabolas(np.array([[3e-3], [0.5], [30.0]]))
+    values, argmax = _maximize(newton, f, df, 1e-4, 40.0, 512, 1e-10)
     assert values.shape == argmax.shape == (3,)
-    np.testing.assert_allclose(argmax, peaks[:, 0], rtol=1e-7)
+    np.testing.assert_allclose(argmax, [3e-3, 0.5, 30.0], rtol=1e-7)
     assert np.all((values <= 0) & (values > -1e-12))
+
+
+def test_newton_maximizes_rows_together():
+    test_rows_are_maximized_together(newton=True)
+
+
+@pytest.mark.parametrize("lo,hi,ngrid,tol", [
+    (1e-3, np.inf, 64, 1e-8), (1e-3, np.nan, 64, 1e-8), (np.nan, 1.0, 64, 1e-8),
+    (0.0, 1.0, 64, 1e-8), (-1.0, 1.0, 64, 1e-8), (2.0, 1.0, 64, 1e-8),
+    (1.0, 1.0, 64, 1e-8), (1e-3, 1.0, 1, 1e-8), (1e-3, 1.0, 64, 0.0),
+    (1e-3, 1.0, 64, -1e-8), (1e-3, 1.0, 64, np.nan)])
+def test_bad_arguments_raise(lo, hi, ngrid, tol):
+    # before these checks an infinite hi returned nan, tol <= 0 skipped the
+    # refine, lo > hi returned an unrefined grid value and lo = 0 raised a
+    # bare ValueError; both maximizers share the checks
+    f, df = _log_parabolas(np.array([[0.5]]))
+    with pytest.raises(DomainError):
+        maximize_log_grid(f, lo, hi, ngrid, tol)
+    with pytest.raises(DomainError):
+        newton_maximize_log_grid(f, df, lo, hi, ngrid, tol)
+
+
+def test_newton_refine_capped_below_convergence_raises(monkeypatch):
+    f, df = _log_parabolas(np.array([[3e-3], [0.5], [30.0]]))
+    newton_maximize_log_grid(f, df, 1e-4, 40.0, 64)
+    monkeypatch.setattr(numeric, "NEWTON_STEPS", 0)
+    with pytest.raises(NumericsError, match="row 0 did not converge"):
+        newton_maximize_log_grid(f, df, 1e-4, 40.0, 64)
 
 
 def test_one_row_case_and_grid_floor():
@@ -34,27 +80,40 @@ def test_golden_section_reaches_tolerance():
 
 
 def _bumps(centers, heights, width=0.1):
-    # rows of Gaussian bumps in log t; centers and heights are (rows, bumps)
+    # rows of Gaussian bumps in log t, the largest of them at each t, and
+    # its value, slope and curvature in t; centers and heights are (rows, bumps)
     centers, heights = np.asarray(centers), np.asarray(heights)
 
     def f(t, rows):
         d = np.log(t[..., None] / centers[rows][:, None, :]) / width
         return np.max(heights[rows][:, None, :] * np.exp(-d * d), axis=-1)
-    return f
+
+    def df(t, rows):
+        d = np.log(t[:, None] / centers[rows]) / width
+        v = heights[rows] * np.exp(-d * d)
+        k = np.argmax(v, axis=1)
+        v, d = v[np.arange(t.size), k], d[np.arange(t.size), k]
+        return np.array([v, -2.0 * d * v / (width * t),
+                         v * (4.0 * d * d - 2.0 + 2.0 * d * width) / (width * t) ** 2])
+    return f, df
 
 
-def test_every_local_maximum_is_refined():
+def test_every_local_maximum_is_refined(newton=False):
     # row 0: the higher bump sits halfway between grid points, so the best
     # grid point lies on the lower bump, which sits on a grid point;
     # row 1: one bump, so the probes of the two rows must not mix
     ts = np.geomspace(1e-3, 10.0, 64)
     mid = np.sqrt(ts[40] * ts[41])
-    f = _bumps([[ts[15], mid], [ts[30], ts[30]]], [[0.9, 1.0], [0.7, 0.7]])
+    f, df = _bumps([[ts[15], mid], [ts[30], ts[30]]], [[0.9, 1.0], [0.7, 0.7]])
     grid = f(ts[None, :], slice(None))
     assert np.argmax(grid[0]) == 15 and grid[0, 15] == 0.9
-    values, argmax = maximize_log_grid(f, 1e-3, 10.0, ngrid=64, tol=1e-10)
+    values, argmax = _maximize(newton, f, df, 1e-3, 10.0, 64, 1e-10)
     np.testing.assert_allclose(values, [1.0, 0.7], rtol=1e-14)
     np.testing.assert_allclose(argmax, [mid, ts[30]], rtol=1e-8)
+
+
+def test_newton_refines_every_local_maximum():
+    test_every_local_maximum_is_refined(newton=True)
 
 
 def test_flat_and_plateau_rows_return_grid_maximum():

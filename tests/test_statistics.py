@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from exptests import statistics
+from exptests import numeric, statistics
 from exptests.core import scale_sample
-from exptests.errors import DomainError
+from exptests.errors import DomainError, NumericsError
 from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_ad, kernel_bh,
@@ -17,8 +17,8 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  kernel_hm2, kernel_w, ld_upper_bound,
                                  vn_process)
 
-from oracles import (hm1_mpmath, md_mpmath, mp_mpmath, oracle_statistic,
-                     plain_reference)
+from oracles import (hm1_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
+                     oracle_statistic, plain_reference, vn_mpmath)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -108,6 +108,34 @@ class TestMDAndLD:
                  - mpmath.fsum(wi * mpmath.exp(-2 * t * v) for wi, v in zip(w, z)))
                 * mpmath.exp(-a * t)) for t in map(mpmath.mpf, ts)])
         assert np.max(np.abs(vn_process(s, a, ts) / ref - 1)) < 2e-13
+
+    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    def test_vn_derivatives_against_mpmath(self, a):
+        # the analytic slope and curvature of LD's refine against mpmath.diff
+        # of the 40-digit vn, relative to each one's largest value
+        x = np.random.default_rng(3).standard_exponential(20)
+        ts = np.geomspace(1e-4, ld_upper_bound(a), 8)
+        got = statistics._vn(scale_sample(x).sorted_values[None, :], a, ts[None, :],
+                             derivatives=True)[:, 0]
+        with mpmath.workdps(40):
+            f = vn_mpmath(x, a)
+            ref = np.array([[float(mpmath.diff(f, mpmath.mpf(t), k)) for t in ts]
+                            for k in range(3)])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    def test_ld_against_mpmath(self, n, a):
+        # against a 512-point scan and golden-section refine in 40 digits
+        x = np.random.default_rng(0).standard_exponential((2, n))
+        ref = np.array([ld_mpmath(row, a) for row in x])
+        np.testing.assert_allclose(evaluate_many(StatisticId("LD", a), x),
+                                   ref, rtol=1e-12, atol=0)
+
+    def test_ld_refine_capped_below_convergence_raises(self, gen, monkeypatch):
+        monkeypatch.setattr(numeric, "NEWTON_STEPS", 1)
+        with pytest.raises(NumericsError, match="row 0 did not converge"):
+            evaluate(StatisticId("LD", 1.0), gen.exponential(size=20))
 
     def test_ld_matches_dense_grid(self, gen):
         x = gen.exponential(size=14)
