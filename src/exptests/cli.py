@@ -10,10 +10,11 @@ Subcommands:
 
 Each subcommand accepts only the options its handler reads (the
 `_SUBCOMMANDS` table), so a misplaced option is an error rather than ignored.
-Exit codes: 0 success, 1 validation error (argparse errors included),
-2 numerical-diagnostic failure.  The Monte Carlo subcommands (test, critval,
-power) take --seed; `run_command` resolves it once (a fresh random seed when
-absent) and echoes it on stderr for reproducibility.
+Exit codes: 0 success, 1 validation error (argparse errors and files that
+cannot be read or written included), 2 numerical-diagnostic failure.  The
+Monte Carlo subcommands (test, critval, power) take --seed; `run_command`
+resolves it once (a fresh random seed when absent) and echoes it on stderr
+for reproducibility.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def run_command(argv) -> int:
         print(f"seed: {args.seed}", file=sys.stderr)
     try:
         return args.handler(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -14,6 +14,7 @@ ordered pairs.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,3 +140,14 @@ def read_sample(path) -> np.ndarray:
     if not values:
         raise DomainError(f"{path}: no data lines")
     return np.asarray(values, dtype=float)
+
+
+def read_csv_rows(path, columns) -> list:
+    """The rows of a CSV file as dicts; DomainError names the file and the
+    first of `columns` that its header lacks."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DomainError(f"{path}: no {missing[0]!r} column")
+        return list(reader)

@@ -35,7 +35,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import RngStream, check_positive, check_tuning
+from .core import RngStream, check_positive, check_tuning, read_csv_rows
 from .errors import DomainError, NumericsError
 from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
                       panel_gauss_nodes, special)
@@ -473,16 +473,17 @@ def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
 
 def load_calibrations(path) -> list:
     """Read a calibration CSV; files without the stream and key columns load
-    as stream 0 with an empty spawn key."""
+    as stream 0 with an empty spawn key, files without another column raise
+    DomainError."""
     out: Dict[tuple, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            a = float(row["a"]) if row["a"] else None
-            stat = StatisticId(row["statistic"], a)
-            seed = RngStream.from_csv_fields(row)
-            key = (stat, int(row["n"]), int(row["replicates"]), seed)
-            out.setdefault(key, {})[float(row["alpha"])] = (float(row["critical_value"]),
-                                                            float(row["se"]))
+    for row in read_csv_rows(path, [c for c in CALIBRATION_COLUMNS
+                                    if c not in ("stream", "key")]):
+        a = float(row["a"]) if row["a"] else None
+        stat = StatisticId(row["statistic"], a)
+        seed = RngStream.from_csv_fields(row)
+        key = (stat, int(row["n"]), int(row["replicates"]), seed)
+        out.setdefault(key, {})[float(row["alpha"])] = (float(row["critical_value"]),
+                                                        float(row["se"]))
     cals = []
     for (stat, n, reps, seed), rec in out.items():
         alphas = tuple(sorted(rec))

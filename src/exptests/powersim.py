@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream, check_positive
+from .core import RngStream, check_positive, read_csv_rows
 from .errors import DomainError
 from .families import get_family, sample_alternative
 from .nulldist import NullCalibration, _map_blocks
@@ -221,18 +221,19 @@ def write_power_table(path, cells: Sequence[PowerCell]) -> None:
 def load_power_table(path) -> list:
     """Read a power CSV back into PowerCells; files without the stream and
     key columns load as stream 0 with an empty spawn key, files without the
-    grid column as fixed-a cells."""
+    grid column as fixed-a cells; files without another column it reads
+    raise DomainError."""
     cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            grid = tuple(map(float, row.get("grid", "").split())) or None
-            a = float(row["a"]) if row["a"] else (grid[0] if grid else None)
-            cells.append(PowerCell(
-                statistic=StatisticId(row["statistic"], a),
-                family=row["family"],
-                theta=float(row["theta"]) if row["theta"] else None,
-                n=int(row["n"]), alpha=float(row["alpha"]),
-                replicates=int(row["replicates"]), power=float(row["power"]),
-                mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row),
-                grid=grid))
+    columns = [c for c in POWER_COLUMNS if c not in ("grid", "stream", "key", "percent")]
+    for row in read_csv_rows(path, columns):
+        grid = tuple(map(float, row.get("grid", "").split())) or None
+        a = float(row["a"]) if row["a"] else (grid[0] if grid else None)
+        cells.append(PowerCell(
+            statistic=StatisticId(row["statistic"], a),
+            family=row["family"],
+            theta=float(row["theta"]) if row["theta"] else None,
+            n=int(row["n"]), alpha=float(row["alpha"]),
+            replicates=int(row["replicates"]), power=float(row["power"]),
+            mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row),
+            grid=grid))
     return cells

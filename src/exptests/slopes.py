@@ -11,27 +11,33 @@ lrt_coeff = int_0^inf h(x)^2 e^x dx - mu'(0)^2 of the family's scores
 h = g'(x; 0) and mean derivative mu'(0) (Nikitin 1995, Asymptotic Efficiency
 of Nonparametric Tests).
 
-Every slope comes from one projection f(x, t) per statistic: an L2
+Every slope is one of three kinds on one projection per statistic.  An L2
 statistic is int Z_n(t)^2 w(t) dt and a supremum statistic sup_t |Z_n(t)|
-for Z_n(t) = mean f(Y_i, t) of the scaled sample.  Estimating the scale
+for Z_n(t) = mean f(Y_i, t, a) of the scaled sample; an asymptotically
+normal statistic has the first projection psi(x, a).  Estimating the scale
 turns f into f~(x, t) = f(x, t) - (x - 1) int f(y, t) (y - 1) e^{-y} dy,
 whose Gram under Exp(1) is the covariance K(s, t) of the limiting process;
 the local drift is b(t) = int f~(x, t) g'(x) dx.  Then
-* L2 statistics: c_coeff = int b^2 w dt / lambda1, a_T = 1/lambda1, with
-  lambda1 the top eigenvalue of K on L2(w dt); MD's projection comes from
-  the factorisation of h2_tilde (nulldist), and nMD converges to
-  6 sum delta_k W_k^2, so lambda1 = 6 delta1;
-* supremum statistics: c_coeff = sup_t b^2 / sup_t K(t,t), a_T = 1/sup_t K(t,t);
-* asymptotically normal statistics: c_coeff = (score integral)^2 / variance.
+* L2 statistics (_l2_slope): c_coeff = int b^2 w dt / lambda1,
+  a_T = 1/lambda1, with lambda1 the top eigenvalue of K on L2(w dt).  MD is
+  one: f = 2 phi1_tilde(x, t; 0), w = e^{-at} and K = 4 K(s, t; 0)
+  (nulldist's covariance_K); nMD converges to 6 sum delta_k W_k^2, so
+  lambda1 = 6 delta1;
+* supremum statistics (_sup_slope): c_coeff = sup_t b^2 / sup_t K(t,t),
+  a_T = 1/sup_t K(t,t); LD (f = phi1_tilde(x, t; a)) and KS;
+* asymptotically normal statistics (_normal_slope):
+  c_coeff = (int psi g')^2 / Var psi(X), a_T = 1/Var psi(X).  Every psi here
+  is orthogonal to x - 1 under Exp(1), so its scale correction is 0.
 CVM, AD and KS share f = 1{x <= t} - F_0(t); every other x-integral is the
 trapezoid rule in log x of the LRT coefficient (_x_rule).
 
-One table, _SLOPES, maps each statistic name to its slope routine and a
-`quadratic` flag.  Every routine takes (stat, fam) and returns
-(c_coeff, a_T) from one computation.  The report splits c_coeff as
-c = a_T * b for quadratic statistics (b is the theta^2-coefficient of b_T)
-and as c = a_T * b^2 for normal and supremum statistics (b is the
-theta-coefficient of b_T).
+One table, _SLOPES, maps each statistic name to its slope routine, its
+projection, its closed-form covariance K(s, t) (or None) and its L2 weight
+kind (None for normal and supremum statistics).  Every routine takes
+(stat, fam), hands its kind's helper lambda1 or sup K, and returns
+(c_coeff, a_T).  The report splits c_coeff as c = a_T * b for L2
+statistics (b is the theta^2-coefficient of b_T) and as c = a_T * b^2 for
+normal and supremum statistics (b is the theta-coefficient of b_T).
 """
 
 from __future__ import annotations
@@ -47,8 +53,7 @@ from .errors import DomainError
 from .families import get_family
 from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
                       panel_gauss_below, panel_gauss_nodes, special)
-from .nulldist import (DELTA1_LADDER, covariance_t_nodes,
-                       largest_eigenvalue_delta1, sup_variance)
+from .nulldist import covariance_K, largest_eigenvalue_delta1, sup_variance
 from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
 
 EFFICIENCY_SLACK = 1.02
@@ -93,11 +98,6 @@ def _x_rule(step: float):
     return x, step * x
 
 
-def _single_integral(f) -> float:
-    x, w = _x_rule(LRT_STEP)
-    return float(f(x) @ w)
-
-
 @lru_cache(maxsize=None)
 def lrt_local_coefficient(family) -> float:
     """theta^2-coefficient of 2 inf_lambda KL(g_theta || Exp(lambda)) for a
@@ -115,30 +115,7 @@ def lrt_local_coefficient(family) -> float:
 
 
 # ---------------------------------------------------------------------------
-# MD: quadratic pair-minimum statistic
-# ---------------------------------------------------------------------------
-
-def _md_numerator(a: float, fam) -> float:
-    """Double integral of h2_tilde(x, y; a) against the scores g'(x) g'(y).
-
-    By h2_tilde's factorisation (nulldist) it is
-    (2/3) int_0^inf (int phi1_tilde(x, t; a/2) g'(x) dx)^2 dt: the inner
-    integral on the x-rule, the outer one on delta1's finest t-grid.
-    """
-    xs, ws = _x_rule(LRT_STEP)
-    t, wt = covariance_t_nodes(a, DELTA1_LADDER[-1])
-    inner = phi1_tilde(xs, t[:, None], a / 2) @ (fam.deriv0(xs) * ws)
-    return 2.0 / 3.0 * float(wt @ (inner * inner))
-
-
-def slope_MD(stat: StatisticId, fam):
-    """c_coeff = _md_numerator / delta1, a_T = 1/(6 delta1)."""
-    delta1 = largest_eigenvalue_delta1(stat.a).delta1
-    return _md_numerator(stat.a, fam) / delta1, 1.0 / (6.0 * delta1)
-
-
-# ---------------------------------------------------------------------------
-# LD: supremum statistic
+# Projections
 # ---------------------------------------------------------------------------
 
 def min_pair_laplace(x, t):
@@ -156,48 +133,6 @@ def phi1_tilde(x, t, a):
     return np.exp(-a * t) * (0.5 * np.exp(-t * x) + 0.5 / (1.0 + t)
                              - min_pair_laplace(x, t))
 
-
-def slope_LD(stat: StatisticId, fam):
-    """c_coeff = sup_t (int phi1_tilde g')^2 / sup_t K(t,t),
-    a_T = 1/sup_t K(t,t)."""
-    a = stat.a
-    xs, ws = _x_rule(LRT_STEP)
-    gpx = fam.deriv0(xs) * ws
-
-    def inner_sq(t, rows):
-        vals = phi1_tilde(xs, t[..., None], a) @ gpx
-        return vals * vals
-
-    (sup_i,), _ = maximize_log_grid(inner_sq, 1e-4, ld_upper_bound(a),
-                                    ngrid=512, tol=1e-10)
-    sup_k = sup_variance(a).sup_variance
-    return float(sup_i) / sup_k, 1.0 / sup_k
-
-
-# ---------------------------------------------------------------------------
-# Asymptotically normal battery members
-# ---------------------------------------------------------------------------
-
-_NORMAL_SHAPES = {
-    # id -> (score weight xi(x), variance-normalizing constant in c = const * I^2)
-    "EP": (lambda x: 4.0 * np.exp(-x) + x, 3.0),
-    "GINI": (lambda x: 2.0 * np.exp(-x) + x / 2.0, 12.0),
-    "CO": (lambda x: (1.0 - x) * np.log(x) + (1.0 - EULER_GAMMA) * x,
-           6.0 / math.pi**2),
-    "MO": (lambda x: np.log(x) - x, 1.0 / (math.pi**2 / 6.0 - 1.0)),
-}
-
-
-def slope_normal_family(stat: StatisticId, fam):
-    """c_coeff = const * (score integral)^2, a_T = const."""
-    shape, const = _NORMAL_SHAPES[stat.name]
-    integral = _single_integral(lambda x: shape(x) * fam.deriv0(x))
-    return const * integral * integral, const
-
-
-# ---------------------------------------------------------------------------
-# J statistics (first-order Laplace transform distances)
-# ---------------------------------------------------------------------------
 
 def psi_JD(x, a):
     """Projection of the pair-minimum first-order kernel under Exp(1)."""
@@ -220,67 +155,11 @@ def psi_JP(x, a):
     return 0.5 * (1.0 / (x + a) + e_full) - e_abs
 
 
-def slope_J_family(stat: StatisticId, fam):
-    """c_coeff = (int psi g')^2 / var psi(X), a_T = 1/var psi(X)."""
-    psi = {"JD": psi_JD, "JP": psi_JP}[stat.name]
-    a = stat.a
-    mean = _single_integral(lambda x: psi(x, a) * np.exp(-x))
-    var = _single_integral(lambda x: (psi(x, a) - mean) ** 2 * np.exp(-x))
-    num = _single_integral(lambda x: (psi(x, a) - mean) * fam.deriv0(x))
-    return num * num / var, 1.0 / var
-
-
-# ---------------------------------------------------------------------------
-# EDF statistics: CVM, AD (L2) and KS (supremum)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _edf_s_rule():
-    return panel_gauss_nodes(np.linspace(-50.0, 0.0, 51), 8)
-
-
-def _edf_drift(fam, t):
-    """Drift b(t) = int_0^t g' + mu'(0) t e^{-t} of f = 1{x <= t} - F_0(t), t of
-    any shape; f~ jumps at x = t, so the head is taken in x = t e^s by Gauss
-    panels (the trapezoid rule is O(h^2) on an integrand not 0 at s = 0)."""
-    s, ws = _edf_s_rule()
-    x = t[..., None] * np.exp(s)
-    return (fam.deriv0(x) * x) @ ws + fam.mu_prime0 * t * np.exp(-t)
-
-
-def _cov_edf(t, below):
-    """Covariance e^{-max(s,t)} - (1 + st) e^{-s-t} of the EDF process on the
-    nodes t, its kink integrated exactly by `below` (panel_gauss_below)."""
-    es, eu = np.exp(-t)[:, None], np.exp(-t)[None, :]
-    return eu + (es - eu) * below - (1.0 + np.outer(t, t)) * es * eu
-
-
-@lru_cache(maxsize=None)
-def _ks_tail_coefficient() -> float:
-    (val,), _ = maximize_log_grid(
-        lambda x, rows: np.exp(-2 * x) * (np.exp(x) - x * x - 1.0),
-        1e-3, 40.0, ngrid=2048, tol=1e-12)
-    return 1.0 / float(val)
-
-
-def slope_KS(stat: StatisticId, fam):
-    """c_coeff = a_KS sup_t b(t)^2 with the EDF drift b, and
-    a_KS = 1/sup_t K(t,t) = 1/sup_t e^{-2t}(e^t - t^2 - 1)."""
-    (sup_b2,), _ = maximize_log_grid(lambda t, rows: _edf_drift(fam, t) ** 2,
-                                     1e-3, 40.0, ngrid=512, tol=1e-10)
-    a_t = _ks_tail_coefficient()
-    return a_t * float(sup_b2), a_t
-
-
-# ---------------------------------------------------------------------------
-# L2-type battery members (weighted integral statistics)
-# ---------------------------------------------------------------------------
-
-def _proj_hm(x, t):
+def _proj_hm(x, t, a):
     return np.sin(t * x) - t * np.cos(t * x)
 
 
-def _proj_mp(x, t):
+def _proj_mp(x, t, a):
     """Projection 2 E e^{-t|x - X|} - e^{-tx} - 1/(1 + t) of D - L, with
     E e^{-t|x - X|} = e^{-min(t,1) x} (1 - e^{-|t-1| x})/|t - 1| + e^{-x}/(1 + t)."""
     d = np.abs(t - 1.0)
@@ -308,6 +187,40 @@ def _cov_hm(s, t):
             - s * t / ((1 + s * s) * (1 + t * t)))
 
 
+# ---------------------------------------------------------------------------
+# The slope table
+# ---------------------------------------------------------------------------
+
+_SLOPES = {
+    # id -> (slope routine, projection, closed-form covariance K(s, t) of f~
+    #        or None, L2 weight kind or None).  The projection is psi(x, a)
+    #        for a normal member, f(x, t, a) for an L2 or supremum member and
+    #        None for the EDF members.  Routines are named, not held, so that
+    #        a rebound module attribute (a wrapper, say) is the one called.
+    "EP": ("slope_normal_family", lambda x, a: 4.0 * np.exp(-x) + x, None, None),
+    "GINI": ("slope_normal_family", lambda x, a: 2.0 * np.exp(-x) + x / 2.0, None, None),
+    "CO": ("slope_normal_family",
+           lambda x, a: (1.0 - x) * np.log(x) + (1.0 - EULER_GAMMA) * x, None, None),
+    "MO": ("slope_normal_family", lambda x, a: np.log(x) - x, None, None),
+    "JD": ("slope_J_family", psi_JD, None, None),
+    "JP": ("slope_J_family", psi_JP, None, None),
+    "LD": ("slope_LD", phi1_tilde, None, None),
+    "KS": ("slope_KS", None, None, None),
+    "MD": ("slope_MD", lambda x, t, a: 2.0 * phi1_tilde(x, t, 0.0),
+           lambda s, t: 4.0 * covariance_K(s, t, 0.0), "exp"),
+    "CVM": ("slope_L2_family", None, None, "cvm"),
+    "AD": ("slope_L2_family", None, None, "ad"),
+    "BH": ("slope_L2_family", lambda x, t, a: (1.0 - x - t * x) * np.exp(-t * x),
+           _cov_bh, "exp"),
+    "HE": ("slope_L2_family", lambda x, t, a: np.exp(-t * x) - 1.0 / (1.0 + t),
+           _cov_he, "exp"),
+    "W": ("slope_L2_family", lambda x, t, a: (1.0 + t) * np.exp(-t * x) - 1.0,
+          _cov_w, "exp"),
+    "HM1": ("slope_L2_family", _proj_hm, _cov_hm, "exp"),
+    "HM2": ("slope_L2_family", _proj_hm, _cov_hm, "gauss"),
+    "MP": ("slope_L2_family", _proj_mp, None, "exp"),
+}
+
 _WEIGHTS = {
     # kind -> (weight w(t, a), the scale of t on which w decays)
     "exp": (lambda t, a: np.exp(-a * t), lambda a: a),
@@ -316,18 +229,10 @@ _WEIGHTS = {
     "ad": (lambda t, a: 1.0 / -np.expm1(-t), lambda a: 1.0),
 }
 
-_L2_STATISTICS = {
-    # id -> (projection f(x, t) or None (EDF); closed-form covariance K(s, t)
-    #        of f~ or None (lambda1 found otherwise); weight kind)
-    "CVM": (None, None, "cvm"),
-    "AD": (None, None, "ad"),
-    "BH": (lambda x, t: (1.0 - x - t * x) * np.exp(-t * x), _cov_bh, "exp"),
-    "HE": (lambda x, t: np.exp(-t * x) - 1.0 / (1.0 + t), _cov_he, "exp"),
-    "W": (lambda x, t: (1.0 + t) * np.exp(-t * x) - 1.0, _cov_w, "exp"),
-    "HM1": (_proj_hm, _cov_hm, "exp"),
-    "HM2": (_proj_hm, _cov_hm, "gauss"),
-    "MP": (_proj_mp, None, "exp"),
-}
+
+# ---------------------------------------------------------------------------
+# Drifts and covariances on the x-rule and the t-rules
+# ---------------------------------------------------------------------------
 
 T_PANELS = 56  # panels of _t_rule
 EIGEN_POINTS, DRIFT_POINTS = 20, 8  # Gauss points per panel for lambda1, drift
@@ -349,7 +254,7 @@ def _t_rule(scale: float, npts: int):
 def _l2_t_rule(name: str, a: Optional[float], npts: int):
     """(t, weights of the t-rule times w(t, a)) of an L2 member, up to the
     last node where w(t, a) is at least WEIGHT_KEPT (w decreases in t)."""
-    weight, scale = _WEIGHTS[_L2_STATISTICS[name][2]]
+    weight, scale = _WEIGHTS[_SLOPES[name][3]]
     t, wt = _t_rule(scale(a), npts)
     w = weight(t, a)
     return t[w >= WEIGHT_KEPT], (wt * w)[w >= WEIGHT_KEPT]
@@ -358,43 +263,64 @@ def _l2_t_rule(name: str, a: Optional[float], npts: int):
 def _x_step(name: str, a: Optional[float]) -> float:
     """LRT_STEP, or for HM, whose projection oscillates like sin(tx), HM_STEP
     over the largest t-node its weight keeps (about a/40 for HM1)."""
-    if _L2_STATISTICS[name][0] is not _proj_hm:
+    if _SLOPES[name][1] is not _proj_hm:
         return LRT_STEP
     return min(LRT_STEP, HM_STEP / _l2_t_rule(name, a, DRIFT_POINTS)[0][-1])
 
 
-def _influence(proj, t, x, w):
-    """f~(x, t) = f(x, t) - (x - 1) int f(y, t) (y - 1) e^{-y} dy on the
+def _influence(proj, a, t, x, w):
+    """f~(x, t) = f(x, t, a) - (x - 1) int f(y, t, a) (y - 1) e^{-y} dy on the
     nodes t (rows) and the x-rule (x, w) (columns)."""
-    f = proj(x, t[:, None])
+    f = proj(x, t[:, None], a)
     f -= np.multiply.outer(f @ ((x - 1.0) * np.exp(-x) * w), x - 1.0)
     return f
+
+
+@lru_cache(maxsize=1)
+def _edf_s_rule():
+    return panel_gauss_nodes(np.linspace(-50.0, 0.0, 51), 8)
+
+
+def _edf_drift(fam, t):
+    """Drift b(t) = int_0^t g' + mu'(0) t e^{-t} of f = 1{x <= t} - F_0(t), t of
+    any shape; f~ jumps at x = t, so the head is taken in x = t e^s by Gauss
+    panels (the trapezoid rule is O(h^2) on an integrand not 0 at s = 0)."""
+    s, ws = _edf_s_rule()
+    x = t[..., None] * np.exp(s)
+    return (fam.deriv0(x) * x) @ ws + fam.mu_prime0 * t * np.exp(-t)
 
 
 def _drift(name: str, a: Optional[float], fam, t):
     """b(t) = int f~(x, t) g'(x) dx on the nodes t, in row blocks of
     CACHE_BUDGET elements."""
-    proj = _L2_STATISTICS[name][0]
+    proj = _SLOPES[name][1]
     if proj is None:
         return _edf_drift(fam, t)
     x, w = _x_rule(_x_step(name, a))
     gw = fam.deriv0(x) * w
     rows = max(1, CACHE_BUDGET // x.size)
-    return np.concatenate([_influence(proj, t[k:k + rows], x, w) @ gw
+    return np.concatenate([_influence(proj, a, t[k:k + rows], x, w) @ gw
                            for k in range(0, t.size, rows)])
+
+
+def _cov_edf(t, below):
+    """Covariance e^{-max(s,t)} - (1 + st) e^{-s-t} of the EDF process on the
+    nodes t, its kink integrated exactly by `below` (panel_gauss_below)."""
+    es, eu = np.exp(-t)[:, None], np.exp(-t)[None, :]
+    return eu + (es - eu) * below - (1.0 + np.outer(t, t)) * es * eu
 
 
 @lru_cache(maxsize=None)
 def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
     """lambda1: top eigenvalue of K on L2(w dt) by Nystrom on _t_rule; K is the
     closed form, the EDF covariance, or (MP) the Gram of f~ on the x-rule."""
-    proj, cov, _ = _L2_STATISTICS[name]
+    _, proj, cov, _ = _SLOPES[name]
     t, mass = _l2_t_rule(name, a, EIGEN_POINTS)
     if proj is None:
         mat = _cov_edf(t, panel_gauss_below(EIGEN_POINTS, T_PANELS)[:t.size, :t.size])
     elif cov is None:
         x, w = _x_rule(_x_step(name, a))
-        f = _influence(proj, t, x, w)
+        f = _influence(proj, a, t, x, w)
         mat = (f * (np.exp(-x) * w)) @ f.T
     else:
         mat = cov(t[:, None], t[None, :])
@@ -402,36 +328,82 @@ def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
     return largest_eigenvalue(mat * np.outer(sq, sq))
 
 
-def slope_L2_family(stat: StatisticId, fam):
+@lru_cache(maxsize=None)
+def _ks_sup_variance() -> float:
+    """sup_t K(t,t) = sup_t e^{-2t}(e^t - t^2 - 1) of the EDF process."""
+    (val,), _ = maximize_log_grid(
+        lambda x, rows: np.exp(-2 * x) * (np.exp(x) - x * x - 1.0),
+        1e-3, 40.0, ngrid=2048, tol=1e-12)
+    return float(val)
+
+
+# ---------------------------------------------------------------------------
+# The three slope kinds and the routines of the table
+# ---------------------------------------------------------------------------
+
+def _normal_slope(stat: StatisticId, fam):
+    """c_coeff = (int psi g')^2 / Var psi(X), a_T = 1/Var psi(X), on the x-rule."""
+    x, w = _x_rule(LRT_STEP)
+    mass = np.exp(-x) * w
+    psi = _SLOPES[stat.name][1](x, stat.a)
+    psi = psi - psi @ mass
+    var = float((psi * psi) @ mass)
+    num = float(psi @ (fam.deriv0(x) * w))
+    return num * num / var, 1.0 / var
+
+
+def _l2_slope(stat: StatisticId, fam, lam: float):
     """c_coeff = int b^2 w dt / lambda1, a_T = 1/lambda1."""
     t, mass = _l2_t_rule(stat.name, stat.a, DRIFT_POINTS)
     b = _drift(stat.name, stat.a, fam, t)
-    lam = _l2_operator_eigenvalue(stat.name, stat.a)
     return float(mass @ (b * b)) / lam, 1.0 / lam
 
 
-# ---------------------------------------------------------------------------
-# The slope table and reporting
-# ---------------------------------------------------------------------------
+def _sup_slope(stat: StatisticId, fam, sup_k: float, hi: float):
+    """c_coeff = sup_t b(t)^2 / sup_k, a_T = 1/sup_k, for sup_k = sup_t K(t,t);
+    b^2 is maximized over [1e-4, hi]."""
+    def drift_sq(t, rows):
+        b = _drift(stat.name, stat.a, fam, t.ravel()).reshape(t.shape)
+        return b * b
 
-# statistic name -> (slope routine, quadratic); routines are named, not held,
-# so that a rebound module attribute (a wrapper, say) is the one called
-_SLOPES = {
-    **{name: ("slope_normal_family", False) for name in _NORMAL_SHAPES},
-    **{name: ("slope_L2_family", True) for name in _L2_STATISTICS},
-    "MD": ("slope_MD", True),
-    "LD": ("slope_LD", False),
-    "KS": ("slope_KS", False),
-    "JD": ("slope_J_family", False),
-    "JP": ("slope_J_family", False),
-}
+    (sup_b2,), _ = maximize_log_grid(drift_sq, 1e-4, hi, ngrid=512, tol=1e-10)
+    return float(sup_b2) / sup_k, 1.0 / sup_k
 
+
+def slope_normal_family(stat: StatisticId, fam):
+    return _normal_slope(stat, fam)
+
+
+def slope_J_family(stat: StatisticId, fam):
+    return _normal_slope(stat, fam)
+
+
+def slope_MD(stat: StatisticId, fam):
+    return _l2_slope(stat, fam, 6.0 * largest_eigenvalue_delta1(stat.a).delta1)
+
+
+def slope_L2_family(stat: StatisticId, fam):
+    return _l2_slope(stat, fam, _l2_operator_eigenvalue(stat.name, stat.a))
+
+
+def slope_LD(stat: StatisticId, fam):
+    return _sup_slope(stat, fam, sup_variance(stat.a).sup_variance,
+                      ld_upper_bound(stat.a))
+
+
+def slope_KS(stat: StatisticId, fam):
+    return _sup_slope(stat, fam, _ks_sup_variance(), 40.0)
+
+
+# ---------------------------------------------------------------------------
+# Reporting
+# ---------------------------------------------------------------------------
 
 def _slope_and_tail(stat: StatisticId, fam):
-    """(c_coeff, a_T, quadratic) of a statistic on a local family object."""
-    routine, quadratic = _SLOPES[stat.name]
+    """(c_coeff, a_T, L2) of a statistic on a local family object."""
+    routine, _, _, weight = _SLOPES[stat.name]
     c_coeff, a_t = globals()[routine](stat, fam)
-    return c_coeff, a_t, quadratic
+    return c_coeff, a_t, weight is not None
 
 
 def slope_coefficient(stat: StatisticId, family) -> float:
@@ -441,8 +413,8 @@ def slope_coefficient(stat: StatisticId, family) -> float:
 
 def efficiency(stat: StatisticId, family) -> SlopeReport:
     fam = _local_family(family)
-    c_coeff, a_t, quadratic = _slope_and_tail(stat, fam)
-    b_coeff = c_coeff / a_t if quadratic else math.sqrt(max(c_coeff, 0.0) / a_t)
+    c_coeff, a_t, l2 = _slope_and_tail(stat, fam)
+    b_coeff = c_coeff / a_t if l2 else math.sqrt(max(c_coeff, 0.0) / a_t)
     lrt = lrt_local_coefficient(fam)
     eff = c_coeff / lrt
     return SlopeReport(statistic=stat, family=fam.id, a_T=a_t,
@@ -458,7 +430,7 @@ def efficiency_rows(reports) -> list:
     """One row per SlopeReport, keyed by EFFICIENCY_COLUMNS; the numbers are
     written with repr, so they read back exactly."""
     return [{"statistic": r.statistic.name,
-             "a": "" if r.statistic.a is None else f"{r.statistic.a:g}",
+             "a": "" if r.statistic.a is None else repr(float(r.statistic.a)),
              "family": r.family, "a_T": repr(r.a_T),
              "c_coeff": repr(r.c_coeff), "lrt_coeff": repr(r.lrt_coeff),
              "efficiency": repr(r.efficiency), "b_coeff": repr(r.b_coeff),

@@ -178,6 +178,53 @@ class TestPowerSubcommand:
         assert code == 1
 
 
+class TestFileErrors:
+    """A file that cannot be read or written, or a CSV without a column the
+    loader reads, is invalid input: exit 1 with an `error:` line, no traceback."""
+
+    @staticmethod
+    def _check(code, err, *words):
+        assert code == 1
+        assert "Traceback" not in err
+        # the Monte Carlo subcommands echo their seed before anything fails
+        lines = [line for line in err.splitlines() if not line.startswith("seed: ")]
+        assert lines and lines[0].startswith("error:"), err
+        for word in words:
+            assert word in lines[0], (word, err)
+
+    POWER = ["power", "--stat", "MD", "--a", "1", "--n", "15", "--replicates",
+             "10000", "--seed", "77", "--threads", "1", "--family", "gamma",
+             "--theta", "1"]
+
+    def test_missing_test_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(["test", "--stat", "AD", "--input", missing,
+                              "--seed", "1", "--threads", "1"], capsys)
+        assert out == ""
+        self._check(code, err, missing)
+
+    def test_missing_power_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run(self.POWER + ["--input", missing], capsys)
+        assert out == ""
+        self._check(code, err, missing)
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        dest = str(tmp_path / "nodir" / "eff.csv")
+        code, out, err = run(["efficiency", "--stat", "EP", "--family",
+                              "weibull", "--output", dest], capsys)
+        assert out == ""
+        self._check(code, err, dest)
+
+    def test_calibration_without_seed_column(self, tmp_path, capsys):
+        path = tmp_path / "cal.csv"
+        path.write_text("statistic,a,n,alpha,critical_value,se,replicates\n"
+                        "MD,1.0,15,0.05,0.0123,0.0021794494717703367,10000\n")
+        code, out, err = run(self.POWER + ["--input", str(path)], capsys)
+        assert out == ""
+        self._check(code, err, str(path), "'seed'")
+
+
 class TestEfficiencySubcommand:
     def test_reports_rows(self, capsys):
         code, out, _ = run(["efficiency", "--stat", "EP",
@@ -199,6 +246,17 @@ class TestEfficiencySubcommand:
         rep = slopes.efficiency(StatisticId("KS"), "weibull")
         assert float(row["b_coeff"]) == rep.b_coeff
         assert row["flagged"] == "False"
+
+    def test_a_written_exactly(self, capsys):
+        # two tuning parameters that agree to six digits give two rows
+        rows = []
+        for a in ("0.1234567", "0.1234571"):
+            code, out, _ = run(["efficiency", "--stat", "MD", "--a", a,
+                                "--family", "gamma"], capsys)
+            assert code == 0
+            rows.append(next(csv.DictReader(io.StringIO(out))))
+        assert rows[0]["a"] != rows[1]["a"]
+        assert [float(r["a"]) for r in rows] == [0.1234567, 0.1234571]
 
     def test_requires_family(self, capsys):
         code, _, _ = run(["efficiency", "--stat", "EP"], capsys)

@@ -279,3 +279,11 @@ class TestPowerTables:
         assert got.statistic == StatisticId("MD", 1.0)
         assert got.grid is None
         assert got.power == 0.5
+
+    def test_csv_without_a_read_column_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("statistic,a,family,theta,n,alpha,power,se,replicates\n"
+                        "MD,1,gamma,1.0,20,0.05,0.5,0.01,2000\n")
+        with pytest.raises(DomainError) as info:
+            load_power_table(path)
+        assert str(info.value) == f"{path}: no 'seed' column"

@@ -8,7 +8,7 @@ from scipy import integrate
 from exptests import slopes
 from exptests.errors import DomainError
 from exptests.families import LOCAL_FAMILIES, get_family
-from exptests.nulldist import h2_tilde, largest_eigenvalue_delta1
+from exptests.nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1
 from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
 from exptests.slopes import (EFFICIENCY_SLACK, LRT_STEP, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
@@ -113,11 +113,13 @@ class TestProjections:
 
 class TestSlopeMechanics:
     def test_md_integral_oracles(self):
-        # the t-grid numerator against the frozen oracles (6 digits) and
-        # against the double integral of h2_tilde on the x-rule's pair grid
+        # the numerator c * delta1 of MD's L2 route against the frozen oracles
+        # (6 digits) and against the double integral of h2_tilde on the
+        # x-rule's pair grid
         for a, fam_id, expected in MD_INTEGRALS:
             fam = get_family(fam_id)
-            got = slopes._md_numerator(a, fam)
+            got = (slope_coefficient(StatisticId("MD", a), fam)
+                   * largest_eigenvalue_delta1(a).delta1)
             assert abs(got - expected) < 1e-5 * abs(expected)
             pair = pair_score_integral(h2_tilde, a, fam)
             assert abs(got - pair) < 1e-13 * abs(pair)
@@ -194,10 +196,11 @@ class TestSlopeMechanics:
 
     @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
     def test_report_decomposition(self, name):
-        # quadratic statistics: c = a_T * b; normal/sup: c = a_T * b^2
+        # L2 statistics (those with a weight): c = a_T * b; normal/sup: c = a_T * b^2
         stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
         rep = efficiency(stat, "weibull")
-        b_part = rep.b_coeff if slopes._SLOPES[name][1] else rep.b_coeff**2
+        l2 = slopes._SLOPES[name][3] is not None
+        b_part = rep.b_coeff if l2 else rep.b_coeff**2
         assert rep.a_T > 0
         assert abs(rep.a_T * b_part - rep.c_coeff) <= 1e-12 * abs(rep.c_coeff)
 
@@ -266,27 +269,34 @@ class TestProjectionReferences:
     not share their route."""
 
     @pytest.mark.parametrize("name,a,step", [("BH", 0.7, LRT_STEP), ("HE", 0.7, LRT_STEP),
-                                             ("W", 0.7, LRT_STEP), ("HM1", 1.0, 0.02)])
+                                             ("W", 0.7, LRT_STEP), ("HM1", 1.0, 0.02),
+                                             ("MD", 0.7, LRT_STEP)])
     def test_influence_gram_is_the_covariance(self, name, a, step):
-        # E f~(X, s) f~(X, t) under Exp(1) on the x-rule against K(s, t)
-        proj, cov, _ = slopes._L2_STATISTICS[name]
+        # E f~(X, s) f~(X, t) under Exp(1) on the x-rule against K(s, t);
+        # MD's is 4 K(s, t; 0) of the pair-minimum process
+        _, proj, cov, _ = slopes._SLOPES[name]
         t = np.array([0.05, 0.4, 1.3, 2.7, 4.8])
         x, w = slopes._x_rule(step)
-        f = slopes._influence(proj, t, x, w)
+        f = slopes._influence(proj, a, t, x, w)
         gram = (f * (np.exp(-x) * w)) @ f.T
         expected = cov(t[:, None], t[None, :])
+        if name == "MD":
+            np.testing.assert_array_equal(
+                expected, 4.0 * covariance_K(t[:, None], t[None, :], 0.0))
         assert np.abs(gram - expected).max() < 1e-11 * np.abs(expected).max()
 
     @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
     def test_mp_gram_is_the_projected_kernel(self, a):
-        # MP's projection needs no scale correction, and (1/6) of its t-Gram
-        # against e^{-at} is the closed-form second projection of its kernel
+        # MP's projection, like the pair-minimum phi1_tilde of MD and LD, needs
+        # no scale correction, and (1/6) of its t-Gram against e^{-at} is the
+        # closed-form second projection of its kernel
         x = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
         t, mass = slopes._l2_t_rule("MP", a, slopes.EIGEN_POINTS)
         xs, ws = slopes._x_rule(LRT_STEP)
-        f = slopes._proj_mp(xs, t[:, None])
-        assert np.abs(slopes._influence(slopes._proj_mp, t, xs, ws) - f).max() < 1e-13
-        f = slopes._proj_mp(x[:, None], t[None, :])
+        for proj in (slopes._proj_mp, phi1_tilde):
+            f = proj(xs, t[:, None], a)
+            assert np.abs(slopes._influence(proj, a, t, xs, ws) - f).max() < 1e-13
+        f = slopes._proj_mp(x[:, None], t[None, :], a)
         expected = mp_projected_kernel(x[:, None], x[None, :], a)
         assert np.abs((f * mass) @ f.T / 6.0 - expected).max() < 1e-12 * np.abs(expected).max()
 
@@ -312,6 +322,18 @@ class TestProjectionReferences:
 
 class TestReferenceEfficiencies:
     """Light spot checks; the full table sweep is in the acceptance suite."""
+
+    @pytest.mark.parametrize("name,variance", [
+        ("EP", 1.0 / 3.0), ("GINI", 1.0 / 12.0), ("CO", math.pi**2 / 6.0),
+        ("MO", math.pi**2 / 6.0 - 1.0)])
+    def test_normal_variance_closed_forms(self, name, variance):
+        # Var psi(X) under Exp(1) on the x-rule against its closed form, and
+        # psi orthogonal to x - 1 (no scale correction)
+        rep = efficiency(StatisticId(name), "weibull")
+        assert _rel(1.0 / rep.a_T, variance) < 1e-12
+        x, w = slopes._x_rule(LRT_STEP)
+        psi = slopes._SLOPES[name][1](x, None)
+        assert abs(psi @ ((x - 1.0) * np.exp(-x) * w)) < 1e-14
 
     def test_co_weibull_is_optimal(self):
         assert abs(efficiency(StatisticId("CO"), "weibull").efficiency
