@@ -79,7 +79,7 @@ def _cmd_test(args):
     crit, _ = nulldist.null_critical_values(null, alphas)
     p = nulldist.null_p_value(null, value)
     rows = [{
-        "statistic": stat.name, "a": "" if stat.a is None else f"{stat.a:g}",
+        "statistic": stat.name, "a": "" if stat.a is None else repr(float(stat.a)),
         "n": x.size, "value": repr(float(value)), "alpha": repr(args.alpha),
         "critical_value": repr(float(crit[args.alpha])),
         "p_value": repr(float(p)),
@@ -139,22 +139,16 @@ def _cmd_eigen(args):
     rows = []
     for a in _parse_a_list(args.a):
         result = nulldist.largest_eigenvalue_delta1(a)
-        for n_nodes, est in result.trace:
-            rows.append({"a": f"{a:g}", "method": "covariance-nystrom",
-                         "size": n_nodes, "B": "", "delta1": repr(est)})
         extr, trace = nulldist.grid_ladder_delta1(a)
-        for m, B, est in trace:
-            rows.append({"a": f"{a:g}", "method": "grid", "size": m,
-                         "B": f"{B:g}", "delta1": repr(est)})
-        rows.append({"a": f"{a:g}", "method": "grid-extrapolated", "size": "",
-                     "B": "", "delta1": repr(extr)})
-        rows.append({"a": f"{a:g}", "method": "final", "size": "", "B": "",
-                     "delta1": repr(result.delta1)})
-        # relative gap of the grid route from the converged Nystrom value:
-        # the grid route's own error
-        rows.append({"a": f"{a:g}", "method": "route-disagreement", "size": "",
-                     "B": "", "delta1": repr(abs(extr - result.delta1)
-                                             / result.delta1)})
+        # route-disagreement: the grid route's relative gap from the converged value, its own error
+        found = ([("covariance-nystrom", n, "", est) for n, est in result.trace]
+                 + [("grid", m, f"{B:g}", est) for m, B, est in trace]
+                 + [("grid-extrapolated", "", "", extr),
+                    ("final", "", "", result.delta1),
+                    ("route-disagreement", "", "",
+                     abs(extr - result.delta1) / result.delta1)])
+        rows += [{"a": repr(float(a)), "method": method, "size": size, "B": B,
+                  "delta1": repr(value)} for method, size, B, value in found]
     _emit(rows, ["a", "method", "size", "B", "delta1"], args)
     return 0
 

@@ -57,10 +57,14 @@ class RngStream:
 
     @classmethod
     def from_csv_fields(cls, row) -> "RngStream":
-        """Inverse of csv_fields; a row without stream and key cells reads as
-        stream 0 with an empty spawn key."""
-        return cls(int(row["seed"]), int(row.get("stream") or 0),
-                   tuple(int(k) for k in (row.get("key") or "").split(":") if k))
+        """Inverse of csv_fields (STREAM_PARSERS); a row without stream and
+        key cells reads as stream 0 with an empty spawn key."""
+        return cls(**{c: parse(row.get(c) or "") for c, parse in STREAM_PARSERS.items()})
+
+
+# read_csv_rows parsers of the RngStream.csv_fields cells; stream and key may be empty
+STREAM_PARSERS = {"seed": int, "stream": lambda text: int(text or 0),
+                  "key": lambda text: tuple(int(k) for k in text.split(":") if k)}
 
 
 @lru_cache
@@ -142,12 +146,32 @@ def read_sample(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def read_csv_rows(path, columns) -> list:
-    """The rows of a CSV file as dicts; DomainError names the file and the
-    first of `columns` that its header lacks."""
+def optional_float(text: str):
+    """A CSV cell as a float; an empty cell is None."""
+    return float(text) if text else None
+
+
+def read_csv_rows(path, parsers, optional=()) -> list:
+    """The rows of a CSV file as dicts of their cells in the columns of
+    `parsers`, each parsed by its column's parser.  A column in `optional`
+    may be missing from the header; its cells then read as empty.
+    DomainError names the file and the first other column that the header
+    lacks, or the file, line and column of a cell that is missing (a short
+    row) or that its parser rejects."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        missing = [c for c in parsers
+                   if c not in (reader.fieldnames or ()) and c not in optional]
         if missing:
             raise DomainError(f"{path}: no {missing[0]!r} column")
-        return list(reader)
+
+        def cell(row, column):
+            text, where = row.get(column, ""), f"{path}:{reader.line_num}: column {column!r}"
+            if text is None:
+                raise DomainError(f"{where}: the row has no such cell")
+            try:
+                return parsers[column](text)
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from None
+
+        return [{column: cell(row, column) for column in parsers} for row in reader]

@@ -6,20 +6,17 @@ Contents:
   h2_tilde(u, v; a) of the pair-minimum V-statistic under Exp(1);
 * the closed-form covariance K(s, t; a) of the limiting Gaussian process of
   the supremum statistic, and its maximal variance sup_t K(t, t);
-* the largest eigenvalue delta1 of the integral operator with kernel
-  h2_tilde on L2(Exp(1)).  h2_tilde factors through the pair-minimum
-  process: h2_tilde(u, v; a) = (2/3) int_0^inf e^{-at} phi(u, t) phi(v, t) dt
-  with E phi(X, s) phi(X, t) = K(s, t; 0), so delta1 is (2/3) times the top
-  eigenvalue of the operator with kernel K(s, t; a/2) on L2(dt).  The
-  primary estimate is a Nystrom ladder of that kernel on graded Gauss
-  t-panels (covariance_t_nodes), which needs no Ei.  Two x-side routes
-  check it: a Gauss-Legendre Nystrom of h2_tilde (gl_nystrom_delta1) and an
-  equal-width grid with exponential cell masses (the matrix route, built in
-  row blocks).  On the equal-width midpoint grid every two-argument term of
-  h2_tilde depends on i+j or 2i+j only, so the default grid matrix is read
-  from 1-D tables of O(m) expi calls; a custom kernel is broadcast over the
-  grid.  Only the top eigenvalue is computed, by Lanczos iteration
-  (numeric.largest_eigenvalue);
+* the pair-minimum projection phi1_tilde(x, t, a), whose Gram under Exp(1)
+  is K(s, t; a);
+* the largest eigenvalue delta1 of the operator with kernel h2_tilde on
+  L2(Exp(1)).  As h2_tilde(u, v; a) = (2/3) int_0^inf e^{-at} phi(u, t)
+  phi(v, t) dt with phi = phi1_tilde(., ., 0), delta1 is 2/3 of the top
+  eigenvalue of the t-operator e^{-a(s+t)/2} G(s, t) for a Gram G of phi,
+  on graded Gauss t-panels (_t_operator_delta1).  The primary route takes
+  the Exp(1) Gram K(s, t; 0), which needs no Ei; the check route
+  (grid_ladder_delta1) takes the midpoint Gram of the equal-width grid on
+  which eigen_matrix discretizes any kernel; gl_nystrom_delta1 is an x-side
+  check.  The top eigenvalue comes from numeric.largest_eigenvalue;
 * Monte Carlo calibration of critical values and p-values.
 """
 
@@ -33,9 +30,9 @@ from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import RngStream, check_positive, check_tuning, read_csv_rows
+from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
+                   optional_float, read_csv_rows)
 from .errors import DomainError, NumericsError
 from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
                       panel_gauss_nodes, special)
@@ -56,6 +53,18 @@ def expint_Ei(x):
     return out if out.ndim else float(out)
 
 
+def _ei_of_sum(c, d):
+    """Ei(c + d), with the rounding error of c + d corrected to first order.
+    Ei(-a/2 - w) enters h2_tilde scaled by e^{a/2}, which amplifies the
+    rounding of its argument (at a=10, to ~1e-13 of max|h2_tilde|); the error
+    term of the sum (Knuth's TwoSum) removes it.
+    """
+    z = c + d
+    cd = z - c
+    dz = (c - (z - cd)) + (d - cd)
+    return special().expi(z) + dz * np.exp(z) / z
+
+
 def h2_tilde(u, v, a):
     """Second projection of the symmetrized pair-minimum kernel under Exp(1).
 
@@ -64,7 +73,7 @@ def h2_tilde(u, v, a):
 
     Each Ei whose argument extends the argument x of an e^x factor is taken
     as _ei_of_sum(-x, ...), so the pair sees one rounded x; the e^{a/2} group
-    is summed before it is scaled, as in _h2_tilde_half_grid.  Near the
+    is summed before it is scaled, because its terms cancel.  Near the
     origin at large a the O(1) terms still cancel to h2_tilde = O(1/a^3)
     (about 1e-12 relative at a = 10).
     """
@@ -93,8 +102,26 @@ def h2_tilde(u, v, a):
     )
 
 
+def min_pair_laplace(x, t):
+    """E e^{-2 t min(x, X)} for X ~ Exp(1)."""
+    q = 2.0 * t + 1.0
+    return (-np.expm1(-q * x)) / q + np.exp(-q * x)
+
+
+def phi1_tilde(x, t, a):
+    """First projection of the pair-minimum process kernel under Exp(1),
+    damped by e^{-at}: conditioning one argument of the symmetric kernel
+    (e^{-tx} + e^{-ty})/2 - e^{-2t min(x,y)} on X1 = x and centering."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    return np.exp(-a * t) * (0.5 * np.exp(-t * x) + 0.5 / (1.0 + t)
+                             - min_pair_laplace(x, t))
+
+
 def covariance_K(s, t, a):
-    """Covariance of the limiting Gaussian process of the supremum statistic."""
+    """Covariance of the limiting Gaussian process of the supremum statistic:
+    K(s, t; a) = E phi1_tilde(X, s, a) phi1_tilde(X, t, a) under Exp(1), the
+    Gram of the pair-minimum projection."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     num = s * t * (4 + 8 * s + 4 * s**2 + 8 * t + 15 * s * t
@@ -132,106 +159,9 @@ class EigenApproximation:
     matrix: np.ndarray
 
 
-def _ei_of_sum(c, d):
-    """Ei(c + d), with the rounding error of c + d corrected to first order.
-
-    Ei(-a/2 - w) enters h2_tilde scaled by e^{a/2}, which amplifies the
-    rounding of its argument (at a=10, to ~1e-13 of max|h2_tilde|); the error
-    term of the sum (Knuth's TwoSum) removes it.
-    """
-    z = c + d
-    cd = z - c
-    dz = (c - (z - cd)) + (d - cd)
-    return special().expi(z) + dz * np.exp(z) / z
-
-
-def _h2_tilde_half_grid(a: float, m: int, h: float, sq: np.ndarray,
-                        rows: int) -> np.ndarray:
-    """Weighted half of h2_tilde on the midpoint grid x_i = (i + 1/2)h.
-
-    Returns A with A + A^T = [h2_tilde(x_i, x_j) sq_i sq_j].  Every
-    two-argument term of h2_tilde depends on x_i + x_j = (i + j + 1)h or on
-    a + 2x_i + x_j = a + (2i + j + 3/2)h (or on its mirror, which A^T
-    carries); the other terms depend on one argument.  So
-
-        6 A_ij / (sq_i sq_j) = S[i+j] + r(x_i) + e^{a/2} (S3[i+j] - r3(x_i))
-                               - 2 e^{-x_i} F[2i+j] - e^{(a+x_j)/2} G[2i+j]
-
-    with 1-D tables S, S3 (length 2m+1), F, G (length 3m+1) and node terms
-    r, r3: O(m) expi calls in all.  The e^{a/2} group is summed before it is
-    scaled, because its terms cancel.  Row i of a table indexed by i+j is the
-    window S[i:i+m+1], and by 2i+j the window F[2i:2i+m+1], so row blocks are
-    filled from strided views with no index arrays.
-    """
-    e, expi = np.exp, special().expi
-    x = (np.arange(m + 1) + 0.5) * h
-    ea2 = e(a / 2)
-    w = np.arange(1, 2 * m + 2) * h                  # x_i + x_j, s = i + j
-    half_s = 0.5 * (3.0 - (4 - a) * e(a) * expi(-a) + 1.0 / (a + w)
-                    + e(-w) / (a + 2 * w) * (2 * a + 4 * (1 + w)))
-    half_s3 = 0.5 * ((a + 4) * expi(-a / 2)
-                     + (a + 4 + 2 * w) * _ei_of_sum(-a / 2, -w))
-    z = a + (np.arange(3 * m + 1) + 1.5) * h         # a + 2x_i + x_j, q = 2i + j
-    f, g = 1.0 / z, expi(-z / 2)
-    r = (e(a + x) * (4 * expi(-a - 2 * x) - expi(-a - x))
-         + e((a + x) / 2) * expi(-(a + x) / 2) - 2 * e(-x))
-    r3 = (4 + a + 2 * x) * _ei_of_sum(-a / 2, -x)
-    f_scale, g_scale, sq6 = -2 * e(-x), -e((a + x) / 2), sq / 6.0
-    s_rows = sliding_window_view(half_s, m + 1)
-    s3_rows = sliding_window_view(half_s3, m + 1)
-    f_rows = sliding_window_view(f, m + 1)[::2]
-    g_rows = sliding_window_view(g, m + 1)[::2]
-    out = np.empty((m + 1, m + 1))
-    tmp = np.empty((min(rows, m + 1), m + 1))
-    for r0 in range(0, m + 1, rows):
-        blk = out[r0:r0 + rows]
-        b = slice(r0, r0 + blk.shape[0])
-        t = tmp[:blk.shape[0]]
-        np.add(s_rows[b], r[b, None], out=blk)
-        np.subtract(s3_rows[b], r3[b, None], out=t)
-        t *= ea2
-        blk += t
-        blk += np.multiply(f_rows[b], f_scale[b, None], out=t)
-        blk += np.multiply(g_rows[b], g_scale, out=t)
-        blk *= sq6[b, None]
-        blk *= sq
-    return out
-
-
-def _add_transpose(mat: np.ndarray) -> np.ndarray:
-    """mat += mat.T in place, tile by tile, so the temporaries stay within
-    ELEMENT_BUDGET elements (numpy buffers a whole copy of an overlapping
-    mat.T).  Each pair of mirrored tiles gets the same sums, so the result
-    is exactly symmetric and equal to mat + mat.T bit for bit."""
-    n = mat.shape[0]
-    tile = math.isqrt(ELEMENT_BUDGET)
-    for i0 in range(0, n, tile):
-        for j0 in range(i0, n, tile):
-            upper = mat[i0:i0 + tile, j0:j0 + tile]
-            lower = mat[j0:j0 + tile, i0:i0 + tile]
-            both = upper + lower.T
-            upper[...] = both
-            lower[...] = both.T
-    return mat
-
-
-def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
-    """Discretize the kernel operator on L2(Exp(1)) by an (m+1)x(m+1) matrix.
-
-    Equal-width cells [Bi/m, B(i+1)/m) carry Exp(1) masses
-    p_i = e^{-Bi/m} - e^{-B(i+1)/m}; the kernel is evaluated at cell
-    midpoints (midpoint evaluation converges at second order, left endpoints
-    only at first), and the matrix is
-
-        m_ij = kernel(x_i, x_j; a) sqrt(p_i p_j) / (1 - e^{-B}),
-
-    built as A + A^T (_add_transpose), so exactly symmetric.  For the
-    default kernel, h2_tilde, A is read from 1-D tables indexed by i+j and
-    2i+j (O(m) expi calls; _h2_tilde_half_grid).  A custom `kernel` is
-    broadcast over the grid and A is half of it.  Either way A is filled in
-    blocks of ELEMENT_BUDGET // (m+1) full rows, so no (m+1)^2 temporaries
-    are built.
-    """
+def _grid_cells(m: int, B: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Midpoints x_i = (i + 1/2)B/m, i = 0..m, of equal-width cells, and
+    q_i = sqrt(p_i / (1 - e^{-B})) for the Exp(1) mass p_i of cell i."""
     if m < 100:
         raise DomainError("grid size m must be at least 100")
     if not (B > 0) or math.exp(-B) >= 1e-8:
@@ -239,35 +169,72 @@ def eigen_matrix(a: float, m: int, B: float, kernel=None) -> EigenApproximation:
     i = np.arange(m + 1, dtype=float)
     h = B / m
     p = np.exp(-i * h) - np.exp(-(i + 1) * h)
-    sq = np.sqrt(p / (-np.expm1(-B)))
+    return (i + 0.5) * h, np.sqrt(p / (-np.expm1(-B)))
+
+
+def eigen_matrix(a: float, m: int, B: float, kernel=h2_tilde) -> EigenApproximation:
+    """Discretize the kernel operator on L2(Exp(1)) by the (m+1)x(m+1)
+    matrix kernel(x_i, x_j; a) q_i q_j on the cell midpoints of _grid_cells
+    (second order; left endpoints would be first), broadcast in blocks of
+    ELEMENT_BUDGET // (m+1) rows, so no (m+1)^2 temporaries are built."""
+    check_tuning(a)
+    nodes, sq = _grid_cells(m, B)
     rows = max(1, ELEMENT_BUDGET // (m + 1))
-    if kernel is None:
-        mat = _h2_tilde_half_grid(a, m, h, sq, rows)
-    else:
-        nodes = (i + 0.5) * h
-        mat = np.empty((m + 1, m + 1))
-        for r0 in range(0, m + 1, rows):
-            r = slice(r0, r0 + rows)
-            mat[r] = (0.5 * kernel(nodes[r, None], nodes[None, :], a)
-                      * np.outer(sq[r], sq))
-    return EigenApproximation(a=a, m=m, B=B, matrix=_add_transpose(mat))
+    mat = np.empty((m + 1, m + 1))
+    for r0 in range(0, m + 1, rows):
+        r = slice(r0, r0 + rows)
+        mat[r] = kernel(nodes[r, None], nodes[None, :], a) * np.outer(sq[r], sq)
+    return EigenApproximation(a=a, m=m, B=B, matrix=mat)
 
 
 def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
-    """Largest eigenvalue of the discretized operator (Lanczos iteration for
-    the top eigenvalue only)."""
+    """Top eigenvalue of the discretized operator (numeric.largest_eigenvalue)."""
     return largest_eigenvalue(approx.matrix)
 
 
+DELTA1_LADDER = (4, 8, 16)  # Gauss points per t-panel of the delta1 ladder
 GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
 
 
+def covariance_t_nodes(a: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights on (0, inf) for functions of t damped like
+    e^{-at}: npts points on each of 23 geometrically graded panels between
+    1e-3 min(1, 1/a) and max(60/a, 4), plus the panel from 0."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-3 * min(1.0, 1.0 / a),
+                                                max(60.0 / a, 4.0), 24)])
+    return panel_gauss_nodes(edges, npts)
+
+
+def _t_operator_delta1(a: float, npts: int, gram) -> Tuple[int, float]:
+    """(node count, (2/3) lambda_max[e^{-a(s+t)/2} gram(t) sqrt(w_s w_t)]) on
+    the nodes (t, w) of covariance_t_nodes(a, npts), for a Gram matrix
+    gram(t) = [E phi(X, s) phi(X, t)] of the pair-minimum projection."""
+    t, w = covariance_t_nodes(a, npts)
+    sq = np.sqrt(w)
+    mat = np.exp(-(a / 2) * (t[:, None] + t[None, :])) * gram(t) * np.outer(sq, sq)
+    return t.size, 2.0 / 3.0 * largest_eigenvalue(mat)
+
+
+def _grid_delta1(a: float, m: int, B: float) -> float:
+    """delta1 on the equal-width grid (m, B): the Gram of phi under masses
+    q_i^2 at the x_i of _grid_cells, on the finest DELTA1_LADDER t-rule; the
+    top eigenvalue of eigen_matrix(a, m, B) to about 1e-13 relative."""
+    check_tuning(a)
+    x, q = _grid_cells(m, B)
+
+    def gram(t):
+        phi = phi1_tilde(x[:, None], t, 0.0) * q[:, None]
+        return phi.T @ phi
+
+    return _t_operator_delta1(a, DELTA1_LADDER[-1], gram)[1]
+
+
 def grid_ladder_delta1(a: float) -> Tuple[float, list]:
-    """delta1 by the equal-width matrix route over the GRID_RUNGS ladder, with
-    Richardson extrapolation of the second-order midpoint error.  Returns
-    (extrapolated delta1, [(m, B, delta1 of the rung), ...])."""
-    trace = [(m, B, matrix_largest_eigenvalue(eigen_matrix(a, m, B)))
-             for m, B in GRID_RUNGS]
+    """delta1 by the equal-width grid route (_grid_delta1) over the
+    GRID_RUNGS ladder, with Richardson extrapolation of the second-order
+    midpoint error.  Returns (extrapolated delta1,
+    [(m, B, delta1 of the rung), ...])."""
+    trace = [(m, B, _grid_delta1(a, m, B)) for m, B in GRID_RUNGS]
     # eliminate the h^2 term using the two finest rungs
     (m1, B1, d1), (m2, B2, d2) = trace[-2:]
     h1, h2 = B1 / m1, B2 / m2
@@ -282,47 +249,30 @@ class EigenDelta:
 
 
 def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
-    """Nystrom approximation of delta1 from h2_tilde, with Gauss-Legendre
-    nodes in the Exp(1) probability scale (u = 1 - e^{-x}).  It converges
-    only algebraically (x = -log(1 - u) is singular at u = 1), so it serves
-    as an x-side cross-check of largest_eigenvalue_delta1."""
+    """Nystrom delta1 from h2_tilde on Gauss-Legendre nodes in u = 1 - e^{-x},
+    an x-side check of largest_eigenvalue_delta1; it converges only
+    algebraically, as x = -log(1 - u) is singular at u = 1."""
+    check_tuning(a)
+    if n_nodes < 1:
+        raise DomainError(f"need at least 1 node, got {n_nodes}")
     x, w = exp_measure_nodes(n_nodes)
     mat = h2_tilde(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
     return largest_eigenvalue(mat)
-
-
-DELTA1_LADDER = (4, 8, 16)  # Gauss points per t-panel of the delta1 ladder
-
-
-def covariance_t_nodes(a: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on (0, inf) for functions of t damped like
-    e^{-at}: npts points on each of 23 geometrically graded panels between
-    1e-3 min(1, 1/a) and max(60/a, 4), plus the panel from 0."""
-    edges = np.concatenate([[0.0], np.geomspace(1e-3 * min(1.0, 1.0 / a),
-                                                max(60.0 / a, 4.0), 24)])
-    return panel_gauss_nodes(edges, npts)
 
 
 @lru_cache(maxsize=None)
 def largest_eigenvalue_delta1(a: float,
                               ladder: Sequence[int] = DELTA1_LADDER,
                               rel_tol: float = 1e-10) -> EigenDelta:
-    """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)).
-
-    delta1 = (2/3) lambda_max[K(t_i, t_j; a/2) sqrt(w_i w_j)] on the nodes of
-    covariance_t_nodes(a, npts), for each npts of the ladder; the trace
-    records (node count, estimate) per rung.  The two finest rungs must agree
-    within rel_tol relative; otherwise NumericsError is raised with the
-    trace.  Results are cached per argument list; failures are not.
-    """
+    """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)):
+    _t_operator_delta1 with the Exp(1) Gram K(s, t; 0), for each npts of the
+    ladder; the trace records (node count, estimate) per rung.  The two
+    finest rungs must agree within rel_tol relative; otherwise NumericsError
+    is raised with the trace.  Results are cached per argument list;
+    failures are not."""
     check_tuning(a)
-    trace = []
-    for npts in ladder:
-        t, w = covariance_t_nodes(a, npts)
-        sq = np.sqrt(w)
-        mat = covariance_K(t[:, None], t[None, :], a / 2) * np.outer(sq, sq)
-        trace.append((t.size, 2.0 / 3.0 * largest_eigenvalue(mat)))
-    trace = tuple(trace)
+    trace = tuple(_t_operator_delta1(a, npts, lambda t: covariance_K(t[:, None], t[None, :], 0.0))
+                  for npts in ladder)
     est = trace[-1][1]
     prev = trace[-2][1] if len(trace) > 1 else est
     if est <= 0 or abs(est - prev) > rel_tol * abs(est):
@@ -473,23 +423,19 @@ def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
 
 def load_calibrations(path) -> list:
     """Read a calibration CSV; files without the stream and key columns load
-    as stream 0 with an empty spawn key, files without another column raise
-    DomainError."""
+    as stream 0 with an empty spawn key, files without another column or
+    with a cell that does not parse raise DomainError (read_csv_rows)."""
     out: Dict[tuple, dict] = {}
-    for row in read_csv_rows(path, [c for c in CALIBRATION_COLUMNS
-                                    if c not in ("stream", "key")]):
-        a = float(row["a"]) if row["a"] else None
-        stat = StatisticId(row["statistic"], a)
-        seed = RngStream.from_csv_fields(row)
-        key = (stat, int(row["n"]), int(row["replicates"]), seed)
-        out.setdefault(key, {})[float(row["alpha"])] = (float(row["critical_value"]),
-                                                        float(row["se"]))
-    cals = []
-    for (stat, n, reps, seed), rec in out.items():
-        alphas = tuple(sorted(rec))
-        cals.append(NullCalibration(
-            statistic=stat, n=n, alphas=alphas,
-            critical_values={al: rec[al][0] for al in alphas},
-            standard_errors={al: rec[al][1] for al in alphas},
-            replicates=reps, seed=seed))
-    return cals
+    parsers = {"statistic": str, "a": optional_float, "n": int, "alpha": float,
+               "critical_value": float, "se": float, "replicates": int,
+               **STREAM_PARSERS}
+    for row in read_csv_rows(path, parsers, optional=("stream", "key")):
+        stat = StatisticId(row["statistic"], row["a"])
+        seed = RngStream(row["seed"], row["stream"], row["key"])
+        key = (stat, row["n"], row["replicates"], seed)
+        out.setdefault(key, {})[row["alpha"]] = (row["critical_value"], row["se"])
+    return [NullCalibration(statistic=stat, n=n, alphas=tuple(sorted(rec)),
+                            critical_values={al: rec[al][0] for al in sorted(rec)},
+                            standard_errors={al: rec[al][1] for al in sorted(rec)},
+                            replicates=reps, seed=seed)
+            for (stat, n, reps, seed), rec in out.items()]

@@ -13,7 +13,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream, check_positive, read_csv_rows
+from .core import (STREAM_PARSERS, RngStream, check_positive, optional_float,
+                   read_csv_rows)
 from .errors import DomainError
 from .families import get_family, sample_alternative
 from .nulldist import NullCalibration, _map_blocks
@@ -221,19 +222,19 @@ def write_power_table(path, cells: Sequence[PowerCell]) -> None:
 def load_power_table(path) -> list:
     """Read a power CSV back into PowerCells; files without the stream and
     key columns load as stream 0 with an empty spawn key, files without the
-    grid column as fixed-a cells; files without another column it reads
-    raise DomainError."""
+    grid column as fixed-a cells; files without another column it reads or
+    with a cell that does not parse raise DomainError (read_csv_rows)."""
+    parsers = {"statistic": str, "a": optional_float,
+               "grid": lambda text: tuple(map(float, text.split())) or None,
+               "family": str, "theta": optional_float, "n": int, "alpha": float,
+               "power": float, "se": float, "replicates": int, **STREAM_PARSERS}
     cells = []
-    columns = [c for c in POWER_COLUMNS if c not in ("grid", "stream", "key", "percent")]
-    for row in read_csv_rows(path, columns):
-        grid = tuple(map(float, row.get("grid", "").split())) or None
-        a = float(row["a"]) if row["a"] else (grid[0] if grid else None)
+    for row in read_csv_rows(path, parsers, optional=("grid", "stream", "key")):
+        grid = row["grid"]
+        a = row["a"] if row["a"] is not None else (grid[0] if grid else None)
         cells.append(PowerCell(
-            statistic=StatisticId(row["statistic"], a),
-            family=row["family"],
-            theta=float(row["theta"]) if row["theta"] else None,
-            n=int(row["n"]), alpha=float(row["alpha"]),
-            replicates=int(row["replicates"]), power=float(row["power"]),
-            mc_se=float(row["se"]), seed=RngStream.from_csv_fields(row),
-            grid=grid))
+            statistic=StatisticId(row["statistic"], a), family=row["family"],
+            theta=row["theta"], n=row["n"], alpha=row["alpha"],
+            replicates=row["replicates"], power=row["power"], mc_se=row["se"],
+            seed=RngStream(row["seed"], row["stream"], row["key"]), grid=grid))
     return cells

@@ -53,7 +53,8 @@ from .errors import DomainError
 from .families import get_family
 from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
                       panel_gauss_below, panel_gauss_nodes, special)
-from .nulldist import covariance_K, largest_eigenvalue_delta1, sup_variance
+from .nulldist import (covariance_K, largest_eigenvalue_delta1, min_pair_laplace,
+                       phi1_tilde, sup_variance)
 from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
 
 EFFICIENCY_SLACK = 1.02
@@ -117,22 +118,6 @@ def lrt_local_coefficient(family) -> float:
 # ---------------------------------------------------------------------------
 # Projections
 # ---------------------------------------------------------------------------
-
-def min_pair_laplace(x, t):
-    """E e^{-2 t min(x, X)} for X ~ Exp(1)."""
-    q = 2.0 * t + 1.0
-    return (-np.expm1(-q * x)) / q + np.exp(-q * x)
-
-
-def phi1_tilde(x, t, a):
-    """First projection of the pair-minimum process kernel under Exp(1),
-    damped by e^{-at}: conditioning one argument of the symmetric kernel
-    (e^{-tx} + e^{-ty})/2 - e^{-2t min(x,y)} on X1 = x and centering."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return np.exp(-a * t) * (0.5 * np.exp(-t * x) + 0.5 / (1.0 + t)
-                             - min_pair_laplace(x, t))
-
 
 def psi_JD(x, a):
     """Projection of the pair-minimum first-order kernel under Exp(1)."""

@@ -224,6 +224,24 @@ class TestFileErrors:
         assert out == ""
         self._check(code, err, str(path), "'seed'")
 
+    CAL_HEADER = "statistic,a,n,alpha,critical_value,se,replicates,seed,stream,key\n"
+
+    def test_calibration_cell_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "cal.csv"
+        path.write_text(self.CAL_HEADER
+                        + "MD,1.0,15,0.05,0.0123,0.0021794494717703367,10000,7,0,\n"
+                        + "MD,1.0,15,0.01,abc,0.0009949874371066199,10000,7,0,\n")
+        code, out, err = run(self.POWER + ["--input", str(path)], capsys)
+        assert out == ""
+        self._check(code, err, f"{path}:3: column 'critical_value'", "'abc'")
+
+    def test_short_calibration_row(self, tmp_path, capsys):
+        path = tmp_path / "cal.csv"
+        path.write_text(self.CAL_HEADER + "MD,1.0,15,0.05,0.0123\n")
+        code, out, err = run(self.POWER + ["--input", str(path)], capsys)
+        assert out == ""
+        self._check(code, err, f"{path}:2: column 'se'")
+
 
 class TestEfficiencySubcommand:
     def test_reports_rows(self, capsys):
@@ -277,7 +295,7 @@ class TestEigenSubcommand:
                            capsys)
         assert code == 0
         rows = json.loads(out)
-        for a in ("0.5", "1"):
+        for a in ("0.5", "1.0"):
             by = {r["method"]: float(r["delta1"]) for r in rows if r["a"] == a}
             extr, final = by["grid-extrapolated"], by["final"]
             assert by["route-disagreement"] == abs(extr - final) / final

@@ -52,6 +52,18 @@ for family, theta in (("weibull", 0.4), ("emnw", 0.5), ("uniform", None), ("logn
     assert _loaded_after(code) == ""
 
 
+def test_eigen_command_loads_no_scipy():
+    # both delta1 routes of `exptests eigen` are numpy: the primary t-panel
+    # ladder and the grid route's Gram of the pair-minimum projection
+    code = """
+import contextlib, io
+from exptests.cli import run_command
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run_command(["eigen", "--a", "0.5,1"]) == 0
+"""
+    assert _loaded_after(code) == ""
+
+
 def test_efficiency_path_defers_integrate_and_arpack():
     # the JD slope takes Ei and delta1 takes a top eigenvalue: neither loads
     # quadrature or ARPACK (scipy.special is used, and may be loaded)

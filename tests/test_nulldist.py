@@ -7,12 +7,13 @@ from scipy import integrate
 from exptests import nulldist
 from exptests.core import RngStream
 from exptests.errors import DomainError, NumericsError
-from exptests.nulldist import (CALIBRATION_COLUMNS, calibrate_critical_value,
-                               covariance_K, eigen_matrix, expint_Ei,
+from exptests.nulldist import (CALIBRATION_COLUMNS, DELTA1_LADDER,
+                               calibrate_critical_value, covariance_K,
+                               covariance_t_nodes, eigen_matrix, expint_Ei,
                                gl_nystrom_delta1, grid_ladder_delta1, h2_tilde,
                                largest_eigenvalue_delta1, load_calibrations,
                                matrix_largest_eigenvalue, null_p_value,
-                               p_value_mc,
+                               p_value_mc, phi1_tilde,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
 from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
@@ -163,26 +164,32 @@ class TestEigenMachinery:
         m, B = 2000, 30.0
         nodes, sq = _grid(m, B)
         full = h2_tilde(nodes[:, None], nodes[None, :], 1.0) * np.outer(sq, sq)
-        full = 0.5 * (full + full.T)
-        got = eigen_matrix(1.0, m, B, kernel=h2_tilde).matrix
+        got = eigen_matrix(1.0, m, B).matrix
         assert got.tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("B", [25.0, 30.0])
-    @pytest.mark.parametrize("m", [100, 777, 2000])  # 777: short last row block
+    @pytest.mark.parametrize("m", [100, 777, 2000])
     @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 10.0])
     def test_default_kernel_matches_broadcast(self, a, m, B):
-        # the index-sum build against the row-block broadcast of h2_tilde,
-        # entrywise in the kernel's scale: |diff| / (sq_i sq_j) <= 1e-13 max|h2|
+        # the grid matrix of the closed-form h2_tilde against the broadcast of
+        # its factorization (2/3) sum_k w_k e^{-a t_k} phi(x_i, t_k) phi(x_j, t_k)
+        # on the finest delta1 t-rule, entrywise in the kernel's scale:
+        # |diff| / (sq_i sq_j) <= 2e-13 max|h2| (7.5e-14 measured)
         nodes, sq = _grid(m, B)
-        h2_max = np.abs(h2_tilde(nodes[:, None], nodes[None, :], a)).max()
+        t, w = covariance_t_nodes(a, DELTA1_LADDER[-1])
+        phi = phi1_tilde(nodes[:, None], t, 0.0) * sq[:, None]
+        ref = 2.0 / 3.0 * (phi * (w * np.exp(-a * t))) @ phi.T
         got = eigen_matrix(a, m, B).matrix
-        ref = eigen_matrix(a, m, B, kernel=h2_tilde).matrix
-        assert np.all(np.abs(got - ref) <= 1e-13 * h2_max * np.outer(sq, sq))
+        h2_max = np.abs(got / np.outer(sq, sq)).max()
+        assert np.all(np.abs(got - ref) <= 2e-13 * h2_max * np.outer(sq, sq))
 
-    @pytest.mark.parametrize("a", [0.2, 10.0])
-    def test_default_kernel_exactly_symmetric(self, a):
-        mat = eigen_matrix(a, 777, 30.0).matrix
-        assert np.array_equal(mat, mat.T)
+    @pytest.mark.parametrize("m, B", [(100, 25.0), (500, 25.0), (777, 30.0)])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    def test_phi_gram_rung_matches_grid_matrix(self, a, m, B):
+        # a grid rung is the t-operator of the Gram of phi on the grid; it
+        # must give the top eigenvalue of the grid matrix of h2_tilde itself
+        ref = matrix_largest_eigenvalue(eigen_matrix(a, m, B))
+        assert abs(nulldist._grid_delta1(a, m, B) - ref) < 1e-12 * ref
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -237,6 +244,18 @@ class TestEigenMachinery:
     def test_invalid_a(self):
         with pytest.raises(DomainError):
             largest_eigenvalue_delta1(-1.0)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf])
+    def test_every_route_rejects_invalid_a(self, a):
+        for route in (grid_ladder_delta1, lambda a: gl_nystrom_delta1(a, 50),
+                      lambda a: eigen_matrix(a, 100, 25.0)):
+            with pytest.raises(DomainError, match="positive finite"):
+                route(a)
+
+    @pytest.mark.parametrize("n_nodes", [0, -3])
+    def test_gauss_legendre_route_needs_a_node(self, n_nodes):
+        with pytest.raises(DomainError, match="node"):
+            gl_nystrom_delta1(1.0, n_nodes)
 
 
 class TestTailCoefficient:

@@ -287,3 +287,18 @@ class TestPowerTables:
         with pytest.raises(DomainError) as info:
             load_power_table(path)
         assert str(info.value) == f"{path}: no 'seed' column"
+
+    @pytest.mark.parametrize("row, column", [
+        ("MD,1,,gamma,1.0,20,0.05,half,0.01,2000,7,0,,50", "power"),
+        ("MD,,0.5 x,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50", "grid"),
+        ("MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,1:b,50", "key"),
+        ("MD,1,,gamma,1.0,20", "alpha"),
+    ])
+    def test_cell_that_does_not_parse_is_a_domain_error(self, tmp_path, row, column):
+        # the good row on line 2 loads; the error names file, line and column
+        path = tmp_path / "power.csv"
+        good = "MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50"
+        path.write_text(",".join(POWER_COLUMNS) + "\n" + good + "\n" + row + "\n")
+        with pytest.raises(DomainError) as info:
+            load_power_table(path)
+        assert str(info.value).startswith(f"{path}:3: column {column!r}: ")
