@@ -106,12 +106,9 @@ def _cmd_power(args):
     cells = []
     for a in _parse_a_list(args.a):
         stat = StatisticId(args.stat, a)
-        cal = None
         if args.input:
-            for loaded in nulldist.load_calibrations(args.input):
-                if loaded.statistic == stat and loaded.n == args.n:
-                    cal = loaded
-                    break
+            cal = next((c for c in nulldist.load_calibrations(args.input)
+                        if c.statistic == stat and c.n == args.n), None)
             if cal is None:
                 raise DomainError(f"--input {args.input} has no calibration for "
                                   f"{stat.label()} at n={args.n}")

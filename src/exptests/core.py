@@ -151,13 +151,14 @@ def optional_float(text: str):
     return float(text) if text else None
 
 
-def read_csv_rows(path, parsers, optional=()) -> list:
-    """The rows of a CSV file as dicts of their cells in the columns of
-    `parsers`, each parsed by its column's parser.  A column in `optional`
-    may be missing from the header; its cells then read as empty.
-    DomainError names the file and the first other column that the header
-    lacks, or the file, line and column of a cell that is missing (a short
-    row) or that its parser rejects."""
+def read_csv_rows(path, parsers, make, optional=()) -> list:
+    """[make(row) for each row of a CSV file], the row a dict of its cells in
+    the columns of `parsers`, each parsed by its column's parser.  A column
+    in `optional` may be missing from the header; its cells then read as
+    empty.  DomainError names the file and the first other column that the
+    header lacks, the file, line and column of a cell that is missing (a
+    short row) or that its parser rejects, or the file and line of a
+    DomainError of make(row) (a cell that parses but is out of range)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in parsers
@@ -166,12 +167,18 @@ def read_csv_rows(path, parsers, optional=()) -> list:
             raise DomainError(f"{path}: no {missing[0]!r} column")
 
         def cell(row, column):
-            text, where = row.get(column, ""), f"{path}:{reader.line_num}: column {column!r}"
+            text = row.get(column, "")
             if text is None:
-                raise DomainError(f"{where}: the row has no such cell")
+                raise DomainError(f"column {column!r}: the row has no such cell")
             try:
                 return parsers[column](text)
             except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from None
+                raise DomainError(f"column {column!r}: {exc}") from None
 
-        return [{column: cell(row, column) for column in parsers} for row in reader]
+        def build(row):
+            try:
+                return make({column: cell(row, column) for column in parsers})
+            except DomainError as exc:
+                raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+
+        return [build(row) for row in reader]

@@ -12,11 +12,12 @@ Contents:
   L2(Exp(1)).  As h2_tilde(u, v; a) = (2/3) int_0^inf e^{-at} phi(u, t)
   phi(v, t) dt with phi = phi1_tilde(., ., 0), delta1 is 2/3 of the top
   eigenvalue of the t-operator e^{-a(s+t)/2} G(s, t) for a Gram G of phi,
-  on graded Gauss t-panels (_t_operator_delta1).  The primary route takes
-  the Exp(1) Gram K(s, t; 0), which needs no Ei; the check route
-  (grid_ladder_delta1) takes the midpoint Gram of the equal-width grid on
-  which eigen_matrix discretizes any kernel; gl_nystrom_delta1 is an x-side
-  check.  The top eigenvalue comes from numeric.largest_eigenvalue;
+  on numeric.t_rule, the graded Gauss t-panels of every L2 slope
+  (_t_operator_delta1).  The primary route takes the Exp(1) Gram
+  K(s, t; 0), which needs no Ei; the check route (grid_ladder_delta1) takes
+  the midpoint Gram of the equal-width grid on which eigen_matrix
+  discretizes any kernel; gl_nystrom_delta1 is an x-side check.  The top
+  eigenvalue comes from numeric.largest_eigenvalue;
 * Monte Carlo calibration of critical values and p-values.
 """
 
@@ -35,7 +36,7 @@ from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
                    optional_float, read_csv_rows)
 from .errors import DomainError, NumericsError
 from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
-                      panel_gauss_nodes, special)
+                      special, t_rule)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
 
@@ -192,27 +193,18 @@ def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
     return largest_eigenvalue(approx.matrix)
 
 
-DELTA1_LADDER = (4, 8, 16)  # Gauss points per t-panel of the delta1 ladder
+DELTA1_LADDER = (2, 5, 8)  # Gauss points per t-panel of the delta1 ladder
 GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
 
 
-def covariance_t_nodes(a: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights on (0, inf) for functions of t damped like
-    e^{-at}: npts points on each of 23 geometrically graded panels between
-    1e-3 min(1, 1/a) and max(60/a, 4), plus the panel from 0."""
-    edges = np.concatenate([[0.0], np.geomspace(1e-3 * min(1.0, 1.0 / a),
-                                                max(60.0 / a, 4.0), 24)])
-    return panel_gauss_nodes(edges, npts)
-
-
 def _t_operator_delta1(a: float, npts: int, gram) -> Tuple[int, float]:
-    """(node count, (2/3) lambda_max[e^{-a(s+t)/2} gram(t) sqrt(w_s w_t)]) on
-    the nodes (t, w) of covariance_t_nodes(a, npts), for a Gram matrix
-    gram(t) = [E phi(X, s) phi(X, t)] of the pair-minimum projection."""
-    t, w = covariance_t_nodes(a, npts)
-    sq = np.sqrt(w)
-    mat = np.exp(-(a / 2) * (t[:, None] + t[None, :])) * gram(t) * np.outer(sq, sq)
-    return t.size, 2.0 / 3.0 * largest_eigenvalue(mat)
+    """(node count, (2/3) lambda_max[gram(t) sqrt(m_s m_t)]) on the nodes t and
+    masses m (weights times e^{-at}) of numeric.t_rule("exp", a, npts), the
+    t-rule of every L2 slope, for a Gram gram(t) = [E phi(X, s) phi(X, t)] of
+    the pair-minimum projection; with K(s, t; 0), lambda1/6 of slopes' MD."""
+    t, mass = t_rule("exp", a, npts)
+    sq = np.sqrt(mass)
+    return t.size, 2.0 / 3.0 * largest_eigenvalue(gram(t) * np.outer(sq, sq))
 
 
 def _grid_delta1(a: float, m: int, B: float) -> float:
@@ -424,15 +416,18 @@ def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
 def load_calibrations(path) -> list:
     """Read a calibration CSV; files without the stream and key columns load
     as stream 0 with an empty spawn key, files without another column or
-    with a cell that does not parse raise DomainError (read_csv_rows)."""
+    with a cell that does not parse or is out of range raise DomainError
+    (read_csv_rows)."""
     out: Dict[tuple, dict] = {}
     parsers = {"statistic": str, "a": optional_float, "n": int, "alpha": float,
                "critical_value": float, "se": float, "replicates": int,
                **STREAM_PARSERS}
-    for row in read_csv_rows(path, parsers, optional=("stream", "key")):
-        stat = StatisticId(row["statistic"], row["a"])
-        seed = RngStream(row["seed"], row["stream"], row["key"])
-        key = (stat, row["n"], row["replicates"], seed)
+
+    def keyed(row):
+        return (StatisticId(row["statistic"], row["a"]), row["n"], row["replicates"],
+                RngStream(row["seed"], row["stream"], row["key"])), row
+
+    for key, row in read_csv_rows(path, parsers, keyed, optional=("stream", "key")):
         out.setdefault(key, {})[row["alpha"]] = (row["critical_value"], row["se"])
     return [NullCalibration(statistic=stat, n=n, alphas=tuple(sorted(rec)),
                             critical_values={al: rec[al][0] for al in sorted(rec)},

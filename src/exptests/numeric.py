@@ -1,9 +1,11 @@
-"""Shared numerical helpers: quadrature grids, 1-D maximization, the largest
-eigenvalue of a symmetric matrix, scaled Ei, and scipy.special on first use."""
+"""Shared numerical helpers: quadrature grids, among them the graded t-rule of
+every covariance operator (t_rule), 1-D maximization, the largest eigenvalue
+of a symmetric matrix, scaled Ei, and scipy.special on first use."""
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +20,35 @@ def panel_gauss_nodes(edges, npts):
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1, None], edges[1:, None]
     return (0.5 * (hi - lo) * g + 0.5 * (hi + lo)).ravel(), (0.5 * (hi - lo) * gw).ravel()
+
+
+T_PANELS = 56  # panels of t_rule
+WEIGHT_KEPT = math.exp(-36.0)  # t_rule ends where its weight falls below this
+T_WEIGHTS = {
+    # kind -> (weight w(t, a), the scale of t on which w decays)
+    "exp": (lambda t, a: np.exp(-a * t), lambda a: a),
+    "gauss": (lambda t, a: np.exp(-a * t * t), math.sqrt),
+    "cvm": (lambda t, a: np.exp(-t), lambda a: 1.0),
+    "ad": (lambda t, a: 1.0 / -np.expm1(-t), lambda a: 1.0),
+}
+
+
+@lru_cache(maxsize=None)
+def t_rule(kind: str, a, npts: int):
+    """(t, Gauss weights times w(t, a)) on (0, inf), npts points per panel,
+    for the weight w of T_WEIGHTS[kind] and its t-scale 1/scale: the panel
+    [0, 1e-4 min(1, 1/scale)] holds the drift's t log t (weibull, gamma), and
+    T_PANELS - 1 geometric panels up to max(100, 60/scale) resolve HM's
+    covariance, a ridge of unit width.  The rule ends at the last node where
+    w (decreasing in t) is at least WEIGHT_KEPT.  Cached, so read-only."""
+    weight, scale = T_WEIGHTS[kind]
+    s = scale(a)
+    edges = np.geomspace(1e-4 * min(1.0, 1.0 / s), max(100.0, 60.0 / s), T_PANELS)
+    t, wt = panel_gauss_nodes(np.r_[0.0, edges], npts)
+    w = weight(t, a)
+    t, mass = t[w >= WEIGHT_KEPT], (wt * w)[w >= WEIGHT_KEPT]
+    t.flags.writeable = mass.flags.writeable = False
+    return t, mass
 
 
 def panel_gauss_below(npts, panels):

@@ -191,50 +191,47 @@ def power_table_rows(cells: Sequence[PowerCell]):
     """One row per cell, keyed by POWER_COLUMNS.  The RngStream is written
     whole (RngStream.csv_fields), so load_power_table gives the cell back.
     A data-driven cell has an empty `a` and its space-separated `grid`."""
-    rows = []
-    for c in cells:
-        rows.append({
-            "statistic": c.statistic.name,
-            "a": ("" if c.statistic.a is None or c.grid is not None
-                  else repr(float(c.statistic.a))),
-            "grid": "" if c.grid is None else " ".join(map(repr, c.grid)),
-            "family": c.family,
-            "theta": "" if c.theta is None else repr(float(c.theta)),
-            "n": c.n,
-            "alpha": repr(float(c.alpha)),
-            "power": repr(float(c.power)),
-            "se": repr(float(c.mc_se)),
-            "replicates": c.replicates,
-            **c.seed.csv_fields(),
-            "percent": int(round(100.0 * c.power)),
-        })
-    return rows
+    return [{"statistic": c.statistic.name,
+             "a": ("" if c.statistic.a is None or c.grid is not None
+                   else repr(float(c.statistic.a))),
+             "grid": "" if c.grid is None else " ".join(map(repr, c.grid)),
+             "family": c.family,
+             "theta": "" if c.theta is None else repr(float(c.theta)),
+             "n": c.n,
+             "alpha": repr(float(c.alpha)),
+             "power": repr(float(c.power)),
+             "se": repr(float(c.mc_se)),
+             "replicates": c.replicates,
+             **c.seed.csv_fields(),
+             "percent": int(round(100.0 * c.power))}
+            for c in cells]
 
 
 def write_power_table(path, cells: Sequence[PowerCell]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=POWER_COLUMNS)
         writer.writeheader()
-        for row in power_table_rows(cells):
-            writer.writerow(row)
+        writer.writerows(power_table_rows(cells))
 
 
 def load_power_table(path) -> list:
     """Read a power CSV back into PowerCells; files without the stream and
     key columns load as stream 0 with an empty spawn key, files without the
     grid column as fixed-a cells; files without another column it reads or
-    with a cell that does not parse raise DomainError (read_csv_rows)."""
+    with a cell that does not parse or is out of range raise DomainError
+    (read_csv_rows)."""
     parsers = {"statistic": str, "a": optional_float,
                "grid": lambda text: tuple(map(float, text.split())) or None,
                "family": str, "theta": optional_float, "n": int, "alpha": float,
                "power": float, "se": float, "replicates": int, **STREAM_PARSERS}
-    cells = []
-    for row in read_csv_rows(path, parsers, optional=("grid", "stream", "key")):
+
+    def cell(row):
         grid = row["grid"]
         a = row["a"] if row["a"] is not None else (grid[0] if grid else None)
-        cells.append(PowerCell(
+        return PowerCell(
             statistic=StatisticId(row["statistic"], a), family=row["family"],
             theta=row["theta"], n=row["n"], alpha=row["alpha"],
             replicates=row["replicates"], power=row["power"], mc_se=row["se"],
-            seed=RngStream(row["seed"], row["stream"], row["key"]), grid=grid))
-    return cells
+            seed=RngStream(row["seed"], row["stream"], row["key"]), grid=grid)
+
+    return read_csv_rows(path, parsers, cell, optional=("grid", "stream", "key"))

@@ -52,9 +52,8 @@ import numpy as np
 from .errors import DomainError
 from .families import get_family
 from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
-                      panel_gauss_below, panel_gauss_nodes, special)
-from .nulldist import (covariance_K, largest_eigenvalue_delta1, min_pair_laplace,
-                       phi1_tilde, sup_variance)
+                      panel_gauss_below, panel_gauss_nodes, special, t_rule)
+from .nulldist import covariance_K, largest_eigenvalue_delta1, phi1_tilde, sup_variance
 from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
 
 EFFICIENCY_SLACK = 1.02
@@ -206,43 +205,18 @@ _SLOPES = {
     "MP": ("slope_L2_family", _proj_mp, None, "exp"),
 }
 
-_WEIGHTS = {
-    # kind -> (weight w(t, a), the scale of t on which w decays)
-    "exp": (lambda t, a: np.exp(-a * t), lambda a: a),
-    "gauss": (lambda t, a: np.exp(-a * t * t), math.sqrt),
-    "cvm": (lambda t, a: np.exp(-t), lambda a: 1.0),
-    "ad": (lambda t, a: 1.0 / -np.expm1(-t), lambda a: 1.0),
-}
-
-
 # ---------------------------------------------------------------------------
 # Drifts and covariances on the x-rule and the t-rules
 # ---------------------------------------------------------------------------
 
-T_PANELS = 56  # panels of _t_rule
 EIGEN_POINTS, DRIFT_POINTS = 20, 8  # Gauss points per panel for lambda1, drift
-WEIGHT_KEPT = math.exp(-36.0)  # the t-rules end where the weight falls below this
 HM_STEP = 0.9  # largest x-step of HM times the largest t the weight keeps
 
 
-@lru_cache(maxsize=None)
-def _t_rule(scale: float, npts: int):
-    """Gauss nodes and weights on (0, inf), npts per panel, for a weight that
-    decays on the t-scale 1/scale: the panel [0, 1e-4 min(1, 1/scale)] holds
-    the drift's t log t (weibull, gamma), and T_PANELS - 1 geometric panels up
-    to max(100, 60/scale) resolve HM's covariance, a ridge of unit width."""
-    edges = np.concatenate([[0.0], np.geomspace(1e-4 * min(1.0, 1.0 / scale),
-                                                max(100.0, 60.0 / scale), T_PANELS)])
-    return panel_gauss_nodes(edges, npts)
-
-
 def _l2_t_rule(name: str, a: Optional[float], npts: int):
-    """(t, weights of the t-rule times w(t, a)) of an L2 member, up to the
-    last node where w(t, a) is at least WEIGHT_KEPT (w decreases in t)."""
-    weight, scale = _WEIGHTS[_SLOPES[name][3]]
-    t, wt = _t_rule(scale(a), npts)
-    w = weight(t, a)
-    return t[w >= WEIGHT_KEPT], (wt * w)[w >= WEIGHT_KEPT]
+    """(t, weights times w(t, a)) of an L2 member: numeric.t_rule of its weight
+    kind, the one t-rule here and of nulldist's delta1."""
+    return t_rule(_SLOPES[name][3], a, npts)
 
 
 def _x_step(name: str, a: Optional[float]) -> float:
@@ -297,12 +271,13 @@ def _cov_edf(t, below):
 
 @lru_cache(maxsize=None)
 def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
-    """lambda1: top eigenvalue of K on L2(w dt) by Nystrom on _t_rule; K is the
+    """lambda1: top eigenvalue of K on L2(w dt) by Nystrom on _l2_t_rule; K is the
     closed form, the EDF covariance, or (MP) the Gram of f~ on the x-rule."""
     _, proj, cov, _ = _SLOPES[name]
     t, mass = _l2_t_rule(name, a, EIGEN_POINTS)
     if proj is None:
-        mat = _cov_edf(t, panel_gauss_below(EIGEN_POINTS, T_PANELS)[:t.size, :t.size])
+        below = panel_gauss_below(EIGEN_POINTS, t.size // EIGEN_POINTS + 1)
+        mat = _cov_edf(t, below[:t.size, :t.size])
     elif cov is None:
         x, w = _x_rule(_x_step(name, a))
         f = _influence(proj, a, t, x, w)
@@ -425,8 +400,5 @@ def efficiency_rows(reports) -> list:
 
 def efficiency_curve(stat_name: str, family, a_grid):
     """Efficiencies of a tuned statistic over a grid of tuning parameters."""
-    out = []
-    for a in a_grid:
-        rep = efficiency(StatisticId(stat_name, float(a)), family)
-        out.append((float(a), rep.efficiency))
-    return out
+    return [(float(a), efficiency(StatisticId(stat_name, float(a)), family).efficiency)
+            for a in a_grid]

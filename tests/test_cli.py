@@ -242,6 +242,21 @@ class TestFileErrors:
         assert out == ""
         self._check(code, err, f"{path}:2: column 'se'")
 
+    @pytest.mark.parametrize("row, words", [
+        ("MD,1.0,15,0.01,0.02,0.0009949874371066199,10000,-4,0,", ("non-negative ints",)),
+        ("MD,-1.0,15,0.01,0.02,0.0009949874371066199,10000,7,0,", ("tuning parameter a", "-1.0")),
+        ("XY,1.0,15,0.01,0.02,0.0009949874371066199,10000,7,0,", ("unknown statistic", "'XY'")),
+    ])
+    def test_calibration_cell_out_of_range(self, tmp_path, capsys, row, words):
+        # a cell that parses but that the row's object rejects is named by line
+        path = tmp_path / "cal.csv"
+        path.write_text(self.CAL_HEADER
+                        + "MD,1.0,15,0.05,0.0123,0.0021794494717703367,10000,7,0,\n"
+                        + row + "\n")
+        code, out, err = run(self.POWER + ["--input", str(path)], capsys)
+        assert out == ""
+        self._check(code, err, f"{path}:3: ", *words)
+
 
 class TestEfficiencySubcommand:
     def test_reports_rows(self, capsys):

@@ -9,15 +9,15 @@ from exptests.core import RngStream
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import (CALIBRATION_COLUMNS, DELTA1_LADDER,
                                calibrate_critical_value, covariance_K,
-                               covariance_t_nodes, eigen_matrix, expint_Ei,
+                               eigen_matrix, expint_Ei,
                                gl_nystrom_delta1, grid_ladder_delta1, h2_tilde,
                                largest_eigenvalue_delta1, load_calibrations,
                                matrix_largest_eigenvalue, null_p_value,
                                p_value_mc, phi1_tilde,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
-from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
-from exptests.slopes import efficiency
+from exptests.numeric import largest_eigenvalue, panel_gauss_nodes, t_rule
+from exptests.slopes import _l2_operator_eigenvalue, efficiency
 from exptests.statistics import StatisticId
 
 from oracles import h2_tilde_mpmath
@@ -174,11 +174,11 @@ class TestEigenMachinery:
         # the grid matrix of the closed-form h2_tilde against the broadcast of
         # its factorization (2/3) sum_k w_k e^{-a t_k} phi(x_i, t_k) phi(x_j, t_k)
         # on the finest delta1 t-rule, entrywise in the kernel's scale:
-        # |diff| / (sq_i sq_j) <= 2e-13 max|h2| (7.5e-14 measured)
+        # |diff| / (sq_i sq_j) <= 2e-13 max|h2| (8.9e-14 measured)
         nodes, sq = _grid(m, B)
-        t, w = covariance_t_nodes(a, DELTA1_LADDER[-1])
+        t, mass = t_rule("exp", a, DELTA1_LADDER[-1])
         phi = phi1_tilde(nodes[:, None], t, 0.0) * sq[:, None]
-        ref = 2.0 / 3.0 * (phi * (w * np.exp(-a * t))) @ phi.T
+        ref = 2.0 / 3.0 * (phi * mass) @ phi.T
         got = eigen_matrix(a, m, B).matrix
         h2_max = np.abs(got / np.outer(sq, sq)).max()
         assert np.all(np.abs(got - ref) <= 2e-13 * h2_max * np.outer(sq, sq))
@@ -197,10 +197,17 @@ class TestEigenMachinery:
         with pytest.raises(DomainError):
             eigen_matrix(1.0, 200, 5.0)
 
-    @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
+    @pytest.mark.parametrize("a", sorted(DELTA1))
     def test_frozen_delta1(self, a):
         est = largest_eigenvalue_delta1(a).delta1
         assert abs(est - DELTA1[a]) < 1e-9 * DELTA1[a]
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_delta1_is_the_md_slope_operator(self, a):
+        # nMD converges to 6 sum delta_k W_k^2: lambda1 of the slope table's
+        # MD operator 4 K(s, t; 0) on L2(e^{-at} dt), at its own points per panel
+        lam = _l2_operator_eigenvalue("MD", a)
+        assert abs(6.0 * largest_eigenvalue_delta1(a).delta1 - lam) < 1e-13 * lam
 
     @pytest.mark.parametrize("a", sorted(DELTA1))
     def test_matches_graded_x_panel_nystrom(self, a):

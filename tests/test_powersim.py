@@ -302,3 +302,18 @@ class TestPowerTables:
         with pytest.raises(DomainError) as info:
             load_power_table(path)
         assert str(info.value).startswith(f"{path}:3: column {column!r}: ")
+
+    @pytest.mark.parametrize("row, words", [
+        ("MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,-4,0,,50", "non-negative ints"),
+        ("MD,-1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50", "tuning parameter a"),
+        ("XY,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50", "unknown statistic"),
+    ])
+    def test_cell_out_of_range_names_its_line(self, tmp_path, row, words):
+        # a cell that parses but that the row's object rejects
+        path = tmp_path / "power.csv"
+        good = "MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50"
+        path.write_text(",".join(POWER_COLUMNS) + "\n" + good + "\n" + row + "\n")
+        with pytest.raises(DomainError) as info:
+            load_power_table(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+        assert words in str(info.value)

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from exptests import slopes
+from exptests import numeric, slopes
 from exptests.errors import DomainError
 from exptests.families import LOCAL_FAMILIES, get_family
-from exptests.nulldist import covariance_K, h2_tilde, largest_eigenvalue_delta1
+from exptests.nulldist import (covariance_K, h2_tilde, largest_eigenvalue_delta1,
+                               min_pair_laplace)
 from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
 from exptests.slopes import (EFFICIENCY_SLACK, LRT_STEP, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
-                             min_pair_laplace, phi1_tilde, psi_JD, psi_JP,
-                             slope_coefficient)
+                             phi1_tilde, psi_JD, psi_JP, slope_coefficient)
 from exptests.statistics import (ALL_STATISTICS, TUNED_STATISTICS, StatisticId,
                                  kernel_w)
 from oracles import (edf_eigenvalue, edf_weibull_numerator, graded_halfline_grid,
@@ -174,20 +174,21 @@ class TestSlopeMechanics:
 
     @pytest.mark.parametrize("stat", [StatisticId("CVM"), StatisticId("AD"),
                                       StatisticId("HM1", 0.5), StatisticId("HM2", 0.2),
-                                      StatisticId("MP", 10.0), StatisticId("BH", 0.2)])
+                                      StatisticId("MP", 10.0), StatisticId("BH", 0.2),
+                                      StatisticId("MD", 0.5), StatisticId("MD", 2.0)])
     def test_halved_x_step_and_more_t_panels(self, stat, monkeypatch):
         # the x-rules at half the step and 1.5 times the t-panels move no
-        # efficiency by 1e-9
+        # efficiency by 1e-9; MD's delta1 moves with the t-panels too
         def slopes_now():
-            for cached in (slopes._x_rule, slopes._t_rule,
-                           slopes._l2_operator_eigenvalue):
+            for cached in (slopes._x_rule, numeric.t_rule,
+                           slopes._l2_operator_eigenvalue, largest_eigenvalue_delta1):
                 cached.cache_clear()
             return [slope_coefficient(stat, fam) for fam in LOCAL_FAMILIES]
 
         base = slopes_now()
         monkeypatch.setattr(slopes, "LRT_STEP", slopes.LRT_STEP / 2)
         monkeypatch.setattr(slopes, "HM_STEP", slopes.HM_STEP / 2)
-        monkeypatch.setattr(slopes, "T_PANELS", 3 * slopes.T_PANELS // 2)
+        monkeypatch.setattr(numeric, "T_PANELS", 3 * numeric.T_PANELS // 2)
         fine = slopes_now()
         monkeypatch.undo()
         slopes_now()
@@ -223,7 +224,7 @@ ROUTE_STATISTICS = ([StatisticId("CVM"), StatisticId("AD"), StatisticId("KS")]
 
 def _fresh_slope(stat, fam):
     """slope_coefficient with every cache of the slopes emptied first."""
-    for cached in (slopes._x_rule, slopes._t_rule,
+    for cached in (slopes._x_rule, numeric.t_rule,
                    slopes._l2_operator_eigenvalue, slopes.lrt_local_coefficient):
         cached.cache_clear()
     return slope_coefficient(stat, fam)
