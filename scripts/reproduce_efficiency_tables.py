@@ -12,11 +12,11 @@ Usage:
 """
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
 
+from exptests.core import write_table
 from exptests.families import LOCAL_FAMILIES
 from exptests.slopes import EFFICIENCY_COLUMNS, efficiency, efficiency_rows
 from exptests.statistics import (PLAIN_STATISTICS, TUNED_STATISTICS,
@@ -41,15 +41,14 @@ def main(argv=None):
     t0 = time.time()
     for fname, stats in (("efficiency_battery.csv", battery),
                          ("efficiency_new_tests.csv", new_tests)):
+        rows = []
+        for stat in stats:
+            rows += efficiency_rows(efficiency(stat, family)
+                                    for family in LOCAL_FAMILIES)
+            print(f"{stat.label():12s} done [{time.time() - t0:5.0f}s]",
+                  flush=True)
         path = out_dir / fname
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=EFFICIENCY_COLUMNS)
-            writer.writeheader()
-            for stat in stats:
-                writer.writerows(efficiency_rows(
-                    efficiency(stat, family) for family in LOCAL_FAMILIES))
-                print(f"{stat.label():12s} done [{time.time() - t0:5.0f}s]",
-                      flush=True)
+        write_table(path, EFFICIENCY_COLUMNS, rows)
         print(f"wrote {path}")
     return 0
 

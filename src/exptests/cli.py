@@ -10,6 +10,9 @@ Subcommands:
 
 Each subcommand accepts only the options its handler reads (the
 `_SUBCOMMANDS` table), so a misplaced option is an error rather than ignored.
+Each writes one table through core.write_table, to --output or stdout: a CSV
+with one header line, or with --format json a list of objects with the same
+cells; floats are written with repr and an empty cell means no value.
 Exit codes: 0 success, 1 validation error (argparse errors and files that
 cannot be read or written included), 2 numerical-diagnostic failure.  The
 Monte Carlo subcommands (test, critval, power) take --seed; `run_command`
@@ -20,15 +23,13 @@ for reproducibility.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import nulldist, powersim, slopes
-from .core import RngStream, read_sample
+from .core import RngStream, float_cell, read_sample, write_table
 from .errors import DomainError, NumericsError
 from .statistics import ALL_STATISTICS, StatisticId, evaluate
 
@@ -46,23 +47,6 @@ def _parse_a_list(text):
     return values
 
 
-def _emit(rows, columns, args):
-    fh = (open(args.output, "w", newline="", encoding="utf-8") if args.output
-          else sys.stdout)
-    rows = [{c: r[c] for c in columns} for r in rows]
-    try:
-        if args.format == "json":
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
 def _cmd_test(args):
     a_list = _parse_a_list(args.a)
     if len(a_list) != 1:
@@ -78,14 +62,12 @@ def _cmd_test(args):
                                              threads=args.threads)
     crit, _ = nulldist.null_critical_values(null, alphas)
     p = nulldist.null_p_value(null, value)
-    rows = [{
-        "statistic": stat.name, "a": "" if stat.a is None else repr(float(stat.a)),
-        "n": x.size, "value": repr(float(value)), "alpha": repr(args.alpha),
-        "critical_value": repr(float(crit[args.alpha])),
-        "p_value": repr(float(p)),
-        "replicates": args.replicates, "seed": args.seed,
-    }]
-    _emit(rows, list(rows[0].keys()), args)
+    row = {"statistic": stat.name, "a": float_cell(stat.a), "n": x.size,
+           "value": float_cell(value), "alpha": float_cell(args.alpha),
+           "critical_value": float_cell(crit[args.alpha]),
+           "p_value": float_cell(p),
+           "replicates": args.replicates, "seed": args.seed}
+    write_table(args.output, list(row), [row], args.format)
     return 0
 
 
@@ -98,7 +80,7 @@ def _cmd_critval(args):
                                                 RngStream(args.seed),
                                                 threads=args.threads)
         rows.extend(nulldist.calibration_rows(cal))
-    _emit(rows, list(nulldist.CALIBRATION_COLUMNS), args)
+    write_table(args.output, nulldist.CALIBRATION_COLUMNS, rows, args.format)
     return 0
 
 
@@ -120,15 +102,16 @@ def _cmd_power(args):
             stat, args.family, args.theta, args.n, args.alpha,
             args.replicates, RngStream(args.seed, stream=1), cal,
             threads=args.threads))
-    _emit(powersim.power_table_rows(cells), list(powersim.POWER_COLUMNS), args)
+    write_table(args.output, powersim.POWER_COLUMNS,
+                powersim.power_table_rows(cells), args.format)
     return 0
 
 
 def _cmd_efficiency(args):
     reports = [slopes.efficiency(StatisticId(args.stat, a), args.family)
                for a in _parse_a_list(args.a)]
-    _emit(slopes.efficiency_rows(reports), list(slopes.EFFICIENCY_COLUMNS),
-          args)
+    write_table(args.output, slopes.EFFICIENCY_COLUMNS,
+                slopes.efficiency_rows(reports), args.format)
     return 0
 
 
@@ -144,9 +127,10 @@ def _cmd_eigen(args):
                     ("final", "", "", result.delta1),
                     ("route-disagreement", "", "",
                      abs(extr - result.delta1) / result.delta1)])
-        rows += [{"a": repr(float(a)), "method": method, "size": size, "B": B,
-                  "delta1": repr(value)} for method, size, B, value in found]
-    _emit(rows, ["a", "method", "size", "B", "delta1"], args)
+        rows += [{"a": float_cell(a), "method": method, "size": size, "B": B,
+                  "delta1": float_cell(value)} for method, size, B, value in found]
+    write_table(args.output, ("a", "method", "size", "B", "delta1"), rows,
+                args.format)
     return 0
 
 

@@ -10,11 +10,16 @@ carries its sorted values together with the weights
 
 which count how often the i-th order statistic is the minimum over all n**2
 ordered pairs.
+
+Every table is written by write_table, as CSV with one header line or as a
+JSON list of objects; float_cell writes floats with repr, so they read back
+bit for bit, and an empty cell means no value.
 """
 
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,12 +59,6 @@ class RngStream:
         the substream indices joined by ':' (empty for none)."""
         return {"seed": self.seed, "stream": self.stream,
                 "key": ":".join(str(k) for k in self.key)}
-
-    @classmethod
-    def from_csv_fields(cls, row) -> "RngStream":
-        """Inverse of csv_fields (STREAM_PARSERS); a row without stream and
-        key cells reads as stream 0 with an empty spawn key."""
-        return cls(**{c: parse(row.get(c) or "") for c, parse in STREAM_PARSERS.items()})
 
 
 # read_csv_rows parsers of the RngStream.csv_fields cells; stream and key may be empty
@@ -146,9 +145,35 @@ def read_sample(path) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def float_cell(x) -> str:
+    """An optional float as a table cell: empty for None, else its repr, which
+    optional_float reads back exactly."""
+    return "" if x is None else repr(float(x))
+
+
 def optional_float(text: str):
-    """A CSV cell as a float; an empty cell is None."""
+    """A CSV cell as a float; an empty cell is None (inverse of float_cell)."""
     return float(text) if text else None
+
+
+def write_table(path, columns, rows, fmt="csv") -> None:
+    """Write the cells `columns` of each row (a dict) to the file `path`, or
+    to stdout when path is None: as CSV with one header line, or with
+    fmt="json" as an indented JSON list of one object per row."""
+    rows = [{c: row[c] for c in columns} for row in rows]
+    fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
+    try:
+        if fmt == "json":
+            import json
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(row.values() for row in rows)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def read_csv_rows(path, parsers, make, optional=()) -> list:

@@ -23,17 +23,16 @@ Contents:
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
-                   optional_float, read_csv_rows)
+                   float_cell, optional_float, read_csv_rows, write_table)
 from .errors import DomainError, NumericsError
 from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
                       special, t_rule)
@@ -194,6 +193,7 @@ def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
 
 
 DELTA1_LADDER = (2, 5, 8)  # Gauss points per t-panel of the delta1 ladder
+DELTA1_REL_TOL = 1e-10  # relative agreement required of its two finest rungs
 GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
 
 
@@ -253,21 +253,18 @@ def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def largest_eigenvalue_delta1(a: float,
-                              ladder: Sequence[int] = DELTA1_LADDER,
-                              rel_tol: float = 1e-10) -> EigenDelta:
+def largest_eigenvalue_delta1(a: float) -> EigenDelta:
     """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)):
-    _t_operator_delta1 with the Exp(1) Gram K(s, t; 0), for each npts of the
-    ladder; the trace records (node count, estimate) per rung.  The two
-    finest rungs must agree within rel_tol relative; otherwise NumericsError
-    is raised with the trace.  Results are cached per argument list;
+    _t_operator_delta1 with the Exp(1) Gram K(s, t; 0), for each npts of
+    DELTA1_LADDER; the trace records (node count, estimate) per rung.  The
+    two finest rungs must agree within DELTA1_REL_TOL relative; otherwise
+    NumericsError is raised with the trace.  Results are cached per a;
     failures are not."""
     check_tuning(a)
     trace = tuple(_t_operator_delta1(a, npts, lambda t: covariance_K(t[:, None], t[None, :], 0.0))
-                  for npts in ladder)
-    est = trace[-1][1]
-    prev = trace[-2][1] if len(trace) > 1 else est
-    if est <= 0 or abs(est - prev) > rel_tol * abs(est):
+                  for npts in DELTA1_LADDER)
+    (_, prev), (_, est) = trace[-2:]
+    if not (est > 0 and abs(est - prev) <= DELTA1_REL_TOL * est):
         raise NumericsError(
             f"delta1 ladder did not converge for a={a}: "
             f"{[(n, f'{d:.8g}') for n, d in trace]}", trace=trace)
@@ -325,10 +322,10 @@ def simulate_null_statistics(stat: StatisticId, n: int, replicates: int,
 
 
 def check_calibration_inputs(n: int, alpha, replicates: int) -> tuple:
-    """Validate a calibration request and return its alphas as a tuple."""
+    """Validate a calibration request and return its alphas as floats."""
     if n < 2:
         raise DomainError("sample size must be at least 2")
-    alphas = tuple(np.atleast_1d(np.asarray(alpha, dtype=float)))
+    alphas = tuple(map(float, np.atleast_1d(np.asarray(alpha, dtype=float))))
     for al in alphas:
         if not (0.0 < al < 1.0):
             raise DomainError(f"alpha must lie in (0,1), got {al}")
@@ -386,7 +383,7 @@ def p_value_mc(stat: StatisticId, raw, replicates: int = 10_000,
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence of calibration tables
+# Calibration tables
 # ---------------------------------------------------------------------------
 
 CALIBRATION_COLUMNS = ("statistic", "a", "n", "alpha", "critical_value",
@@ -396,39 +393,38 @@ CALIBRATION_COLUMNS = ("statistic", "a", "n", "alpha", "critical_value",
 def calibration_rows(cal: NullCalibration) -> list:
     """One row per alpha, keyed by CALIBRATION_COLUMNS.  The RngStream is
     written whole (RngStream.csv_fields)."""
-    a = cal.statistic.a
-    return [{"statistic": cal.statistic.name,
-             "a": "" if a is None else repr(float(a)),
-             "n": cal.n, "alpha": repr(float(al)),
-             "critical_value": repr(cal.critical_values[al]),
-             "se": repr(cal.standard_errors[al]),
+    return [{"statistic": cal.statistic.name, "a": float_cell(cal.statistic.a),
+             "n": cal.n, "alpha": float_cell(al),
+             "critical_value": float_cell(cal.critical_values[al]),
+             "se": float_cell(cal.standard_errors[al]),
              "replicates": cal.replicates, **cal.seed.csv_fields()}
             for al in cal.alphas]
 
 
 def save_calibrations(path, calibrations: Sequence[NullCalibration]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CALIBRATION_COLUMNS)
-        writer.writeheader()
-        writer.writerows(row for cal in calibrations for row in calibration_rows(cal))
+    write_table(path, CALIBRATION_COLUMNS,
+                [row for cal in calibrations for row in calibration_rows(cal)])
 
 
 def load_calibrations(path) -> list:
     """Read a calibration CSV; files without the stream and key columns load
-    as stream 0 with an empty spawn key, files without another column or
-    with a cell that does not parse or is out of range raise DomainError
-    (read_csv_rows)."""
-    out: Dict[tuple, dict] = {}
+    as stream 0 with an empty spawn key, files without another column, with
+    a cell that does not parse or is out of range, or with a second row for
+    the same calibration and alpha raise DomainError (read_csv_rows)."""
+    out = {}
     parsers = {"statistic": str, "a": optional_float, "n": int, "alpha": float,
                "critical_value": float, "se": float, "replicates": int,
                **STREAM_PARSERS}
 
-    def keyed(row):
-        return (StatisticId(row["statistic"], row["a"]), row["n"], row["replicates"],
-                RngStream(row["seed"], row["stream"], row["key"])), row
+    def add(row):
+        key = (StatisticId(row["statistic"], row["a"]), row["n"], row["replicates"],
+               RngStream(row["seed"], row["stream"], row["key"]))
+        rec = out.setdefault(key, {})
+        if row["alpha"] in rec:
+            raise DomainError(f"repeats alpha={row['alpha']!r} of {key[0].label()} n={key[1]}")
+        rec[row["alpha"]] = (row["critical_value"], row["se"])
 
-    for key, row in read_csv_rows(path, parsers, keyed, optional=("stream", "key")):
-        out.setdefault(key, {})[row["alpha"]] = (row["critical_value"], row["se"])
+    read_csv_rows(path, parsers, add, optional=("stream", "key"))
     return [NullCalibration(statistic=stat, n=n, alphas=tuple(sorted(rec)),
                             critical_values={al: rec[al][0] for al in sorted(rec)},
                             standard_errors={al: rec[al][1] for al in sorted(rec)},

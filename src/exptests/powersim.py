@@ -7,14 +7,13 @@ thread count used to compute them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import (STREAM_PARSERS, RngStream, check_positive, optional_float,
-                   read_csv_rows)
+from .core import (STREAM_PARSERS, RngStream, check_positive, float_cell,
+                   optional_float, read_csv_rows, write_table)
 from .errors import DomainError
 from .families import get_family, sample_alternative
 from .nulldist import NullCalibration, _map_blocks
@@ -192,26 +191,18 @@ def power_table_rows(cells: Sequence[PowerCell]):
     whole (RngStream.csv_fields), so load_power_table gives the cell back.
     A data-driven cell has an empty `a` and its space-separated `grid`."""
     return [{"statistic": c.statistic.name,
-             "a": ("" if c.statistic.a is None or c.grid is not None
-                   else repr(float(c.statistic.a))),
-             "grid": "" if c.grid is None else " ".join(map(repr, c.grid)),
-             "family": c.family,
-             "theta": "" if c.theta is None else repr(float(c.theta)),
-             "n": c.n,
-             "alpha": repr(float(c.alpha)),
-             "power": repr(float(c.power)),
-             "se": repr(float(c.mc_se)),
-             "replicates": c.replicates,
+             "a": float_cell(c.statistic.a if c.grid is None else None),
+             "grid": " ".join(map(float_cell, c.grid or ())),
+             "family": c.family, "theta": float_cell(c.theta), "n": c.n,
+             "alpha": float_cell(c.alpha), "power": float_cell(c.power),
+             "se": float_cell(c.mc_se), "replicates": c.replicates,
              **c.seed.csv_fields(),
              "percent": int(round(100.0 * c.power))}
             for c in cells]
 
 
 def write_power_table(path, cells: Sequence[PowerCell]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=POWER_COLUMNS)
-        writer.writeheader()
-        writer.writerows(power_table_rows(cells))
+    write_table(path, POWER_COLUMNS, power_table_rows(cells))
 
 
 def load_power_table(path) -> list:

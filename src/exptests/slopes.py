@@ -49,6 +49,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import float_cell
 from .errors import DomainError
 from .families import get_family
 from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
@@ -389,11 +390,10 @@ EFFICIENCY_COLUMNS = ("statistic", "a", "family", "a_T", "c_coeff",
 def efficiency_rows(reports) -> list:
     """One row per SlopeReport, keyed by EFFICIENCY_COLUMNS; the numbers are
     written with repr, so they read back exactly."""
-    return [{"statistic": r.statistic.name,
-             "a": "" if r.statistic.a is None else repr(float(r.statistic.a)),
-             "family": r.family, "a_T": repr(r.a_T),
-             "c_coeff": repr(r.c_coeff), "lrt_coeff": repr(r.lrt_coeff),
-             "efficiency": repr(r.efficiency), "b_coeff": repr(r.b_coeff),
+    return [{"statistic": r.statistic.name, "a": float_cell(r.statistic.a),
+             "family": r.family, "a_T": float_cell(r.a_T),
+             "c_coeff": float_cell(r.c_coeff), "lrt_coeff": float_cell(r.lrt_coeff),
+             "efficiency": float_cell(r.efficiency), "b_coeff": float_cell(r.b_coeff),
              "flagged": r.flagged}
             for r in reports]
 

@@ -257,6 +257,39 @@ class TestFileErrors:
         assert out == ""
         self._check(code, err, f"{path}:3: ", *words)
 
+    def test_repeated_calibration_row(self, tmp_path, capsys):
+        # two critical values for one alpha: neither is used
+        path = tmp_path / "cal.csv"
+        path.write_text(self.CAL_HEADER
+                        + "MD,1.0,15,0.05,0.01,0.0021794494717703367,10000,7,0,\n"
+                        + "MD,1.0,15,0.05,0.99,0.0021794494717703367,10000,7,0,\n")
+        code, out, err = run(self.POWER + ["--input", str(path)], capsys)
+        assert out == ""
+        self._check(code, err, f"{path}:3: ", "repeats", "alpha=0.05")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["test", "--stat", "MD", "--a", "1", "--seed", "5", "--threads", "1"],
+    ["critval", "--stat", "LD", "--a", "1,2", "--n", "12", "--seed", "5",
+     "--threads", "1"],
+    ["power", "--stat", "MD", "--a", "1", "--family", "uniform", "--n", "12",
+     "--seed", "5", "--threads", "1"],
+    ["efficiency", "--stat", "EP", "--family", "weibull"],
+    ["eigen", "--a", "0.5,1"],
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_output_file_holds_the_stdout_bytes(argv, fmt, sample_file, tmp_path, capsys):
+    """Every subcommand writes the same table to --output as to stdout."""
+    if argv[0] == "test":
+        argv = argv + ["--input", sample_file]
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(argv, capsys)
+    dest = tmp_path / f"table.{fmt}"
+    code_file, out_file, _ = run(argv + ["--output", str(dest)], capsys)
+    assert code == code_file == 0
+    assert out_file == ""
+    assert dest.read_bytes() == out.encode("utf-8")
+
 
 class TestEfficiencySubcommand:
     def test_reports_rows(self, capsys):

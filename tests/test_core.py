@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from exptests.core import (RngStream, min_pair_weights, read_sample,
                            scale_sample)
 from exptests.errors import DomainError
+from exptests.nulldist import (CALIBRATION_COLUMNS, NullCalibration,
+                               load_calibrations, save_calibrations)
+from exptests.statistics import StatisticId
 
 
 class TestMinPairWeights:
@@ -144,11 +147,21 @@ class TestRngStream:
 
     @pytest.mark.parametrize("stream", [RngStream(0), RngStream(7, 3),
                                         RngStream(7, 3).substream(0).substream(12)])
-    def test_csv_fields_round_trip(self, stream):
-        row = {k: str(v) for k, v in stream.csv_fields().items()}
-        back = RngStream.from_csv_fields(row)
+    def test_csv_fields_round_trip(self, stream, tmp_path):
+        # the stream cells of a calibration table read back as the stream
+        cal = NullCalibration(statistic=StatisticId("MD", 1.0), n=20,
+                              alphas=(0.05,), critical_values={0.05: 0.0123},
+                              standard_errors={0.05: 0.0021794494717703367},
+                              replicates=10_000, seed=stream)
+        path = tmp_path / "cal.csv"
+        save_calibrations(path, [cal])
+        (loaded,) = load_calibrations(path)
+        back = loaded.seed
         assert back == stream and hash(back) == hash(stream)
 
-    def test_csv_row_with_negative_seed_is_rejected(self):
-        with pytest.raises(DomainError):
-            RngStream.from_csv_fields({"seed": "-4", "stream": "", "key": ""})
+    def test_csv_row_with_negative_seed_is_rejected(self, tmp_path):
+        path = tmp_path / "cal.csv"
+        path.write_text(",".join(CALIBRATION_COLUMNS) + "\n"
+                        "MD,1.0,20,0.05,0.0123,0.0021794494717703367,10000,-4,,\n")
+        with pytest.raises(DomainError, match="non-negative ints"):
+            load_calibrations(path)

@@ -243,9 +243,15 @@ class TestEigenMachinery:
         assert len(trace) == 3
         assert abs(extr - primary) < 5e-4 * primary
 
-    def test_nonconvergence_raises_with_trace(self):
-        with pytest.raises(NumericsError) as exc:
-            largest_eigenvalue_delta1(0.31415, ladder=(4, 8), rel_tol=1e-12)
+    def test_nonconvergence_raises_with_trace(self, monkeypatch):
+        monkeypatch.setattr(nulldist, "DELTA1_LADDER", (4, 8))
+        monkeypatch.setattr(nulldist, "DELTA1_REL_TOL", 1e-12)
+        largest_eigenvalue_delta1.cache_clear()
+        try:
+            with pytest.raises(NumericsError) as exc:
+                largest_eigenvalue_delta1(0.31415)
+        finally:
+            largest_eigenvalue_delta1.cache_clear()
         assert len(exc.value.trace) == 2
 
     def test_invalid_a(self):
@@ -342,6 +348,26 @@ class TestCalibration:
         loaded = load_calibrations(path)
         assert [c.seed for c in loaded] == [c.seed for c in cals]
         assert loaded == cals
+
+    def test_repeated_row_is_rejected_with_its_line(self, tmp_path):
+        # a second row for the same calibration and alpha is an error, not
+        # a silent overwrite of the first
+        path = tmp_path / "cal.csv"
+        path.write_text(",".join(CALIBRATION_COLUMNS) + "\n"
+                        "MD,1.0,5,0.05,0.01,0.0021794494717703367,10000,7,0,\n"
+                        "MD,1.0,5,0.05,0.99,0.0021794494717703367,10000,7,0,\n")
+        with pytest.raises(DomainError, match=f"{path}:3: repeats alpha=0.05 of MD"):
+            load_calibrations(path)
+
+    def test_alphas_are_floats_and_survive_the_csv(self, tmp_path):
+        cal = calibrate_critical_value(StatisticId("MD", 1.0), 5,
+                                       alpha=np.array([0.05]),
+                                       replicates=10_000, rng=RngStream(3))
+        assert [type(al) for al in cal.alphas] == [float]
+        path = tmp_path / "cal.csv"
+        save_calibrations(path, [cal])
+        (back,) = load_calibrations(path)
+        assert repr(cal) == repr(back)
 
     def test_csv_without_stream_columns_loads_as_stream_zero(self, tmp_path):
         path = tmp_path / "old.csv"

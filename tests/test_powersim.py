@@ -87,6 +87,11 @@ class TestEstimatePower:
             estimate_power(stat, "gamma", 1.0, 20, 0.01, 2000,
                            RngStream(0), md1_cal_n20)
 
+    def test_missing_alpha_lists_the_calibrated_alphas(self, md1_cal_n20):
+        with pytest.raises(DomainError, match=r"lacks alpha=0.1; available: \[0.05\]$"):
+            estimate_power(StatisticId("MD", 1.0), "gamma", 1.0, 20, 0.1, 2000,
+                           RngStream(0), md1_cal_n20)
+
     def test_theta_cleared_for_fixed_families(self, md1_cal_n20):
         cell = estimate_power(StatisticId("MD", 1.0), "uniform", None, 20,
                               0.05, 2000, RngStream(5, 1), md1_cal_n20)
