@@ -85,12 +85,12 @@ def _cmd_critval(args):
 
 
 def _cmd_power(args):
-    cells = []
-    for a in _parse_a_list(args.a):
+    cells, a_list = [], _parse_a_list(args.a)
+    loaded = nulldist.load_calibrations(args.input) if args.input else None
+    for a in a_list:
         stat = StatisticId(args.stat, a)
         if args.input:
-            cal = next((c for c in nulldist.load_calibrations(args.input)
-                        if c.statistic == stat and c.n == args.n), None)
+            cal = next((c for c in loaded if c.statistic == stat and c.n == args.n), None)
             if cal is None:
                 raise DomainError(f"--input {args.input} has no calibration for "
                                   f"{stat.label()} at n={args.n}")

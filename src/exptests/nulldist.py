@@ -2,8 +2,9 @@
 
 Contents:
 
-* the exponential integral Ei and the degenerate second-projection kernel
-  h2_tilde(u, v; a) of the pair-minimum V-statistic under Exp(1);
+* the exponential integral Ei (numeric.expi, numpy) and the degenerate
+  second-projection kernel h2_tilde(u, v; a) of the pair-minimum
+  V-statistic under Exp(1);
 * the closed-form covariance K(s, t; a) of the limiting Gaussian process of
   the supremum statistic, and its maximal variance sup_t K(t, t);
 * the pair-minimum projection phi1_tilde(x, t, a), whose Gram under Exp(1)
@@ -34,8 +35,8 @@ import numpy as np
 from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
                    float_cell, optional_float, read_csv_rows, write_table)
 from .errors import DomainError, NumericsError
-from .numeric import (exp_measure_nodes, largest_eigenvalue, maximize_log_grid,
-                      special, t_rule)
+from .numeric import (exp_measure_nodes, expi, largest_eigenvalue, maximize_log_grid,
+                      t_rule)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
 
@@ -45,12 +46,11 @@ from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
 # ---------------------------------------------------------------------------
 
 def expint_Ei(x):
-    """Exponential integral Ei(x); poles at x = 0 are rejected."""
+    """Exponential integral Ei(x) (numeric.expi); poles at x = 0 are rejected."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr == 0.0):
         raise DomainError("Ei has a pole at x = 0")
-    out = special().expi(arr)
-    return out if out.ndim else float(out)
+    return expi(arr)
 
 
 def _ei_of_sum(c, d):
@@ -62,7 +62,7 @@ def _ei_of_sum(c, d):
     z = c + d
     cd = z - c
     dz = (c - (z - cd)) + (d - cd)
-    return special().expi(z) + dz * np.exp(z) / z
+    return expi(z) + dz * np.exp(z) / z
 
 
 def h2_tilde(u, v, a):
@@ -79,21 +79,20 @@ def h2_tilde(u, v, a):
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    Ei = special().expi
     e = np.exp
     w = u + v
 
     def ei_pair(x, d, c):
         # e^x (c Ei(-x - d) - Ei(-x))
-        return e(x) * (c * _ei_of_sum(-x, -d) - Ei(-x))
+        return e(x) * (c * _ei_of_sum(-x, -d) - expi(-x))
 
-    group = ((a + 4) * Ei(-a / 2) + (a + 4 + 2 * w) * _ei_of_sum(-a / 2, -w)
+    group = ((a + 4) * expi(-a / 2) + (a + 4 + 2 * w) * _ei_of_sum(-a / 2, -w)
              - (4 + a + 2 * u) * _ei_of_sum(-a / 2, -u)
              - (4 + a + 2 * v) * _ei_of_sum(-a / 2, -v))
     return (1.0 / 6.0) * (
         3.0 + 1.0 / (a + w) - 2 * e(-u) / (a + 2 * u + v)
         - 2 * e(-v) / (a + u + 2 * v)
-        - (4 - a) * e(a) * Ei(-a)
+        - (4 - a) * e(a) * expi(-a)
         - ei_pair((a + v) / 2, u, 1.0) + ei_pair(a + u, u, 4.0)
         - ei_pair((a + u) / 2, v, 1.0) + ei_pair(a + v, v, 4.0)
         + e(-w) / (a + 2 * w) * (2 * a + 4 * (1 + w))

@@ -1,6 +1,9 @@
 """Shared numerical helpers: quadrature grids, among them the graded t-rule of
 every covariance operator (t_rule), 1-D maximization, the largest eigenvalue
-of a symmetric matrix, scaled Ei, and scipy.special on first use."""
+of a symmetric matrix, and the exponential integrals Ei, E1 and e^-z Ei(z)
+in numpy (expi, exp1, ei_scaled), which every Ei of the package takes, so
+that no slope, h2_tilde or HE loads scipy.  scipy.special, imported on first
+use (special), serves only the families' samplers, cdfs and means."""
 
 from __future__ import annotations
 
@@ -212,17 +215,95 @@ def largest_eigenvalue(mat) -> float:
                         f"{beta[-1] * abs(vecs[-1, -1]):.3g}, estimate {theta[-1]:.17g}")
 
 
-def ei_scaled(z):
-    """e^-z Ei(z) for z > 0, stable for large z via the asymptotic series."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z < 50.0
-    out[small] = np.exp(-z[small]) * special().expi(z[small])
-    zz = z[~small]
-    acc = np.zeros_like(zz)
-    term = 1.0 / zz
-    for k in range(30):
+E1_SERIES_END = 1.5  # exp1: power series up to here, continued fraction above
+E1_CF_STEPS = 60  # depth of exp1's continued fraction (1.4e-15 relative at 1.5)
+EI_SERIES_END = 40.0  # expi (x > 0): power series up to here, asymptotic series above
+EI_BLOCK = 65_536  # elements per block of an array argument: the temporaries stay in cache
+# 1/(k k!), k = 1, 2, ...: the power series of Ei (120 terms) and, with
+# alternating signs, of E1 (40 terms); Python's int division rounds once
+_EI_SERIES = [1 / (k * math.factorial(k)) for k in range(1, 121)]
+_E1_SERIES = [c if k % 2 else -c for k, c in enumerate(_EI_SERIES[:40], 1)]
+
+
+def _piecewise(x, split, below, above):
+    """below(x) where x <= split and above(x) elsewhere (nan included), for
+    a number, which the two take as a Python float, or an array, which they
+    take in blocks of EI_BLOCK elements."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if x.ndim == 0:
+            v = float(x)
+            return float(below(v) if v <= split else above(v))
+        flat = x.ravel()
+        out = np.empty_like(flat)
+        for k in range(0, flat.size, EI_BLOCK):
+            block = flat[k:k + EI_BLOCK]
+            low = block <= split
+            for part, f in ((np.flatnonzero(low), below), (np.flatnonzero(~low), above)):
+                if part.size:
+                    out[k + part] = f(block[part])
+    return out.reshape(x.shape)
+
+
+def _power_series(x, coef):
+    """sum_k coef[k-1] x^k by Horner's rule, smallest terms first."""
+    p = coef[-1]
+    for c in coef[-2::-1]:
+        p = p * x + c
+    return p * x
+
+
+def _e1_series(x):
+    return -np.euler_gamma - np.log(x) + _power_series(x, _E1_SERIES)
+
+
+def _e1_fraction(x):
+    """e^-x times the E1_CF_STEPS-th approximant of the continued fraction
+    e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- ...))) (Abramowitz & Stegun 5.1.22),
+    summed from its tail."""
+    r = 0.0
+    for k in range(E1_CF_STEPS, 0, -1):
+        r = k * k / (x + (2 * k + 1) - r)
+    return np.exp(-x) / (x + 1.0 - r)
+
+
+def _ei_series(x):
+    return np.euler_gamma + np.log(x) + _power_series(x, _EI_SERIES)
+
+
+def _ei_positive(x):
+    return _piecewise(x, EI_SERIES_END, _ei_series, lambda v: np.exp(v) * _ei_asymptotic(v))
+
+
+def _ei_asymptotic(x):
+    """e^-x Ei(x) ~ sum_{k<40} k!/x^(k+1), to rounding for x > EI_SERIES_END."""
+    acc, term = 0.0, 1.0 / x
+    for k in range(1, 41):
         acc = acc + term
-        term = term * (k + 1) / zz
-    out[~small] = acc
-    return out if out.ndim else float(out)
+        term = term * (k / x)
+    return acc
+
+
+def exp1(x):
+    """E1(x) = int_x^inf e^-s/s ds for x >= 0 (inf at 0, nan below): its power
+    series -gamma - log x + sum (-1)^(k+1) x^k/(k k!) up to E1_SERIES_END,
+    the continued fraction of _e1_fraction above.  Within 1.6e-15 relative of
+    40-digit mpmath on [1e-12, 700]."""
+    return _piecewise(x, E1_SERIES_END, _e1_series, _e1_fraction)
+
+
+def expi(x):
+    """Exponential integral Ei(x) = PV int_-inf^x e^s/s ds: -exp1(-x) for
+    x <= 0 (-inf at 0); for x > 0 its power series gamma + log x +
+    sum x^k/(k k!) up to EI_SERIES_END, e^x times _ei_asymptotic above
+    (_ei_positive; inf past x = 709.78).  Within 1.4e-15 relative of 40-digit mpmath on
+    [1e-12, 700] away from its root 0.3725, and 2e-16 absolute near it."""
+    return _piecewise(x, 0.0, lambda v: -exp1(-v), _ei_positive)
+
+
+def ei_scaled(z):
+    """e^-z Ei(z) for z > 0: e^-z times expi's power series up to
+    EI_SERIES_END, its asymptotic series above, so that it stays finite
+    where Ei overflows."""
+    return _piecewise(z, EI_SERIES_END, lambda v: np.exp(-v) * _ei_series(v),
+                      _ei_asymptotic)

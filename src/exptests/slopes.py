@@ -31,6 +31,15 @@ the local drift is b(t) = int f~(x, t) g'(x) dx.  Then
 CVM, AD and KS share f = 1{x <= t} - F_0(t); every other x-integral is the
 trapezoid rule in log x of the LRT coefficient (_x_rule).
 
+f~ does not depend on the family, so the drift takes a tuple of families
+(_drift) and contracts each row block of f~ with the stacked scores g' of
+all of them.  A family object of the catalogue (get_family of
+LOCAL_FAMILIES) takes the four-family tuple (_family_column), so the L2 and
+supremum members make one drift pass per (statistic, a) for all four, whose
+results (_l2_numerators, _sup_drifts_sq) are cached; any other family
+object takes a tuple of its own through the same code.  Ei and E1 (JD, JP)
+are numeric.expi and numeric.exp1, so no slope loads scipy.
+
 One table, _SLOPES, maps each statistic name to its slope routine, its
 projection, its closed-form covariance K(s, t) (or None) and its L2 weight
 kind (None for normal and supremum statistics).  Every routine takes
@@ -51,9 +60,9 @@ import numpy as np
 
 from .core import float_cell
 from .errors import DomainError
-from .families import get_family
-from .numeric import (ei_scaled, largest_eigenvalue, maximize_log_grid,
-                      panel_gauss_below, panel_gauss_nodes, special, t_rule)
+from .families import LOCAL_FAMILIES, get_family
+from .numeric import (ei_scaled, exp1, expi, largest_eigenvalue, maximize_log_grid,
+                      panel_gauss_below, panel_gauss_nodes, t_rule)
 from .nulldist import covariance_K, largest_eigenvalue_delta1, phi1_tilde, sup_variance
 from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
 
@@ -123,7 +132,6 @@ def psi_JD(x, a):
     """Projection of the pair-minimum first-order kernel under Exp(1)."""
     x = np.asarray(x, dtype=float)
     c = a / 2.0
-    exp1 = special().exp1
     e_full = math.exp(a) * exp1(a)
     int_head = 0.5 * math.exp(c) * (exp1(c) - exp1(c + x))
     e_min = int_head + np.exp(-x) / (2.0 * x + a)
@@ -133,9 +141,9 @@ def psi_JD(x, a):
 def psi_JP(x, a):
     """Projection of the pairwise-difference first-order kernel under Exp(1)."""
     x = np.asarray(x, dtype=float)
-    e_full = math.exp(a) * special().exp1(a)
+    e_full = math.exp(a) * exp1(a)
     # E e^{-t|x - X|} integrated against e^{-at}: stable via e^{-z} Ei(z)
-    e_abs = (ei_scaled(a + x) - np.exp(-x - a) * special().expi(a)
+    e_abs = (ei_scaled(a + x) - np.exp(-x - a) * expi(a)
              + np.exp(-x) * e_full)
     return 0.5 * (1.0 / (x + a) + e_full) - e_abs
 
@@ -250,16 +258,30 @@ def _edf_drift(fam, t):
     return (fam.deriv0(x) * x) @ ws + fam.mu_prime0 * t * np.exp(-t)
 
 
-def _drift(name: str, a: Optional[float], fam, t):
-    """b(t) = int f~(x, t) g'(x) dx on the nodes t, in row blocks of
-    CACHE_BUDGET elements."""
+_CATALOGUE = tuple(map(get_family, LOCAL_FAMILIES))
+
+
+def _family_column(fam):
+    """(families, column): the catalogue's local families and fam's place
+    among them when fam is one of those objects, so that one drift pass per
+    (statistic, a) serves all four; otherwise (fam,) and 0."""
+    for j, local in enumerate(_CATALOGUE):
+        if fam is local:
+            return _CATALOGUE, j
+    return (fam,), 0
+
+
+def _drift(name: str, a: Optional[float], fams: tuple, t):
+    """b(t) = int f~(x, t) g'(x) dx on the nodes t for each family of fams, as
+    a (t.size, len(fams)) matrix: each row block of f~ (CACHE_BUDGET
+    elements) is built once and contracted with every family's scores."""
     proj = _SLOPES[name][1]
     if proj is None:
-        return _edf_drift(fam, t)
+        return np.stack([_edf_drift(fam, t) for fam in fams], axis=1)
     x, w = _x_rule(_x_step(name, a))
-    gw = fam.deriv0(x) * w
+    scores = np.stack([fam.deriv0(x) * w for fam in fams], axis=1)
     rows = max(1, CACHE_BUDGET // x.size)
-    return np.concatenate([_influence(proj, a, t[k:k + rows], x, w) @ gw
+    return np.concatenate([_influence(proj, a, t[k:k + rows], x, w) @ scores
                            for k in range(0, t.size, rows)])
 
 
@@ -313,22 +335,39 @@ def _normal_slope(stat: StatisticId, fam):
     return num * num / var, 1.0 / var
 
 
+@lru_cache(maxsize=None)
+def _l2_numerators(name: str, a: Optional[float], fams: tuple) -> tuple:
+    """int b^2 w dt of each family of fams."""
+    t, mass = _l2_t_rule(name, a, DRIFT_POINTS)
+    b = _drift(name, a, fams, t)
+    return tuple(map(float, mass @ (b * b)))
+
+
+@lru_cache(maxsize=None)
+def _sup_drifts_sq(name: str, a: Optional[float], fams: tuple, hi: float) -> tuple:
+    """sup_t b(t)^2 over [1e-4, hi] of each family of fams: the families are
+    the rows of one maximize_log_grid scan, and a refine probe takes its
+    row's column of the drift."""
+    def drift_sq(t, rows):
+        b = _drift(name, a, fams, t.ravel())
+        b = b.T if isinstance(rows, slice) else b[np.arange(rows.size), rows][:, None]
+        return b * b
+
+    sup_b2, _ = maximize_log_grid(drift_sq, 1e-4, hi, ngrid=512, tol=1e-10)
+    return tuple(map(float, sup_b2))
+
+
 def _l2_slope(stat: StatisticId, fam, lam: float):
     """c_coeff = int b^2 w dt / lambda1, a_T = 1/lambda1."""
-    t, mass = _l2_t_rule(stat.name, stat.a, DRIFT_POINTS)
-    b = _drift(stat.name, stat.a, fam, t)
-    return float(mass @ (b * b)) / lam, 1.0 / lam
+    fams, j = _family_column(fam)
+    return _l2_numerators(stat.name, stat.a, fams)[j] / lam, 1.0 / lam
 
 
 def _sup_slope(stat: StatisticId, fam, sup_k: float, hi: float):
     """c_coeff = sup_t b(t)^2 / sup_k, a_T = 1/sup_k, for sup_k = sup_t K(t,t);
     b^2 is maximized over [1e-4, hi]."""
-    def drift_sq(t, rows):
-        b = _drift(stat.name, stat.a, fam, t.ravel()).reshape(t.shape)
-        return b * b
-
-    (sup_b2,), _ = maximize_log_grid(drift_sq, 1e-4, hi, ngrid=512, tol=1e-10)
-    return float(sup_b2) / sup_k, 1.0 / sup_k
+    fams, j = _family_column(fam)
+    return _sup_drifts_sq(stat.name, stat.a, fams, hi)[j] / sup_k, 1.0 / sup_k
 
 
 def slope_normal_family(stat: StatisticId, fam):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
 from .errors import DomainError
-from .numeric import newton_maximize_log_grid, special
+from .numeric import exp1, newton_maximize_log_grid
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -236,10 +236,21 @@ def kernel_bh(x, y, a=1.0):
 
 
 def kernel_he(x, y, a=1.0):
+    """HE's kernel 1/(a+u+v) + g(u) + g(v) + 1 + a e^a Ei(-a), with
+    g(u) = e^{a+u} Ei(-(a+u)) = -e^{a+u} E1(a+u)."""
     u, v = np.asarray(x), np.asarray(y)
-    expi = special().expi
-    return (1.0 / (a + u + v) + np.exp(a + u) * expi(-(a + u))
-            + np.exp(a + v) * expi(-(a + v)) + 1.0 + a * np.exp(a) * expi(-a))
+    return (1.0 / (a + u + v) - np.exp(a + u) * exp1(a + u)
+            - np.exp(a + v) * exp1(a + v) + 1.0 - a * np.exp(a) * exp1(a))
+
+
+def _he(y, z, a):
+    """Pair mean of kernel_he: g depends on one point, so it is taken once per
+    point and enters as 2 mean_i g(Y_i)."""
+    s = y + a
+    pair = s[:, :, None] + y[:, None, :]
+    np.reciprocal(pair, out=pair)
+    return (pair.mean(axis=(1, 2)) - 2.0 * np.mean(np.exp(s) * exp1(s), axis=1)
+            + 1.0 - a * np.exp(a) * exp1(a))
 
 
 def kernel_w(x, y, a=1.0):
@@ -345,7 +356,7 @@ _KERNELS = {
     "CVM": _cvm,
     "AD": _ad,
     "BH": _pair_mean(kernel_bh),
-    "HE": _pair_mean(kernel_he),
+    "HE": _he,
     "W": _pair_mean(kernel_w),
     "HM1": _pair_mean(kernel_hm1),
     "HM2": _pair_mean(kernel_hm2),

@@ -17,17 +17,19 @@ with the mu-derivatives of a battery kernel by central differences), MP's
 second-projection kernel in closed form, the CVM and AD slope numerators as
 the defining limit b_T(theta)/theta^2 in 40-digit arithmetic, and the top
 eigenvalue of the CVM and AD covariance from the Brownian bridge's
-eigenpairs.
+eigenpairs.  `he_scipy`, `psi_jd_scipy` and `psi_jp_scipy` are HE and the
+JD and JP projections with Ei and E1 from scipy.special instead of the
+package's numeric.expi and numeric.exp1.
 """
 
 import math
 
 import mpmath
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from exptests.core import min_pair_weights
-from exptests.numeric import ei_scaled, panel_gauss_nodes, special
+from exptests.numeric import panel_gauss_nodes
 
 
 def _scaled(sample):
@@ -295,6 +297,11 @@ def l2_numerator_reference(kernel, a, fam, grid, h=1e-4):
     return float(t1 + t2 + t3)
 
 
+def _ei_scaled(z):
+    """e^-z Ei(z) by scipy, for 0 < z < 700."""
+    return np.exp(-z) * special.expi(z)
+
+
 def mp_projected_kernel(x, y, a):
     """Second projection of the pairwise-difference L2 kernel under Exp(1),
     in closed form: (1/6) int f(x, t) f(y, t) e^{-at} dt for MP's
@@ -302,12 +309,12 @@ def mp_projected_kernel(x, y, a):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ex, ey = np.exp(x), np.exp(y)
-    t1 = (np.exp(a - x - y) * special().expi(-a)
+    t1 = (np.exp(a - x - y) * special.expi(-a)
           * (a * (ex - 2) * (ey - 2) - ex - ey + 4)) / 6.0
-    t2 = (np.exp(-x - y) * ei_scaled(a) * (4 * a + ex + ey - 4)
-          - (np.exp(-y) * ei_scaled(a + x) * (4 * (a + x - 1) + ey)
-             + np.exp(-x) * ei_scaled(a + y) * (4 * (a + y - 1) + ex)
-             - 4 * (a + x + y - 1) * ei_scaled(a + x + y))) / 6.0
+    t2 = (np.exp(-x - y) * _ei_scaled(a) * (4 * a + ex + ey - 4)
+          - (np.exp(-y) * _ei_scaled(a + x) * (4 * (a + x - 1) + ey)
+             + np.exp(-x) * _ei_scaled(a + y) * (4 * (a + y - 1) + ex)
+             - 4 * (a + x + y - 1) * _ei_scaled(a + x + y))) / 6.0
     t3 = -0.5 + (np.exp(-x) + np.exp(-y)) / 3.0 + 1.0 / (6 * (a + x + y))
     return t1 + t2 + t3
 
@@ -376,3 +383,38 @@ def edf_eigenvalue(ad, terms=200):
     return optimize.brentq(lambda v: np.sum(gk * gk / (lam - v)) - tail / v - 1.0,
                            lam[1] * (1 + 1e-12), lam[0] * (1 - 1e-12),
                            xtol=1e-20, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The scipy route of the Ei-based formulas: the package takes Ei and E1 from
+# numeric.expi and numeric.exp1, these from scipy.special
+# ---------------------------------------------------------------------------
+
+def he_scipy(sample_rows, a):
+    """HE of each row as the pair mean of its kernel with scipy's Ei, and the
+    sum of the |terms| that cancel in it: mean 1/(a + Y_i + Y_j),
+    2 mean |e^{a+Y} Ei(-(a+Y))| and |1 + a e^a Ei(-a)|."""
+    x = np.asarray(sample_rows, dtype=float)
+    y = x / x.mean(axis=1, keepdims=True)
+    u, v = y[:, :, None], y[:, None, :]
+    g = np.exp(a + y) * special.expi(-(a + y))
+    const = 1.0 + a * np.exp(a) * special.expi(-a)
+    pairs = 1.0 / (a + u + v)
+    value = (pairs + g[:, :, None] + g[:, None, :] + const).mean(axis=(1, 2))
+    return value, pairs.mean(axis=(1, 2)) + 2.0 * np.abs(g).mean(axis=1) + abs(const)
+
+
+def psi_jd_scipy(x, a):
+    """slopes.psi_JD with scipy's E1."""
+    c = a / 2.0
+    e_full = math.exp(a) * special.exp1(a)
+    int_head = 0.5 * math.exp(c) * (special.exp1(c) - special.exp1(c + x))
+    return 0.5 * (1.0 / (x + a) + e_full) - (int_head + np.exp(-x) / (2.0 * x + a))
+
+
+def psi_jp_scipy(x, a):
+    """slopes.psi_JP with scipy's Ei and E1 (e^-z Ei(z) for z < 700)."""
+    e_full = math.exp(a) * special.exp1(a)
+    e_abs = (_ei_scaled(a + x) - np.exp(-x - a) * special.expi(a)
+             + np.exp(-x) * e_full)
+    return 0.5 * (1.0 / (x + a) + e_full) - e_abs

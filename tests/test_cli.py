@@ -159,6 +159,22 @@ class TestPowerSubcommand:
         assert code1 == code2 == 0
         assert out_file == out_direct
 
+    def test_input_is_loaded_once(self, tmp_path, capsys, monkeypatch):
+        # one calibration file serves every --a value: it is read once
+        cal_path = tmp_path / "cal.csv"
+        common = ["--stat", "MD", "--a", "0.5,1,2", "--n", "10",
+                  "--replicates", "10000", "--seed", "3", "--threads", "1"]
+        assert run(["critval", *common, "--output", str(cal_path)], capsys)[0] == 0
+        loads = []
+        load = nulldist.load_calibrations
+        monkeypatch.setattr(nulldist, "load_calibrations",
+                            lambda path: loads.append(path) or load(path))
+        code, out, _ = run(["power", *common, "--family", "gamma", "--theta", "1",
+                            "--input", str(cal_path)], capsys)
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+        assert loads == [str(cal_path)]
+
     def test_missing_calibration_in_input(self, tmp_path, capsys):
         cal_path = tmp_path / "cal.csv"
         run(["critval", "--stat", "MD", "--a", "1", "--n", "15",

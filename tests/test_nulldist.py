@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from exptests import nulldist
 from exptests.core import RngStream
@@ -66,6 +66,18 @@ class TestH2Tilde:
         u, v = np.meshgrid(pts, pts, indexing="ij")
         ref = np.array([[h2_tilde_mpmath(s, t, 10.0) for t in pts] for s in pts])
         assert np.max(np.abs(h2_tilde(u, v, 10.0) / ref - 1)) < 1.2e-12
+
+    @pytest.mark.parametrize("a", [0.2, 1.0, 5.0, 10.0])
+    def test_numpy_ei_moves_little_from_scipy(self, a, monkeypatch):
+        # h2_tilde on a graded grid with numeric.expi against the same closed
+        # form with scipy's Ei: within 1e-13 of max|h2| (5.9e-14 measured at
+        # a = 10, where its O(1) terms cancel most)
+        g = np.concatenate([[1e-4, 1e-2], np.geomspace(0.05, 30.0, 60)])
+        u, v = g[:, None], g[None, :]
+        got = h2_tilde(u, v, a)
+        monkeypatch.setattr(nulldist, "expi", special.expi)
+        ref = h2_tilde(u, v, a)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("u", [0.3, 1.0, 2.5])
     def test_first_projection_vanishes(self, u):

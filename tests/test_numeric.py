@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
 
 from exptests import numeric
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
-from exptests.numeric import (LANCZOS_STEPS, exp_measure_nodes, largest_eigenvalue,
-                              maximize_log_grid, newton_maximize_log_grid,
-                              panel_gauss_below, panel_gauss_nodes)
+from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, LANCZOS_STEPS,
+                              ei_scaled, exp1, exp_measure_nodes, expi,
+                              largest_eigenvalue, maximize_log_grid,
+                              newton_maximize_log_grid, panel_gauss_below,
+                              panel_gauss_nodes)
 from exptests.slopes import _cov_bh, _cov_edf
 
 
@@ -195,3 +198,60 @@ def test_panel_gauss_below_integrates_the_interpolant():
     np.testing.assert_allclose(below @ (w * f), t + t**2 / 2 - t**4 / 8 + t**6 / 60,
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(below + below.T, 1.0, rtol=0, atol=1e-14)
+
+
+EI_ROOT = 0.37250741078136663  # Ei(x) = 0
+
+
+def _around(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+@pytest.fixture(scope="module")
+def ei_points():
+    """x on [1e-12, 700], the branch switches and Ei's root included, with
+    E1(x), Ei(x) and e^-x Ei(x) in 40 digits."""
+    x = np.unique(np.concatenate([np.geomspace(1e-12, 700.0, 1201),
+                                  _around(E1_SERIES_END), _around(EI_SERIES_END),
+                                  _around(EI_ROOT), np.linspace(0.3, 0.45, 61)]))
+    with mpmath.workdps(40):
+        ref = np.array([[float(f(mpmath.mpf(v))) for f in
+                         (mpmath.e1, mpmath.ei, lambda z: mpmath.exp(-z) * mpmath.ei(z))]
+                        for v in x])
+    return x, ref.T
+
+
+def test_exp1_against_mpmath(ei_points):
+    # E1 underflows past x = 708, where both are 0
+    x, (e1, _, _) = ei_points
+    got = exp1(x)
+    live = e1 > 0
+    assert np.all(np.abs(got[live] / e1[live] - 1) < 1e-14)
+    assert np.all(got[~live] == 0.0)
+    np.testing.assert_array_equal(expi(-x), -got)
+
+
+def test_expi_against_mpmath(ei_points):
+    # relative away from the root 0.3725, absolute near it (Ei' = e^x/x ~ 4 there)
+    x, (_, ei, scaled) = ei_points
+    got = expi(x)
+    near = np.abs(x - EI_ROOT) < 0.05
+    assert np.all(np.abs(got[~near] / ei[~near] - 1) < 1e-14)
+    assert np.all(np.abs(got[near] - ei[near]) < 1e-15)
+    assert np.all(np.abs(ei_scaled(x[~near]) / scaled[~near] - 1) < 1e-14)
+
+
+def test_ei_edges_and_shapes():
+    # the poles, the domain of E1, overflow and nan; a number gives a float,
+    # an array its shape, and blocks of EI_BLOCK elements change no value
+    assert exp1(0.0) == np.inf and expi(0.0) == -np.inf
+    assert np.isnan(exp1(-1.0)) and np.isnan(expi(np.nan))
+    assert expi(710.0) == np.inf and exp1(800.0) == 0.0
+    assert isinstance(exp1(2.0), float) and isinstance(expi(np.float64(-2.0)), float)
+    x = np.random.default_rng(4).uniform(-60.0, 60.0, (3, EI_BLOCK // 2 + 7))
+    for f in (expi, exp1):
+        got = f(x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got[1:2], f(x[1:2]))
+        for v, g in zip(x[:, :50:7].ravel(), got[:, :50:7].ravel()):
+            assert f(v) == pytest.approx(g, rel=1e-15, abs=0) or np.isnan(g)

@@ -18,7 +18,7 @@ from exptests.statistics import (ALL_STATISTICS, TUNED_STATISTICS, StatisticId,
                                  kernel_w)
 from oracles import (edf_eigenvalue, edf_weibull_numerator, graded_halfline_grid,
                      l2_numerator_reference, mp_projected_kernel,
-                     pair_score_integral)
+                     pair_score_integral, psi_jd_scipy, psi_jp_scipy)
 
 # frozen double-integral oracles (adaptive quadrature of the projected kernel
 # against the family scores, recorded at development time)
@@ -29,6 +29,10 @@ MD_INTEGRALS = [
     (2.0, "emnw", 0.000318562),
     (0.2, "lfr", 0.00107302),
 ]
+
+
+# the per-(statistic, a, families) drift results
+DRIFT_CACHES = (slopes._l2_numerators, slopes._sup_drifts_sq)
 
 
 def _rel(got, expected):
@@ -98,6 +102,17 @@ class TestProjections:
         val, _ = integrate.quad(lambda x: float(psi(x, a)) * math.exp(-x),
                                 0, 80, limit=300)
         assert abs(val) < 1e-8
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_psi_numpy_ei_moves_little_from_scipy(self, a):
+        # JD's and JP's projections on the x-rule (to x = 600, where scipy's
+        # e^-z Ei(z) is still finite) with numeric.exp1 and numeric.expi
+        # against scipy's: within 2e-14 of max|psi| (6.5e-15 measured)
+        x, _ = slopes._x_rule(LRT_STEP)
+        x = x[x < 600.0]
+        for psi, ref in ((psi_JD, psi_jd_scipy), (psi_JP, psi_jp_scipy)):
+            want = ref(x, a)
+            assert np.max(np.abs(psi(x, a) - want)) <= 2e-14 * np.max(np.abs(want)), psi
 
     def test_mp_projected_kernel_symmetric_and_degenerate(self, gen):
         x = gen.uniform(0.1, 4.0, size=10)
@@ -180,8 +195,8 @@ class TestSlopeMechanics:
         # the x-rules at half the step and 1.5 times the t-panels move no
         # efficiency by 1e-9; MD's delta1 moves with the t-panels too
         def slopes_now():
-            for cached in (slopes._x_rule, numeric.t_rule,
-                           slopes._l2_operator_eigenvalue, largest_eigenvalue_delta1):
+            for cached in (slopes._x_rule, numeric.t_rule, slopes._l2_operator_eigenvalue,
+                           largest_eigenvalue_delta1, *DRIFT_CACHES):
                 cached.cache_clear()
             return [slope_coefficient(stat, fam) for fam in LOCAL_FAMILIES]
 
@@ -224,8 +239,8 @@ ROUTE_STATISTICS = ([StatisticId("CVM"), StatisticId("AD"), StatisticId("KS")]
 
 def _fresh_slope(stat, fam):
     """slope_coefficient with every cache of the slopes emptied first."""
-    for cached in (slopes._x_rule, numeric.t_rule,
-                   slopes._l2_operator_eigenvalue, slopes.lrt_local_coefficient):
+    for cached in (slopes._x_rule, numeric.t_rule, slopes._l2_operator_eigenvalue,
+                   slopes.lrt_local_coefficient, *DRIFT_CACHES):
         cached.cache_clear()
     return slope_coefficient(stat, fam)
 
@@ -263,6 +278,43 @@ class TestFamilyOrder:
         for stat in ROUTE_STATISTICS:
             self._check(stat, "gamma", fresh_slopes[stat, "gamma"])
             self._check(stat, stub, fresh_slopes[stat, "weibull"])
+
+
+SHARED_STATISTICS = ([StatisticId(name) for name in sorted(ALL_STATISTICS - TUNED_STATISTICS)]
+                     + [StatisticId(name, a) for name in sorted(TUNED_STATISTICS)
+                        for a in (0.5, 2.0)])
+
+
+def _efficiencies(families):
+    """{(stat, family id): efficiency} of SHARED_STATISTICS, the statistics
+    outer and the families in the order given, from emptied caches."""
+    for cached in (slopes._x_rule, numeric.t_rule, slopes._l2_operator_eigenvalue,
+                   slopes.lrt_local_coefficient, *DRIFT_CACHES):
+        cached.cache_clear()
+    return {(stat, fam.id): efficiency(stat, fam).efficiency
+            for stat in SHARED_STATISTICS for fam in families}
+
+
+class TestSharedDrifts:
+    """A catalogue family takes its drift from one pass over all four local
+    families; any other family object, from a pass of its own."""
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        return _efficiencies([get_family(f) for f in LOCAL_FAMILIES])
+
+    def test_copies_take_their_own_pass(self, shared):
+        # a dataclasses.replace copy equals its family but is not the
+        # catalogue object, so it takes the one-family tuple
+        copies = [dataclasses.replace(get_family(f)) for f in LOCAL_FAMILIES]
+        assert slopes._family_column(copies[1]) == ((copies[1],), 0)
+        assert slopes._family_column(get_family("gamma")) == (slopes._CATALOGUE, 1)
+        for key, got in _efficiencies(copies).items():
+            assert abs(got - shared[key]) <= 1e-13 * abs(shared[key]), key
+
+    def test_family_order_does_not_matter(self, shared):
+        reverse = [get_family(f) for f in reversed(LOCAL_FAMILIES)]
+        assert _efficiencies(reverse) == shared
 
 
 class TestProjectionReferences:
@@ -306,7 +358,7 @@ class TestProjectionReferences:
         # int b^2 w on weibull against lim b_T(theta)/theta^2 in 40 digits
         weibull = get_family("weibull")
         t, mass = slopes._l2_t_rule(name, None, slopes.DRIFT_POINTS)
-        b = slopes._drift(name, None, weibull, t)
+        b = slopes._drift(name, None, (weibull,), t)[:, 0]
         assert _rel(float(mass @ (b * b)), edf_weibull_numerator(ad)) < 1e-8
 
     @pytest.mark.parametrize("name,ad", [("CVM", False), ("AD", True)])

@@ -17,7 +17,7 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  kernel_hm2, kernel_w, ld_upper_bound,
                                  vn_process)
 
-from oracles import (hm1_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
+from oracles import (he_scipy, hm1_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
                      oracle_statistic, plain_reference, vn_mpmath)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
@@ -227,6 +227,17 @@ class TestBatteryForms:
         err = np.abs(evaluate_many(StatisticId("HM1", a), x) - ref)
         eps = np.finfo(float).eps
         assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
+
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 5.0])
+    def test_he_against_scipy_pair_mean(self, n, a):
+        # HE takes its Ei term once per point, from numeric.exp1; the pair mean
+        # of its kernel with scipy's Ei cancels O(1) terms to HE = O(1/n), so
+        # the two agree to a few eps of the sum of |terms| (3.9 eps measured)
+        x = np.random.default_rng(100 + n).standard_exponential((400, n))
+        ref, scale = he_scipy(x, a)
+        err = np.abs(evaluate_many(StatisticId("HE", a), x) - ref)
+        assert np.all(err <= 8 * np.finfo(float).eps * scale)
 
     def test_mp_chunks_sized_by_nodes(self, monkeypatch):
         # 10^4 rows at n = 5: chunks of CACHE_BUDGET // n^2 rows would hold
