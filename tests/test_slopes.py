@@ -237,11 +237,15 @@ ROUTE_STATISTICS = ([StatisticId("CVM"), StatisticId("AD"), StatisticId("KS")]
                        for a in (0.5, 2.0)])
 
 
-def _fresh_slope(stat, fam):
-    """slope_coefficient with every cache of the slopes emptied first."""
+def _clear_slope_caches():
     for cached in (slopes._x_rule, numeric.t_rule, slopes._l2_operator_eigenvalue,
                    slopes.lrt_local_coefficient, *DRIFT_CACHES):
         cached.cache_clear()
+
+
+def _fresh_slope(stat, fam):
+    """slope_coefficient with every cache of the slopes emptied first."""
+    _clear_slope_caches()
     return slope_coefficient(stat, fam)
 
 
@@ -288,9 +292,7 @@ SHARED_STATISTICS = ([StatisticId(name) for name in sorted(ALL_STATISTICS - TUNE
 def _efficiencies(families):
     """{(stat, family id): efficiency} of SHARED_STATISTICS, the statistics
     outer and the families in the order given, from emptied caches."""
-    for cached in (slopes._x_rule, numeric.t_rule, slopes._l2_operator_eigenvalue,
-                   slopes.lrt_local_coefficient, *DRIFT_CACHES):
-        cached.cache_clear()
+    _clear_slope_caches()
     return {(stat, fam.id): efficiency(stat, fam).efficiency
             for stat in SHARED_STATISTICS for fam in families}
 
