@@ -159,8 +159,10 @@ def optional_float(text: str):
 def write_table(path, columns, rows, fmt="csv") -> None:
     """Write the cells `columns` of each row (a dict) to the file `path`, or
     to stdout when path is None: as CSV with one header line, or with
-    fmt="json" as an indented JSON list of one object per row."""
-    rows = [{c: row[c] for c in columns} for row in rows]
+    fmt="json" as an indented JSON list of one object per row.  Each cell is
+    written as its text, str(value) or empty for None, so a JSON value is
+    the string of its CSV cell."""
+    rows = [{c: "" if row[c] is None else str(row[c]) for c in columns} for row in rows]
     fh = sys.stdout if path is None else open(path, "w", newline="", encoding="utf-8")
     try:
         if fmt == "json":
@@ -182,8 +184,9 @@ def read_csv_rows(path, parsers, make, optional=()) -> list:
     in `optional` may be missing from the header; its cells then read as
     empty.  DomainError names the file and the first other column that the
     header lacks, the file, line and column of a cell that is missing (a
-    short row) or that its parser rejects, or the file and line of a
-    DomainError of make(row) (a cell that parses but is out of range)."""
+    short row) or that its parser rejects, the file and line of a row with
+    more cells than the header, or the file and line of a DomainError of
+    make(row) (a cell that parses but is out of range)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in parsers
@@ -202,6 +205,9 @@ def read_csv_rows(path, parsers, make, optional=()) -> list:
 
         def build(row):
             try:
+                if None in row:  # DictReader's key for the cells past the header
+                    raise DomainError(f"the row has {len(reader.fieldnames) + len(row[None])} "
+                                      f"cells, the header {len(reader.fieldnames)}")
                 return make({column: cell(row, column) for column in parsers})
             except DomainError as exc:
                 raise DomainError(f"{path}:{reader.line_num}: {exc}") from None

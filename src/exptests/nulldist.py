@@ -12,13 +12,15 @@ Contents:
 * the largest eigenvalue delta1 of the operator with kernel h2_tilde on
   L2(Exp(1)).  As h2_tilde(u, v; a) = (2/3) int_0^inf e^{-at} phi(u, t)
   phi(v, t) dt with phi = phi1_tilde(., ., 0), delta1 is 2/3 of the top
-  eigenvalue of the t-operator e^{-a(s+t)/2} G(s, t) for a Gram G of phi,
-  on numeric.t_rule, the graded Gauss t-panels of every L2 slope
-  (_t_operator_delta1).  The primary route takes the Exp(1) Gram
-  K(s, t; 0), which needs no Ei; the check route (grid_ladder_delta1) takes
-  the midpoint Gram of the equal-width grid on which eigen_matrix
-  discretizes any kernel; gl_nystrom_delta1 is an x-side check.  The top
-  eigenvalue comes from numeric.largest_eigenvalue;
+  eigenvalue of a Gram G(s, t) of phi on L2(e^{-at} dt), taken on
+  numeric.t_rule, the graded Gauss t-panels of every L2 slope.  The primary
+  route (largest_eigenvalue_delta1) takes the Exp(1) Gram K(s, t; 0), which
+  needs no Ei; gl_nystrom_delta1, its x-side check, takes h2_tilde itself on
+  graded Gauss x-panels and agrees with it to about 1e-14; the grid route
+  (grid_ladder_delta1) takes the midpoint Gram of the equal-width grid on
+  which eigen_matrix discretizes any kernel, and converges only as its
+  cell width squared.  Every top eigenvalue comes from
+  numeric.largest_eigenvalue, the one Nystrom step;
 * Monte Carlo calibration of critical values and p-values.
 """
 
@@ -35,7 +37,7 @@ import numpy as np
 from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
                    float_cell, optional_float, read_csv_rows, write_table)
 from .errors import DomainError, NumericsError
-from .numeric import (exp_measure_nodes, expi, largest_eigenvalue, maximize_log_grid,
+from .numeric import (expi, largest_eigenvalue, maximize_log_grid, panel_gauss_nodes,
                       t_rule)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
@@ -152,15 +154,13 @@ def sup_variance(a: float) -> CovarianceHandle:
 
 @dataclass
 class EigenApproximation:
-    a: float
-    m: int
-    B: float
-    matrix: np.ndarray
+    matrix: np.ndarray  # kernel values on the nodes
+    mass: np.ndarray  # the nodes' quadrature masses
 
 
 def _grid_cells(m: int, B: float) -> Tuple[np.ndarray, np.ndarray]:
     """Midpoints x_i = (i + 1/2)B/m, i = 0..m, of equal-width cells, and
-    q_i = sqrt(p_i / (1 - e^{-B})) for the Exp(1) mass p_i of cell i."""
+    their masses p_i / (1 - e^{-B}) for the Exp(1) mass p_i of cell i."""
     if m < 100:
         raise DomainError("grid size m must be at least 100")
     if not (B > 0) or math.exp(-B) >= 1e-8:
@@ -168,27 +168,27 @@ def _grid_cells(m: int, B: float) -> Tuple[np.ndarray, np.ndarray]:
     i = np.arange(m + 1, dtype=float)
     h = B / m
     p = np.exp(-i * h) - np.exp(-(i + 1) * h)
-    return (i + 0.5) * h, np.sqrt(p / (-np.expm1(-B)))
+    return (i + 0.5) * h, p / (-np.expm1(-B))
 
 
 def eigen_matrix(a: float, m: int, B: float, kernel=h2_tilde) -> EigenApproximation:
     """Discretize the kernel operator on L2(Exp(1)) by the (m+1)x(m+1)
-    matrix kernel(x_i, x_j; a) q_i q_j on the cell midpoints of _grid_cells
-    (second order; left endpoints would be first), broadcast in blocks of
-    ELEMENT_BUDGET // (m+1) rows, so no (m+1)^2 temporaries are built."""
+    matrix kernel(x_i, x_j; a) on the cell midpoints of _grid_cells (second
+    order; left endpoints would be first), with their masses; the kernel is
+    broadcast in blocks of ELEMENT_BUDGET // (m+1) rows, so that its
+    temporaries stay below (m+1)^2 elements."""
     check_tuning(a)
-    nodes, sq = _grid_cells(m, B)
+    nodes, mass = _grid_cells(m, B)
     rows = max(1, ELEMENT_BUDGET // (m + 1))
     mat = np.empty((m + 1, m + 1))
     for r0 in range(0, m + 1, rows):
-        r = slice(r0, r0 + rows)
-        mat[r] = kernel(nodes[r, None], nodes[None, :], a) * np.outer(sq[r], sq)
-    return EigenApproximation(a=a, m=m, B=B, matrix=mat)
+        mat[r0:r0 + rows] = kernel(nodes[r0:r0 + rows, None], nodes[None, :], a)
+    return EigenApproximation(matrix=mat, mass=mass)
 
 
 def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
     """Top eigenvalue of the discretized operator (numeric.largest_eigenvalue)."""
-    return largest_eigenvalue(approx.matrix)
+    return largest_eigenvalue(approx.matrix, approx.mass)
 
 
 DELTA1_LADDER = (2, 5, 8)  # Gauss points per t-panel of the delta1 ladder
@@ -196,28 +196,17 @@ DELTA1_REL_TOL = 1e-10  # relative agreement required of its two finest rungs
 GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
 
 
-def _t_operator_delta1(a: float, npts: int, gram) -> Tuple[int, float]:
-    """(node count, (2/3) lambda_max[gram(t) sqrt(m_s m_t)]) on the nodes t and
-    masses m (weights times e^{-at}) of numeric.t_rule("exp", a, npts), the
-    t-rule of every L2 slope, for a Gram gram(t) = [E phi(X, s) phi(X, t)] of
-    the pair-minimum projection; with K(s, t; 0), lambda1/6 of slopes' MD."""
-    t, mass = t_rule("exp", a, npts)
-    sq = np.sqrt(mass)
-    return t.size, 2.0 / 3.0 * largest_eigenvalue(gram(t) * np.outer(sq, sq))
-
-
 def _grid_delta1(a: float, m: int, B: float) -> float:
-    """delta1 on the equal-width grid (m, B): the Gram of phi under masses
-    q_i^2 at the x_i of _grid_cells, on the finest DELTA1_LADDER t-rule; the
-    top eigenvalue of eigen_matrix(a, m, B) to about 1e-13 relative."""
+    """delta1 on the equal-width grid (m, B): 2/3 of the top eigenvalue of the
+    Gram of phi under the masses of _grid_cells, on L2(e^{-at} dt) by the
+    finest DELTA1_LADDER t-rule; the top eigenvalue of eigen_matrix(a, m, B)
+    to about 1e-13 relative."""
     check_tuning(a)
-    x, q = _grid_cells(m, B)
-
-    def gram(t):
-        phi = phi1_tilde(x[:, None], t, 0.0) * q[:, None]
-        return phi.T @ phi
-
-    return _t_operator_delta1(a, DELTA1_LADDER[-1], gram)[1]
+    x, p = _grid_cells(m, B)
+    t, mass = t_rule("exp", a, DELTA1_LADDER[-1])
+    # sum_i p_i phi(x_i, s) phi(x_i, t) as phi^T phi, which is exactly symmetric
+    phi = phi1_tilde(x[:, None], t, 0.0) * np.sqrt(p)[:, None]
+    return 2.0 / 3.0 * largest_eigenvalue(phi.T @ phi, mass)
 
 
 def grid_ladder_delta1(a: float) -> Tuple[float, list]:
@@ -239,29 +228,30 @@ class EigenDelta:
     trace: tuple  # ((n_nodes, estimate), ...)
 
 
-def gl_nystrom_delta1(a: float, n_nodes: int) -> float:
-    """Nystrom delta1 from h2_tilde on Gauss-Legendre nodes in u = 1 - e^{-x},
-    an x-side check of largest_eigenvalue_delta1; it converges only
-    algebraically, as x = -log(1 - u) is singular at u = 1."""
+def gl_nystrom_delta1(a: float, npts: int) -> float:
+    """Nystrom delta1 from h2_tilde itself on L2(Exp(1)): npts Gauss-Legendre
+    points on each panel of {0} u geomspace(1e-3, 45, 40), with masses
+    w e^{-x}.  The x-side check of largest_eigenvalue_delta1: at npts = 8
+    (320 nodes) it matches it to about 1e-14 for a in [0.2, 10]."""
     check_tuning(a)
-    if n_nodes < 1:
-        raise DomainError(f"need at least 1 node, got {n_nodes}")
-    x, w = exp_measure_nodes(n_nodes)
-    mat = h2_tilde(x[:, None], x[None, :], a) * np.sqrt(np.outer(w, w))
-    return largest_eigenvalue(mat)
+    if npts < 1:
+        raise DomainError(f"need at least 1 node per panel, got {npts}")
+    x, w = panel_gauss_nodes(np.r_[0.0, np.geomspace(1e-3, 45.0, 40)], npts)
+    return largest_eigenvalue(h2_tilde(x[:, None], x[None, :], a), w * np.exp(-x))
 
 
 @lru_cache(maxsize=None)
 def largest_eigenvalue_delta1(a: float) -> EigenDelta:
     """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)):
-    _t_operator_delta1 with the Exp(1) Gram K(s, t; 0), for each npts of
-    DELTA1_LADDER; the trace records (node count, estimate) per rung.  The
-    two finest rungs must agree within DELTA1_REL_TOL relative; otherwise
-    NumericsError is raised with the trace.  Results are cached per a;
-    failures are not."""
+    2/3 of the top eigenvalue of the Exp(1) Gram K(s, t; 0) on L2(e^{-at} dt)
+    (lambda1/6 of slopes' MD), by Nystrom on numeric.t_rule("exp", a, npts)
+    for each npts of DELTA1_LADDER; the trace records (node count, estimate)
+    per rung.  The two finest rungs must agree within DELTA1_REL_TOL
+    relative; otherwise NumericsError is raised with the trace.  Results are
+    cached per a; failures are not."""
     check_tuning(a)
-    trace = tuple(_t_operator_delta1(a, npts, lambda t: covariance_K(t[:, None], t[None, :], 0.0))
-                  for npts in DELTA1_LADDER)
+    trace = tuple((t.size, 2.0 / 3.0 * largest_eigenvalue(covariance_K(t[:, None], t, 0.0), mass))
+                  for t, mass in (t_rule("exp", a, npts) for npts in DELTA1_LADDER))
     (_, prev), (_, est) = trace[-2:]
     if not (est > 0 and abs(est - prev) <= DELTA1_REL_TOL * est):
         raise NumericsError(

@@ -1,8 +1,10 @@
 """Shared numerical helpers: quadrature grids, among them the graded t-rule of
-every covariance operator (t_rule), 1-D maximization, the largest eigenvalue
-of a symmetric matrix, and the exponential integrals Ei, E1 and e^-z Ei(z)
-in numpy (expi, exp1, ei_scaled), which every Ei of the package takes, so
-that no slope, h2_tilde or HE loads scipy.  scipy.special, imported on first
+every covariance operator (t_rule), 1-D maximization, the one Nystrom step
+of the package (largest_eigenvalue: the top eigenvalue of a symmetric kernel
+matrix on quadrature nodes, scaled by the nodes' masses), and the
+exponential integrals Ei, E1 and e^-z Ei(z) in numpy (expi, exp1,
+ei_scaled), which every Ei of the package takes, so that no slope, h2_tilde
+or HE loads scipy.  scipy.special, imported on first
 use (special), serves only the families' samplers, cdfs and means."""
 
 from __future__ import annotations
@@ -67,16 +69,6 @@ def panel_gauss_below(npts, panels):
               @ np.linalg.inv(leg.legvander(g, npts - 1))) / gw
     return (np.kron(np.tri(panels, k=-1), np.ones((npts, npts)))
             + np.kron(np.eye(panels), within))
-
-
-def exp_measure_nodes(n):
-    """Gauss-Legendre nodes for integrals against the Exp(1) measure.
-
-    Substitutes u = 1 - e^-x, returning x-nodes and weights such that
-    sum w_i f(x_i) approximates the integral of f(x) e^-x dx over (0, inf).
-    """
-    u, w = np.polynomial.legendre.leggauss(n)
-    return -np.log1p(-0.5 * (u + 1.0)), 0.5 * w
 
 
 def _scan_then_refine(f, refine, lo, hi, ngrid, tol):
@@ -174,8 +166,12 @@ LANCZOS_STEPS = 300  # most Lanczos steps of largest_eigenvalue
 LANCZOS_TOL = 1e-13  # residual norm, relative to the eigenvalue, that stops it
 
 
-def largest_eigenvalue(mat) -> float:
-    """Largest eigenvalue of a dense symmetric matrix.
+def largest_eigenvalue(kernel, mass) -> float:
+    """Largest eigenvalue of the kernel operator that a quadrature rule
+    discretizes: the top eigenvalue of the Nystrom matrix
+    sqrt(m_i) kernel_ij sqrt(m_j) for a symmetric kernel matrix on the rule's
+    nodes and their masses m (weights times the measure's density).  The
+    scaled matrix is one temporary; the kernel array is left unchanged.
 
     Lanczos iteration with full reorthogonalisation, from the fixed start
     vector of ones so that repeated calls return the same float.  After step
@@ -189,6 +185,9 @@ def largest_eigenvalue(mat) -> float:
     which has no zero entry) or the residual test still fails after
     LANCZOS_STEPS steps.
     """
+    sq = np.sqrt(mass)
+    mat = kernel * sq[:, None]
+    mat *= sq
     n = mat.shape[0]
     steps = min(n, LANCZOS_STEPS)
     basis = np.empty((steps, n))

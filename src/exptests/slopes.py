@@ -307,8 +307,7 @@ def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
         mat = (f * (np.exp(-x) * w)) @ f.T
     else:
         mat = cov(t[:, None], t[None, :])
-    sq = np.sqrt(mass)
-    return largest_eigenvalue(mat * np.outer(sq, sq))
+    return largest_eigenvalue(mat, mass)
 
 
 @lru_cache(maxsize=None)

@@ -284,8 +284,8 @@ class TestFileErrors:
         self._check(code, err, f"{path}:3: ", "repeats", "alpha=0.05")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv", [
+# one run of each subcommand (`test` also takes --input)
+SUBCOMMAND_ARGV = [
     ["test", "--stat", "MD", "--a", "1", "--seed", "5", "--threads", "1"],
     ["critval", "--stat", "LD", "--a", "1,2", "--n", "12", "--seed", "5",
      "--threads", "1"],
@@ -293,7 +293,12 @@ class TestFileErrors:
      "--seed", "5", "--threads", "1"],
     ["efficiency", "--stat", "EP", "--family", "weibull"],
     ["eigen", "--a", "0.5,1"],
-], ids=lambda v: v[0] if isinstance(v, list) else v)
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV,
+                         ids=lambda v: v[0] if isinstance(v, list) else v)
 def test_output_file_holds_the_stdout_bytes(argv, fmt, sample_file, tmp_path, capsys):
     """Every subcommand writes the same table to --output as to stdout."""
     if argv[0] == "test":
@@ -305,6 +310,20 @@ def test_output_file_holds_the_stdout_bytes(argv, fmt, sample_file, tmp_path, ca
     assert code == code_file == 0
     assert out_file == ""
     assert dest.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_ARGV, ids=lambda v: v[0])
+def test_json_cells_are_the_csv_cells(argv, sample_file, capsys):
+    """--format json writes every cell as the string of its CSV cell, so that
+    each row object has the same cells as its CSV row."""
+    if argv[0] == "test":
+        argv = argv + ["--input", sample_file]
+    code_csv, out_csv, _ = run(argv, capsys)
+    code_json, out_json, _ = run(argv + ["--format", "json"], capsys)
+    assert code_csv == code_json == 0
+    rows = json.loads(out_json)
+    assert all(isinstance(v, str) for row in rows for v in row.values())
+    assert rows == list(csv.DictReader(io.StringIO(out_csv)))
 
 
 class TestEfficiencySubcommand:
@@ -351,8 +370,8 @@ class TestEigenSubcommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         methods = {r["method"] for r in rows}
-        assert {"covariance-nystrom", "grid", "grid-extrapolated",
-                "final", "route-disagreement"} <= methods
+        assert methods == {"covariance-nystrom", "x-nystrom", "final",
+                           "route-disagreement"}
 
     def test_route_disagreement_row(self, capsys):
         code, out, _ = run(["eigen", "--a", "0.5,1", "--format", "json"],
@@ -361,9 +380,9 @@ class TestEigenSubcommand:
         rows = json.loads(out)
         for a in ("0.5", "1.0"):
             by = {r["method"]: float(r["delta1"]) for r in rows if r["a"] == a}
-            extr, final = by["grid-extrapolated"], by["final"]
-            assert by["route-disagreement"] == abs(extr - final) / final
-            assert by["route-disagreement"] < 1e-4
+            check, final = by["x-nystrom"], by["final"]
+            assert by["route-disagreement"] == abs(check - final) / final
+            assert by["route-disagreement"] <= 1e-12
 
     def test_requires_a(self, capsys):
         code, _, _ = run(["eigen"], capsys)

@@ -16,7 +16,7 @@ from exptests.nulldist import (CALIBRATION_COLUMNS, DELTA1_LADDER,
                                p_value_mc, phi1_tilde,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
-from exptests.numeric import largest_eigenvalue, panel_gauss_nodes, t_rule
+from exptests.numeric import t_rule
 from exptests.slopes import _l2_operator_eigenvalue, efficiency
 from exptests.statistics import StatisticId
 
@@ -153,10 +153,10 @@ class TestSupVariance:
 
 
 def _grid(m, B):
-    """Cell midpoints and square-root cell weights of eigen_matrix's grid."""
+    """Cell midpoints and cell masses of eigen_matrix's grid."""
     i = np.arange(m + 1, dtype=float)
     p = np.exp(-i * (B / m)) - np.exp(-(i + 1) * (B / m))
-    return (i + 0.5) * (B / m), np.sqrt(p / (-np.expm1(-B)))
+    return (i + 0.5) * (B / m), p / (-np.expm1(-B))
 
 
 class TestEigenMachinery:
@@ -174,10 +174,11 @@ class TestEigenMachinery:
 
     def test_row_blocks_match_full_broadcast(self):
         m, B = 2000, 30.0
-        nodes, sq = _grid(m, B)
-        full = h2_tilde(nodes[:, None], nodes[None, :], 1.0) * np.outer(sq, sq)
-        got = eigen_matrix(1.0, m, B).matrix
-        assert got.tobytes() == full.tobytes()
+        nodes, mass = _grid(m, B)
+        full = h2_tilde(nodes[:, None], nodes[None, :], 1.0)
+        got = eigen_matrix(1.0, m, B)
+        assert got.matrix.tobytes() == full.tobytes()
+        assert got.mass.tobytes() == mass.tobytes()
 
     @pytest.mark.parametrize("B", [25.0, 30.0])
     @pytest.mark.parametrize("m", [100, 777, 2000])
@@ -185,15 +186,14 @@ class TestEigenMachinery:
     def test_default_kernel_matches_broadcast(self, a, m, B):
         # the grid matrix of the closed-form h2_tilde against the broadcast of
         # its factorization (2/3) sum_k w_k e^{-a t_k} phi(x_i, t_k) phi(x_j, t_k)
-        # on the finest delta1 t-rule, entrywise in the kernel's scale:
-        # |diff| / (sq_i sq_j) <= 2e-13 max|h2| (8.9e-14 measured)
-        nodes, sq = _grid(m, B)
+        # on the finest delta1 t-rule, entrywise: |diff| <= 2e-13 max|h2|
+        # (8.9e-14 measured)
+        nodes, _ = _grid(m, B)
         t, mass = t_rule("exp", a, DELTA1_LADDER[-1])
-        phi = phi1_tilde(nodes[:, None], t, 0.0) * sq[:, None]
+        phi = phi1_tilde(nodes[:, None], t, 0.0)
         ref = 2.0 / 3.0 * (phi * mass) @ phi.T
         got = eigen_matrix(a, m, B).matrix
-        h2_max = np.abs(got / np.outer(sq, sq)).max()
-        assert np.all(np.abs(got - ref) <= 2e-13 * h2_max * np.outer(sq, sq))
+        assert np.all(np.abs(got - ref) <= 2e-13 * np.abs(got).max())
 
     @pytest.mark.parametrize("m, B", [(100, 25.0), (500, 25.0), (777, 30.0)])
     @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
@@ -223,21 +223,10 @@ class TestEigenMachinery:
 
     @pytest.mark.parametrize("a", sorted(DELTA1))
     def test_matches_graded_x_panel_nystrom(self, a):
-        # the x-side check: Nystrom of h2_tilde itself, 12 Gauss points on
-        # each panel of {0} u geomspace(1e-3, 45, 40), Exp(1) weights
-        edges = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 40)])
-        x, w = panel_gauss_nodes(edges, 12)
-        sq = np.sqrt(w * np.exp(-x))
-        ref = largest_eigenvalue(h2_tilde(x[:, None], x[None, :], a)
-                                 * np.outer(sq, sq))
-        assert abs(largest_eigenvalue_delta1(a).delta1 - ref) < 1e-9 * ref
-
-    def test_gauss_legendre_route_closes_in_from_below(self):
-        # the u-scale Nystrom of h2_tilde converges only algebraically
-        d = largest_eigenvalue_delta1(1.0).delta1
-        gaps = [d - gl_nystrom_delta1(1.0, n) for n in (120, 240, 480)]
-        assert 0 < gaps[2] < gaps[1] < gaps[0]
-        assert gaps[2] < 1e-6 * d
+        # the x-side check gl_nystrom_delta1: Nystrom of h2_tilde itself, 8
+        # Gauss points on each graded x-panel (1.2e-14 measured at a = 10)
+        ref = gl_nystrom_delta1(a, 8)
+        assert abs(largest_eigenvalue_delta1(a).delta1 - ref) < 1e-12 * ref
 
     def test_ladder_trace_and_cache(self):
         r1 = largest_eigenvalue_delta1(1.0)
@@ -272,7 +261,7 @@ class TestEigenMachinery:
 
     @pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf])
     def test_every_route_rejects_invalid_a(self, a):
-        for route in (grid_ladder_delta1, lambda a: gl_nystrom_delta1(a, 50),
+        for route in (grid_ladder_delta1, lambda a: gl_nystrom_delta1(a, 8),
                       lambda a: eigen_matrix(a, 100, 25.0)):
             with pytest.raises(DomainError, match="positive finite"):
                 route(a)
@@ -369,6 +358,15 @@ class TestCalibration:
                         "MD,1.0,5,0.05,0.01,0.0021794494717703367,10000,7,0,\n"
                         "MD,1.0,5,0.05,0.99,0.0021794494717703367,10000,7,0,\n")
         with pytest.raises(DomainError, match=f"{path}:3: repeats alpha=0.05 of MD"):
+            load_calibrations(path)
+
+    def test_row_with_extra_cells_is_rejected_with_its_line(self, tmp_path):
+        # cells past the header's columns are an error, not silently dropped
+        path = tmp_path / "cal.csv"
+        path.write_text(",".join(CALIBRATION_COLUMNS) + "\n"
+                        "MD,1.0,5,0.05,0.01,0.0021794494717703367,10000,7,0,\n"
+                        "MD,1.0,5,0.01,0.02,0.0009949874371066199,10000,7,0,,3,4\n")
+        with pytest.raises(DomainError, match=f"{path}:3: the row has 12 cells, the header 10"):
             load_calibrations(path)
 
     def test_alphas_are_floats_and_survive_the_csv(self, tmp_path):

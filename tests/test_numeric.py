@@ -6,7 +6,7 @@ from exptests import expint_Ei, numeric
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, LANCZOS_STEPS,
-                              ei_scaled, exp1, exp_measure_nodes, expi,
+                              ei_scaled, exp1, expi,
                               largest_eigenvalue, maximize_log_grid,
                               newton_maximize_log_grid, panel_gauss_below,
                               panel_gauss_nodes)
@@ -137,40 +137,47 @@ def test_flat_and_plateau_rows_return_grid_maximum():
     np.testing.assert_array_equal(np.sort(probes[0]), [0, 1])
 
 
-def _nystrom_matrix():
-    x, w = exp_measure_nodes(120)
-    return h2_tilde(x[:, None], x[None, :], 1.0) * np.sqrt(np.outer(w, w))
+# (kernel matrix, node masses) of a quadrature rule
+def _nystrom_kernel():
+    # h2_tilde on gl_nystrom_delta1's graded x-panels, 3 points per panel
+    x, w = panel_gauss_nodes(np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 40)]), 3)
+    return h2_tilde(x[:, None], x[None, :], 1.0), w * np.exp(-x)
 
 
-def _l2_covariance_matrix():
+def _grid_kernel():
+    approx = eigen_matrix(1.0, 500, 25.0)
+    return approx.matrix, approx.mass
+
+
+def _l2_covariance_kernel():
     t, w = panel_gauss_nodes(np.concatenate([[0.0], np.geomspace(0.02, 100.0, 40)]), 20)
-    mass = w * np.exp(-t)
-    return _cov_bh(t[:, None], t[None, :]) * np.sqrt(np.outer(mass, mass))
+    return _cov_bh(t[:, None], t[None, :]), w * np.exp(-t)
 
 
-def _edf_covariance_matrix():
+def _edf_covariance_kernel():
     t, w = panel_gauss_nodes(np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 24)]), 12)
-    sq = np.sqrt(w * np.exp(-t))
-    return _cov_edf(t, panel_gauss_below(12, 24)) * np.outer(sq, sq)
+    return _cov_edf(t, panel_gauss_below(12, 24)), w * np.exp(-t)
 
 
-def _rank_one_matrix():
+def _rank_one_kernel():
     v = np.exp(-np.linspace(0.0, 5.0, 60))
-    return np.outer(v, v)
+    return np.outer(v, v), np.ones(v.size)
 
 
-@pytest.mark.parametrize("build", [_nystrom_matrix,
-                                   lambda: eigen_matrix(1.0, 500, 25.0).matrix,
-                                   _l2_covariance_matrix, _edf_covariance_matrix,
-                                   _rank_one_matrix],
+@pytest.mark.parametrize("build", [_nystrom_kernel, _grid_kernel, _l2_covariance_kernel,
+                                   _edf_covariance_kernel, _rank_one_kernel],
                          ids=["nystrom", "grid", "l2-covariance", "edf-covariance",
                               "rank-one"])
 def test_largest_eigenvalue_matches_full_spectrum(build):
-    mat = build()
-    expected = np.linalg.eigvalsh(mat)[-1]
-    got = largest_eigenvalue(mat)
+    # the top eigenvalue of sqrt(m_i) K_ij sqrt(m_j), and K left as it was
+    kernel, mass = build()
+    before = kernel.copy()
+    sq = np.sqrt(mass)
+    expected = np.linalg.eigvalsh(kernel * np.outer(sq, sq))[-1]
+    got = largest_eigenvalue(kernel, mass)
     assert abs(got - expected) <= 1e-12 * abs(expected)
-    assert largest_eigenvalue(mat) == got
+    assert largest_eigenvalue(kernel, mass) == got
+    assert kernel.tobytes() == before.tobytes()
 
 
 def test_largest_eigenvalue_nonconvergence_raises():
@@ -179,14 +186,14 @@ def test_largest_eigenvalue_nonconvergence_raises():
     # LANCZOS_STEPS < 400 steps
     assert LANCZOS_STEPS < 400
     with pytest.raises(NumericsError, match="did not converge"):
-        largest_eigenvalue(np.diag(1.0 - np.linspace(0.0, 1.0, 400) ** 2))
+        largest_eigenvalue(np.diag(1.0 - np.linspace(0.0, 1.0, 400) ** 2), np.ones(400))
 
 
 def test_largest_eigenvalue_rejects_nan():
-    mat = _rank_one_matrix()
-    mat[7, 30] = mat[30, 7] = np.nan
+    kernel, mass = _rank_one_kernel()
+    kernel[7, 30] = kernel[30, 7] = np.nan
     with pytest.raises(NumericsError, match="not finite"):
-        largest_eigenvalue(mat)
+        largest_eigenvalue(kernel, mass)
 
 
 def test_panel_gauss_below_integrates_the_interpolant():

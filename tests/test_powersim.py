@@ -308,6 +308,15 @@ class TestPowerTables:
             load_power_table(path)
         assert str(info.value).startswith(f"{path}:3: column {column!r}: ")
 
+    def test_row_with_extra_cells_is_a_domain_error(self, tmp_path):
+        # cells past the header's columns are an error, not silently dropped
+        path = tmp_path / "power.csv"
+        good = "MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50"
+        path.write_text(",".join(POWER_COLUMNS) + "\n" + good + "\n" + good + ",x\n")
+        with pytest.raises(DomainError) as info:
+            load_power_table(path)
+        assert str(info.value) == f"{path}:3: the row has 15 cells, the header 14"
+
     @pytest.mark.parametrize("row, words", [
         ("MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,-4,0,,50", "non-negative ints"),
         ("MD,-1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50", "tuning parameter a"),
