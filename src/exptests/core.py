@@ -183,16 +183,18 @@ def read_csv_rows(path, parsers, make, optional=()) -> list:
     the columns of `parsers`, each parsed by its column's parser.  A column
     in `optional` may be missing from the header; its cells then read as
     empty.  DomainError names the file and the first other column that the
-    header lacks, the file, line and column of a cell that is missing (a
-    short row) or that its parser rejects, the file and line of a row with
-    more cells than the header, or the file and line of a DomainError of
-    make(row) (a cell that parses but is out of range)."""
+    header lacks (or else the first column that it repeats), the file, line
+    and column of a cell that is missing (a short row) or that its parser
+    rejects, the file and line of a row with more cells than the header, or
+    the file and line of a DomainError of make(row) (a cell that parses but
+    is out of range)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in parsers
-                   if c not in (reader.fieldnames or ()) and c not in optional]
-        if missing:
-            raise DomainError(f"{path}: no {missing[0]!r} column")
+        fields = reader.fieldnames or []
+        wrong = [f"no {c!r} column" for c in parsers if c not in fields and c not in optional]
+        wrong += [f"the header repeats {c!r}" for k, c in enumerate(fields) if c in fields[:k]]
+        if wrong:
+            raise DomainError(f"{path}: {wrong[0]}")
 
         def cell(row, column):
             text = row.get(column, "")

@@ -15,8 +15,10 @@ Contents:
   eigenvalue of a Gram G(s, t) of phi on L2(e^{-at} dt), taken on
   numeric.t_rule, the graded Gauss t-panels of every L2 slope.  The primary
   route (largest_eigenvalue_delta1) takes the Exp(1) Gram K(s, t; 0), which
-  needs no Ei; gl_nystrom_delta1, its x-side check, takes h2_tilde itself on
-  graded Gauss x-panels and agrees with it to about 1e-14; the grid route
+  needs no Ei, through numeric.operator_eigenvalue, the one Nystrom ladder
+  of every L2 lambda1 (it stops at 8 points per panel);
+  gl_nystrom_delta1, its x-side check, takes h2_tilde itself on graded
+  Gauss x-panels and agrees with it to about 1e-14; the grid route
   (grid_ladder_delta1) takes the midpoint Gram of the equal-width grid on
   which eigen_matrix discretizes any kernel, and converges only as its
   cell width squared.  Every top eigenvalue comes from
@@ -37,8 +39,8 @@ import numpy as np
 from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
                    float_cell, optional_float, read_csv_rows, write_table)
 from .errors import DomainError, NumericsError
-from .numeric import (expi, largest_eigenvalue, maximize_log_grid, panel_gauss_nodes,
-                      t_rule)
+from .numeric import (expi, largest_eigenvalue, maximize_log_grid, operator_eigenvalue,
+                      panel_gauss_nodes, t_rule)
 from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
                          ld_upper_bound)
 
@@ -191,19 +193,17 @@ def matrix_largest_eigenvalue(approx: EigenApproximation) -> float:
     return largest_eigenvalue(approx.matrix, approx.mass)
 
 
-DELTA1_LADDER = (2, 5, 8)  # Gauss points per t-panel of the delta1 ladder
-DELTA1_REL_TOL = 1e-10  # relative agreement required of its two finest rungs
 GRID_RUNGS = ((500, 25.0), (1000, 25.0), (2000, 30.0))  # (m, B) of the grid ladder
 
 
 def _grid_delta1(a: float, m: int, B: float) -> float:
     """delta1 on the equal-width grid (m, B): 2/3 of the top eigenvalue of the
     Gram of phi under the masses of _grid_cells, on L2(e^{-at} dt) by the
-    finest DELTA1_LADDER t-rule; the top eigenvalue of eigen_matrix(a, m, B)
-    to about 1e-13 relative."""
+    8-point t-rule, the rung where delta1's ladder stops; the top eigenvalue
+    of eigen_matrix(a, m, B) to about 1e-13 relative."""
     check_tuning(a)
     x, p = _grid_cells(m, B)
-    t, mass = t_rule("exp", a, DELTA1_LADDER[-1])
+    t, mass = t_rule("exp", a, 8)
     # sum_i p_i phi(x_i, s) phi(x_i, t) as phi^T phi, which is exactly symmetric
     phi = phi1_tilde(x[:, None], t, 0.0) * np.sqrt(p)[:, None]
     return 2.0 / 3.0 * largest_eigenvalue(phi.T @ phi, mass)
@@ -244,20 +244,15 @@ def gl_nystrom_delta1(a: float, npts: int) -> float:
 def largest_eigenvalue_delta1(a: float) -> EigenDelta:
     """Largest eigenvalue delta1 of the h2_tilde operator on L2(Exp(1)):
     2/3 of the top eigenvalue of the Exp(1) Gram K(s, t; 0) on L2(e^{-at} dt)
-    (lambda1/6 of slopes' MD), by Nystrom on numeric.t_rule("exp", a, npts)
-    for each npts of DELTA1_LADDER; the trace records (node count, estimate)
-    per rung.  The two finest rungs must agree within DELTA1_REL_TOL
-    relative; otherwise NumericsError is raised with the trace.  Results are
-    cached per a; failures are not."""
+    (lambda1/6 of slopes' MD), by numeric.operator_eigenvalue, the Nystrom
+    ladder of every L2 lambda1; the trace records (node count, 2/3 of the
+    estimate) per rung up to the first that agrees with the rung before it.
+    When no rung does, its NumericsError carries the ladder's own trace.
+    Results are cached per a; failures are not."""
     check_tuning(a)
-    trace = tuple((t.size, 2.0 / 3.0 * largest_eigenvalue(covariance_K(t[:, None], t, 0.0), mass))
-                  for t, mass in (t_rule("exp", a, npts) for npts in DELTA1_LADDER))
-    (_, prev), (_, est) = trace[-2:]
-    if not (est > 0 and abs(est - prev) <= DELTA1_REL_TOL * est):
-        raise NumericsError(
-            f"delta1 ladder did not converge for a={a}: "
-            f"{[(n, f'{d:.8g}') for n, d in trace]}", trace=trace)
-    return EigenDelta(a=float(a), delta1=est, trace=trace)
+    trace = tuple((n, 2.0 / 3.0 * est) for n, est in operator_eigenvalue(
+        lambda t, npts: covariance_K(t[:, None], t, 0.0), "exp", a))
+    return EigenDelta(a=float(a), delta1=trace[-1][1], trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Shared numerical helpers: quadrature grids, among them the graded t-rule of
 every covariance operator (t_rule), 1-D maximization, the one Nystrom step
 of the package (largest_eigenvalue: the top eigenvalue of a symmetric kernel
-matrix on quadrature nodes, scaled by the nodes' masses), and the
+matrix on quadrature nodes, scaled by the nodes' masses), the one Nystrom
+ladder that every operator eigenvalue takes (operator_eigenvalue: that step
+on t-rules of more and more points per panel, until two agree), and the
 exponential integrals Ei, E1 and e^-z Ei(z) in numpy (expi, exp1,
 ei_scaled), which every Ei of the package takes, so that no slope, h2_tilde
 or HE loads scipy.  scipy.special, imported on first
@@ -43,9 +45,14 @@ def t_rule(kind: str, a, npts: int):
     """(t, Gauss weights times w(t, a)) on (0, inf), npts points per panel,
     for the weight w of T_WEIGHTS[kind] and its t-scale 1/scale: the panel
     [0, 1e-4 min(1, 1/scale)] holds the drift's t log t (weibull, gamma), and
-    T_PANELS - 1 geometric panels up to max(100, 60/scale) resolve HM's
-    covariance, a ridge of unit width.  The rule ends at the last node where
-    w (decreasing in t) is at least WEIGHT_KEPT.  Cached, so read-only."""
+    T_PANELS - 1 geometric panels run up to max(100, 60/scale), each about
+    0.3 times as wide as its distance from 0.  A kernel feature of fixed
+    width therefore needs more points per panel the further out w keeps t:
+    HM1's covariance, a ridge of unit width along s = t, needs 8 points per
+    panel at a >= 2, 40 at a = 0.2 (t up to 180, where panels are about 50
+    wide) and more than 40 at a = 0.1, where operator_eigenvalue raises.
+    The rule ends at the last node where w (decreasing in t) is at least
+    WEIGHT_KEPT.  Cached, so read-only."""
     weight, scale = T_WEIGHTS[kind]
     s = scale(a)
     edges = np.geomspace(1e-4 * min(1.0, 1.0 / s), max(100.0, 60.0 / s), T_PANELS)
@@ -212,6 +219,28 @@ def largest_eigenvalue(kernel, mass) -> float:
     raise NumericsError(f"largest eigenvalue of a {n}x{mat.shape[1]} matrix did "
                         f"not converge in {steps} Lanczos steps: residual "
                         f"{beta[-1] * abs(vecs[-1, -1]):.3g}, estimate {theta[-1]:.17g}")
+
+
+EIGEN_LADDER = (2, 5, 8, 12, 16, 20, 28, 40)  # Gauss points per t-panel of operator_eigenvalue
+EIGEN_REL_TOL = 1e-10  # relative agreement with the rung before that ends the ladder
+
+
+def operator_eigenvalue(kernel, kind: str, a) -> tuple:
+    """Top eigenvalue of a kernel operator on L2(w(t, a) dt), w of
+    T_WEIGHTS[kind], by a Nystrom ladder: for each npts of EIGEN_LADDER,
+    largest_eigenvalue of the matrix kernel(t, npts) on the nodes and masses
+    of t_rule(kind, a, npts).  Returns the trace ((node count, estimate),
+    ...) up to the first rung within EIGEN_REL_TOL relative of the rung
+    before it, so its last estimate is the eigenvalue; raises NumericsError
+    carrying the whole trace when no rung gets there."""
+    trace = ()
+    for npts in EIGEN_LADDER:
+        t, mass = t_rule(kind, a, npts)
+        est = largest_eigenvalue(kernel(t, npts), mass)
+        trace += ((t.size, est),)
+        if len(trace) > 1 and est > 0 and abs(est - trace[-2][1]) <= EIGEN_REL_TOL * est:
+            return trace
+    raise NumericsError(f"Nystrom ladder on t_rule({kind!r}, {a=}) did not converge: {trace}", trace)
 
 
 E1_SERIES_END = 1.5  # exp1: power series up to here, continued fraction above

@@ -19,10 +19,12 @@ turns f into f~(x, t) = f(x, t) - (x - 1) int f(y, t) (y - 1) e^{-y} dy,
 whose Gram under Exp(1) is the covariance K(s, t) of the limiting process;
 the local drift is b(t) = int f~(x, t) g'(x) dx.  Then
 * L2 statistics (_l2_slope): c_coeff = int b^2 w dt / lambda1,
-  a_T = 1/lambda1, with lambda1 the top eigenvalue of K on L2(w dt).  MD is
-  one: f = 2 phi1_tilde(x, t; 0), w = e^{-at} and K = 4 K(s, t; 0)
-  (nulldist's covariance_K); nMD converges to 6 sum delta_k W_k^2, so
-  lambda1 = 6 delta1;
+  a_T = 1/lambda1, with lambda1 the top eigenvalue of K on L2(w dt).  Every
+  lambda1 comes from numeric.operator_eigenvalue, one Nystrom ladder of
+  t-rules that stops where two rungs agree and raises NumericsError when
+  none do (HM1 at a = 0.1).  MD is one: f = 2 phi1_tilde(x, t; 0),
+  w = e^{-at} and K = 4 K(s, t; 0) (nulldist's covariance_K); nMD
+  converges to 6 sum delta_k W_k^2, so lambda1 = 6 delta1;
 * supremum statistics (_sup_slope): c_coeff = sup_t b^2 / sup_t K(t,t),
   a_T = 1/sup_t K(t,t); LD (f = phi1_tilde(x, t; a)) and KS;
 * asymptotically normal statistics (_normal_slope):
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -61,7 +63,7 @@ import numpy as np
 from .core import float_cell
 from .errors import DomainError
 from .families import LOCAL_FAMILIES, get_family
-from .numeric import (ei_scaled, exp1, expi, largest_eigenvalue, maximize_log_grid,
+from .numeric import (ei_scaled, exp1, expi, maximize_log_grid, operator_eigenvalue,
                       panel_gauss_below, panel_gauss_nodes, t_rule)
 from .nulldist import covariance_K, largest_eigenvalue_delta1, phi1_tilde, sup_variance
 from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
@@ -218,22 +220,15 @@ _SLOPES = {
 # Drifts and covariances on the x-rule and the t-rules
 # ---------------------------------------------------------------------------
 
-EIGEN_POINTS, DRIFT_POINTS = 20, 8  # Gauss points per panel for lambda1, drift
+DRIFT_POINTS = 8  # Gauss points per t-panel of the drift
 HM_STEP = 0.9  # largest x-step of HM times the largest t the weight keeps
-
-
-def _l2_t_rule(name: str, a: Optional[float], npts: int):
-    """(t, weights times w(t, a)) of an L2 member: numeric.t_rule of its weight
-    kind, the one t-rule here and of nulldist's delta1."""
-    return t_rule(_SLOPES[name][3], a, npts)
 
 
 def _x_step(name: str, a: Optional[float]) -> float:
     """LRT_STEP, or for HM, whose projection oscillates like sin(tx), HM_STEP
     over the largest t-node its weight keeps (about a/40 for HM1)."""
-    if _SLOPES[name][1] is not _proj_hm:
-        return LRT_STEP
-    return min(LRT_STEP, HM_STEP / _l2_t_rule(name, a, DRIFT_POINTS)[0][-1])
+    return (LRT_STEP if _SLOPES[name][1] is not _proj_hm
+            else min(LRT_STEP, HM_STEP / t_rule(_SLOPES[name][3], a, DRIFT_POINTS)[0][-1]))
 
 
 def _influence(proj, a, t, x, w):
@@ -292,22 +287,24 @@ def _cov_edf(t, below):
     return eu + (es - eu) * below - (1.0 + np.outer(t, t)) * es * eu
 
 
-@lru_cache(maxsize=None)
-def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
-    """lambda1: top eigenvalue of K on L2(w dt) by Nystrom on _l2_t_rule; K is the
-    closed form, the EDF covariance, or (MP) the Gram of f~ on the x-rule."""
+def _l2_kernel(name: str, a: Optional[float], t, npts: int):
+    """K of an L2 member on the nodes t of its npts-point t-rule: the closed
+    form, the EDF covariance, or (MP) the Gram of f~ on the x-rule."""
     _, proj, cov, _ = _SLOPES[name]
-    t, mass = _l2_t_rule(name, a, EIGEN_POINTS)
     if proj is None:
-        below = panel_gauss_below(EIGEN_POINTS, t.size // EIGEN_POINTS + 1)
-        mat = _cov_edf(t, below[:t.size, :t.size])
-    elif cov is None:
+        return _cov_edf(t, panel_gauss_below(npts, t.size // npts + 1)[:t.size, :t.size])
+    if cov is None:
         x, w = _x_rule(_x_step(name, a))
         f = _influence(proj, a, t, x, w)
-        mat = (f * (np.exp(-x) * w)) @ f.T
-    else:
-        mat = cov(t[:, None], t[None, :])
-    return largest_eigenvalue(mat, mass)
+        return (f * (np.exp(-x) * w)) @ f.T
+    return cov(t[:, None], t[None, :])
+
+
+@lru_cache(maxsize=None)
+def _l2_operator_eigenvalue(name: str, a: Optional[float]) -> float:
+    """lambda1: top eigenvalue of K (_l2_kernel) on L2(w dt), the last rung of
+    numeric.operator_eigenvalue's ladder; NumericsError when it does not converge."""
+    return operator_eigenvalue(partial(_l2_kernel, name, a), _SLOPES[name][3], a)[-1][1]
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +334,7 @@ def _normal_slope(stat: StatisticId, fam):
 @lru_cache(maxsize=None)
 def _l2_numerators(name: str, a: Optional[float], fams: tuple) -> tuple:
     """int b^2 w dt of each family of fams."""
-    t, mass = _l2_t_rule(name, a, DRIFT_POINTS)
+    t, mass = t_rule(_SLOPES[name][3], a, DRIFT_POINTS)
     b = _drift(name, a, fams, t)
     return tuple(map(float, mass @ (b * b)))
 

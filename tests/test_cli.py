@@ -348,6 +348,16 @@ class TestEfficiencySubcommand:
         assert float(row["b_coeff"]) == rep.b_coeff
         assert row["flagged"] == "False"
 
+    def test_unconverged_eigenvalue_ladder_exits_2(self, capsys):
+        # HM1's lambda1 at a = 0.1 does not settle by 40 points per panel:
+        # the diagnostic and the ladder's trace, no table and no traceback
+        code, out, err = run(["efficiency", "--stat", "HM1", "--a", "0.1",
+                              "--family", "weibull"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical diagnostic failure: Nystrom ladder")
+        assert "did not converge: ((" in err
+
     def test_a_written_exactly(self, capsys):
         # two tuning parameters that agree to six digits give two rows
         rows = []

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from exptests import nulldist
+from exptests import nulldist, numeric
 from exptests.core import RngStream
 from exptests.errors import DomainError, NumericsError
-from exptests.nulldist import (CALIBRATION_COLUMNS, DELTA1_LADDER,
+from exptests.nulldist import (CALIBRATION_COLUMNS,
                                calibrate_critical_value, covariance_K,
                                eigen_matrix, expint_Ei,
                                gl_nystrom_delta1, grid_ladder_delta1, h2_tilde,
@@ -186,10 +186,10 @@ class TestEigenMachinery:
     def test_default_kernel_matches_broadcast(self, a, m, B):
         # the grid matrix of the closed-form h2_tilde against the broadcast of
         # its factorization (2/3) sum_k w_k e^{-a t_k} phi(x_i, t_k) phi(x_j, t_k)
-        # on the finest delta1 t-rule, entrywise: |diff| <= 2e-13 max|h2|
-        # (8.9e-14 measured)
+        # on the 8-point t-rule, where delta1's ladder stops, entrywise:
+        # |diff| <= 2e-13 max|h2| (8.9e-14 measured)
         nodes, _ = _grid(m, B)
-        t, mass = t_rule("exp", a, DELTA1_LADDER[-1])
+        t, mass = t_rule("exp", a, 8)
         phi = phi1_tilde(nodes[:, None], t, 0.0)
         ref = 2.0 / 3.0 * (phi * mass) @ phi.T
         got = eigen_matrix(a, m, B).matrix
@@ -245,8 +245,8 @@ class TestEigenMachinery:
         assert abs(extr - primary) < 5e-4 * primary
 
     def test_nonconvergence_raises_with_trace(self, monkeypatch):
-        monkeypatch.setattr(nulldist, "DELTA1_LADDER", (4, 8))
-        monkeypatch.setattr(nulldist, "DELTA1_REL_TOL", 1e-12)
+        monkeypatch.setattr(numeric, "EIGEN_LADDER", (4, 8))
+        monkeypatch.setattr(numeric, "EIGEN_REL_TOL", 1e-12)
         largest_eigenvalue_delta1.cache_clear()
         try:
             with pytest.raises(NumericsError) as exc:
@@ -368,6 +368,15 @@ class TestCalibration:
                         "MD,1.0,5,0.01,0.02,0.0009949874371066199,10000,7,0,,3,4\n")
         with pytest.raises(DomainError, match=f"{path}:3: the row has 12 cells, the header 10"):
             load_calibrations(path)
+
+    def test_repeated_header_column_is_rejected(self, tmp_path):
+        # a column named twice is an error, not a silent win of its last cell
+        path = tmp_path / "cal.csv"
+        path.write_text(",".join(CALIBRATION_COLUMNS) + ",seed\n"
+                        "MD,1.0,5,0.05,0.01,0.0021794494717703367,10000,7,0,,9\n")
+        with pytest.raises(DomainError) as info:
+            load_calibrations(path)
+        assert str(info.value) == f"{path}: the header repeats 'seed'"
 
     def test_alphas_are_floats_and_survive_the_csv(self, tmp_path):
         cal = calibrate_critical_value(StatisticId("MD", 1.0), 5,

@@ -5,11 +5,11 @@ import pytest
 from exptests import expint_Ei, numeric
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
-from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, LANCZOS_STEPS,
-                              ei_scaled, exp1, expi,
+from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, EIGEN_LADDER,
+                              EIGEN_REL_TOL, LANCZOS_STEPS, ei_scaled, exp1, expi,
                               largest_eigenvalue, maximize_log_grid,
-                              newton_maximize_log_grid, panel_gauss_below,
-                              panel_gauss_nodes)
+                              newton_maximize_log_grid, operator_eigenvalue,
+                              panel_gauss_below, panel_gauss_nodes, t_rule)
 from exptests.slopes import _cov_bh, _cov_edf
 
 
@@ -194,6 +194,26 @@ def test_largest_eigenvalue_rejects_nan():
     kernel[7, 30] = kernel[30, 7] = np.nan
     with pytest.raises(NumericsError, match="not finite"):
         largest_eigenvalue(kernel, mass)
+
+
+def test_operator_eigenvalue_stops_at_the_first_agreeing_rung():
+    # the constant kernel on L2(e^{-t} dt) has the one eigenvalue
+    # int e^{-t} dt = 1 (to e^{-36} on the rule); each rung is the t-rule of
+    # its points per panel, and only the last two rungs agree
+    trace = operator_eigenvalue(lambda t, npts: np.ones((t.size, t.size)), "cvm", None)
+    sizes, ests = zip(*trace)
+    assert list(sizes) == [t_rule("cvm", None, k)[0].size for k in EIGEN_LADDER[:len(trace)]]
+    assert abs(ests[-1] - ests[-2]) <= EIGEN_REL_TOL * ests[-1]
+    assert all(abs(e1 - e0) > EIGEN_REL_TOL * e1 for e0, e1 in zip(ests[:-2], ests[1:-1]))
+    assert abs(ests[-1] - 1.0) < 1e-12
+
+
+def test_operator_eigenvalue_raises_with_the_whole_ladder():
+    # a kernel that grows with the points per panel never settles
+    with pytest.raises(NumericsError, match="did not converge") as exc:
+        operator_eigenvalue(lambda t, npts: np.full((t.size, t.size), float(npts)), "exp", 10.0)
+    assert [n for n, _ in exc.value.trace] == [t_rule("exp", 10.0, k)[0].size
+                                               for k in EIGEN_LADDER]
 
 
 def test_panel_gauss_below_integrates_the_interpolant():

@@ -317,6 +317,15 @@ class TestPowerTables:
             load_power_table(path)
         assert str(info.value) == f"{path}:3: the row has 15 cells, the header 14"
 
+    def test_repeated_header_column_is_rejected(self, tmp_path):
+        # a column named twice is an error, not a silent win of its last cell
+        path = tmp_path / "power.csv"
+        path.write_text(",".join(POWER_COLUMNS) + ",power\n"
+                        "MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50,0.9\n")
+        with pytest.raises(DomainError) as info:
+            load_power_table(path)
+        assert str(info.value) == f"{path}: the header repeats 'power'"
+
     @pytest.mark.parametrize("row, words", [
         ("MD,1,,gamma,1.0,20,0.05,0.5,0.01,2000,-4,0,,50", "non-negative ints"),
         ("MD,-1,,gamma,1.0,20,0.05,0.5,0.01,2000,7,0,,50", "tuning parameter a"),

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from exptests import numeric, slopes
-from exptests.errors import DomainError
+from exptests.errors import DomainError, NumericsError
 from exptests.families import LOCAL_FAMILIES, get_family
 from exptests.nulldist import (covariance_K, h2_tilde, largest_eigenvalue_delta1,
                                min_pair_laplace)
@@ -344,7 +344,7 @@ class TestProjectionReferences:
         # no scale correction, and (1/6) of its t-Gram against e^{-at} is the
         # closed-form second projection of its kernel
         x = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
-        t, mass = slopes._l2_t_rule("MP", a, slopes.EIGEN_POINTS)
+        t, mass = numeric.t_rule("exp", a, 20)
         xs, ws = slopes._x_rule(LRT_STEP)
         for proj in (slopes._proj_mp, phi1_tilde):
             f = proj(xs, t[:, None], a)
@@ -357,7 +357,7 @@ class TestProjectionReferences:
     def test_edf_numerator_is_the_defining_limit(self, name, ad):
         # int b^2 w on weibull against lim b_T(theta)/theta^2 in 40 digits
         weibull = get_family("weibull")
-        t, mass = slopes._l2_t_rule(name, None, slopes.DRIFT_POINTS)
+        t, mass = numeric.t_rule(slopes._SLOPES[name][3], None, slopes.DRIFT_POINTS)
         b = slopes._drift(name, None, (weibull,), t)[:, 0]
         assert _rel(float(mass @ (b * b)), edf_weibull_numerator(ad)) < 1e-8
 
@@ -371,6 +371,35 @@ class TestProjectionReferences:
         b = (math.sqrt(2.0) - 1.0) * math.exp(-(2.0 - math.sqrt(2.0)))
         assert abs(rep.b_coeff - b) < 1e-9 * b
         assert _rel(rep.efficiency, rep.a_T * b * b / lrt_local_coefficient("lfr")) < 1e-9
+
+
+L2_MEMBERS = [("CVM", None), ("AD", None)] + [
+    (name, a) for name in ("MD", "BH", "HE", "W", "HM1", "HM2", "MP") for a in (0.5, 2.0)]
+
+
+class TestEigenLadder:
+    """Every L2 lambda1 comes from numeric.operator_eigenvalue: the rungs of
+    EIGEN_LADDER up to the first that agrees with the one before it."""
+
+    @pytest.mark.parametrize("name,a", L2_MEMBERS)
+    def test_matches_a_28_point_build(self, name, a):
+        t, mass = numeric.t_rule(slopes._SLOPES[name][3], a, 28)
+        ref = largest_eigenvalue(slopes._l2_kernel(name, a, t, 28), mass)
+        assert _rel(slopes._l2_operator_eigenvalue(name, a), ref) < 1e-10
+
+    def test_hm1_at_small_a_against_a_finer_build(self):
+        # HM1's covariance needs 40 points per panel at a = 0.2; a fixed 20
+        # points per panel was 2.2e-9 off a 44-point build
+        t, mass = numeric.t_rule("exp", 0.2, 44)
+        ref = largest_eigenvalue(slopes._cov_hm(t[:, None], t[None, :]), mass)
+        assert _rel(slopes._l2_operator_eigenvalue("HM1", 0.2), ref) < 1e-10
+
+    def test_unconverged_ladder_raises_with_its_trace(self):
+        # at a = 0.1 HM1's ladder does not settle by 40 points per panel; a
+        # fixed 20 points per panel returned an efficiency 6e-6 off
+        with pytest.raises(NumericsError, match="did not converge") as exc:
+            efficiency(StatisticId("HM1", 0.1), "weibull")
+        assert len(exc.value.trace) >= 2
 
 
 class TestReferenceEfficiencies:
