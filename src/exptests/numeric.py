@@ -1,13 +1,14 @@
 """Shared numerical helpers: quadrature grids, among them the graded t-rule of
-every covariance operator (t_rule), 1-D maximization, the one Nystrom step
-of the package (largest_eigenvalue: the top eigenvalue of a symmetric kernel
-matrix on quadrature nodes, scaled by the nodes' masses), the one Nystrom
-ladder that every operator eigenvalue takes (operator_eigenvalue: that step
-on t-rules of more and more points per panel, until two agree), and the
-exponential integrals Ei, E1 and e^-z Ei(z) in numpy (expi, exp1,
-ei_scaled), which every Ei of the package takes, so that no slope, h2_tilde
-or HE loads scipy.  scipy.special, imported on first
-use (special), serves only the families' samplers, cdfs and means."""
+every covariance operator (t_rule) and the double-exponential t-rule of every
+Laplace-transform L2 statistic (laplace_t_rule), 1-D maximization, the one
+Nystrom step of the package (largest_eigenvalue: the top eigenvalue of a
+symmetric kernel matrix on quadrature nodes, scaled by the nodes' masses),
+the one Nystrom ladder that every operator eigenvalue takes
+(operator_eigenvalue: that step on t-rules of more and more points per
+panel, until two agree), and the exponential integrals Ei, E1 and e^-z Ei(z)
+in numpy (expi, exp1, ei_scaled), which every Ei of the package takes, so
+that no slope or h2_tilde loads scipy.  scipy.special, imported on first use
+(special), serves only the families' samplers, cdfs and means."""
 
 from __future__ import annotations
 
@@ -61,6 +62,27 @@ def t_rule(kind: str, a, npts: int):
     t, mass = t[w >= WEIGHT_KEPT], (wt * w)[w >= WEIGHT_KEPT]
     t.flags.writeable = mass.flags.writeable = False
     return t, mass
+
+
+@lru_cache(maxsize=None)
+def laplace_t_rule(a, n: int):
+    """(t, w) with sum_k w_k g(t_k) ~ int_0^inf g(t) e^{-at} dt for the
+    transforms of a scaled sample of n points: the double-exponential map
+    t = t0 exp(u - e^{-u}) (Takahasi & Mori 1974, Publ. RIMS 9) on
+    u = -3.2 + 0.2 k, for u < log(45/(a t0)), so the last node sits near
+    t = 45/a; w = 0.2 t (1 + e^{-u}) e^{-at} is the step times the map's
+    Jacobian times the weight.  The centre t0 = min(1/a, 1/n): the
+    scaled sample has mean 1, so its largest point is at most n and the
+    features of e^{-tY} lie above t ~ 1/n.  36 to 74 nodes for n <= 120 and
+    a in [0.05, 20] (55 at n = 50, a = 1); sum w e^{-ct} is within 1.0e-13
+    relative of 1/(a + c) for c in [0, 4n] there.  Cached, so read-only."""
+    t0 = min(1.0 / a, 1.0 / n)
+    top = math.log(45.0 / (a * t0))
+    u = -3.2 + 0.2 * np.arange(math.ceil((top + 3.2) / 0.2))
+    t = t0 * np.exp(u - np.exp(-u))
+    w = 0.2 * t * (1.0 + np.exp(-u)) * np.exp(-a * t)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def panel_gauss_below(npts, panels):

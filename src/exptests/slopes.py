@@ -66,7 +66,8 @@ from .families import LOCAL_FAMILIES, get_family
 from .numeric import (ei_scaled, exp1, expi, maximize_log_grid, operator_eigenvalue,
                       panel_gauss_below, panel_gauss_nodes, t_rule)
 from .nulldist import covariance_K, largest_eigenvalue_delta1, phi1_tilde, sup_variance
-from .statistics import CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound
+from .statistics import (CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound, proj_bh,
+                         proj_he, proj_w)
 
 EFFICIENCY_SLACK = 1.02
 
@@ -190,7 +191,8 @@ _SLOPES = {
     # id -> (slope routine, projection, closed-form covariance K(s, t) of f~
     #        or None, L2 weight kind or None).  The projection is psi(x, a)
     #        for a normal member, f(x, t, a) for an L2 or supremum member and
-    #        None for the EDF members.  Routines are named, not held, so that
+    #        None for the EDF members (BH's, HE's and W's are the ones their
+    #        statistics' kernels evaluate).  Routines are named, not held, so that
     #        a rebound module attribute (a wrapper, say) is the one called.
     "EP": ("slope_normal_family", lambda x, a: 4.0 * np.exp(-x) + x, None, None),
     "GINI": ("slope_normal_family", lambda x, a: 2.0 * np.exp(-x) + x / 2.0, None, None),
@@ -205,12 +207,9 @@ _SLOPES = {
            lambda s, t: 4.0 * covariance_K(s, t, 0.0), "exp"),
     "CVM": ("slope_L2_family", None, None, "cvm"),
     "AD": ("slope_L2_family", None, None, "ad"),
-    "BH": ("slope_L2_family", lambda x, t, a: (1.0 - x - t * x) * np.exp(-t * x),
-           _cov_bh, "exp"),
-    "HE": ("slope_L2_family", lambda x, t, a: np.exp(-t * x) - 1.0 / (1.0 + t),
-           _cov_he, "exp"),
-    "W": ("slope_L2_family", lambda x, t, a: (1.0 + t) * np.exp(-t * x) - 1.0,
-          _cov_w, "exp"),
+    "BH": ("slope_L2_family", proj_bh, _cov_bh, "exp"),
+    "HE": ("slope_L2_family", proj_he, _cov_he, "exp"),
+    "W": ("slope_L2_family", proj_w, _cov_w, "exp"),
     "HM1": ("slope_L2_family", _proj_hm, _cov_hm, "exp"),
     "HM2": ("slope_L2_family", _proj_hm, _cov_hm, "gauss"),
     "MP": ("slope_L2_family", _proj_mp, None, "exp"),

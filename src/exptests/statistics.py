@@ -14,8 +14,11 @@ Each one has a single batched kernel in the `_KERNELS` table, mapping the
 scaled rows y (r, n), their ascending sort z and the tuning parameter a to
 the r statistic values.  `evaluate_many` feeds it row chunks under an
 element budget and `evaluate` is its one-row case.  Integral-type statistics
-use closed forms, O(n^2) pair sums, sorted-sample formulas or (MD, MP) one
-trapezoid rule in log t.  LD takes both transforms, and the t-derivatives of
+use closed forms, O(n^2) pair sums, sorted-sample formulas or one
+double-exponential t-rule, numeric.laplace_t_rule, applied by one helper
+(_laplace_l2) to an O(n)-per-node transform: MD and MP have transform bodies
+of their own, BH, HE and W take the sample mean of one projection f(x, t, a)
+each, which the slopes take too.  LD takes both transforms, and the t-derivatives of
 its Newton refine, from one expm1 per sorted point; HM1's kernel is written in
 reciprocals of a^2 + (u -+ v)^2 so that no two nearly equal terms are subtracted.
 """
@@ -23,23 +26,24 @@ reciprocals of a^2 + (u -+ v)^2 so that no two nearly equal terms are subtracted
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
 from .errors import DomainError
-from .numeric import exp1, newton_maximize_log_grid
+from .numeric import laplace_t_rule, newton_maximize_log_grid
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# elements (512 KiB) per (rows, n, n) temporary of a CACHE_SIZED kernel's
-# evaluate_many chunk (MD's is (rows, n, nodes)) and per (rows, points, n)
-# temporary of an LD scan step, so that they stay in a per-core L2.  At
-# ELEMENT_BUDGET (8 MB) the allocator returned each freed temporary to the OS
-# and every chunk paid its page faults again.  MD and JP update one temporary
-# in place; LD's vn keeps two, E = expm1(-tz) and E (E + 2); HM1's kernel
-# keeps three.
+# elements (512 KiB) per temporary of a CACHE_SIZED kernel's evaluate_many
+# chunk ((rows, n, nodes), MP's (rows, nodes) or (rows, n, n)) and per
+# (rows, points, n) temporary of an LD scan step, so that they stay in a
+# per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator returned each freed
+# temporary to the OS and every chunk paid its page faults again.  MD and JP
+# update one temporary in place; LD's vn keeps two, E = expm1(-tz) and
+# E (E + 2); HM1's kernel keeps three.
 CACHE_BUDGET = 65_536
 # elements per evaluate_many chunk of the other kernels and per nulldist.eigen_matrix
 # row block (LD's Newton refine: 0.28 s per 3e4 rows at n = 20, 0.47 s at CACHE_BUDGET)
@@ -86,29 +90,25 @@ class StatValue:
 # MD / LD: pair-minimum Laplace transform statistics
 # ---------------------------------------------------------------------------
 
-LOG_T_STEP = 0.25  # trapezoid step in s = log t of MD's and MP's rule
+def _laplace_l2(transform, y, z, a):
+    """int transform(t)^2 e^{-at} dt of each row on laplace_t_rule(a, n),
+    from the (rows, nodes) array transform(z, t, a) at the rule's nodes t:
+    the kernel of MD, MP, BH, HE and W."""
+    t, w = laplace_t_rule(a, z.shape[1])
+    d = transform(z, t, a)
+    return (d * d * w).sum(axis=1)
 
 
-def _log_t_nodes(a):
-    """Trapezoid nodes t = e^s of MD and MP: step LOG_T_STEP in s on
-    [min(-14, log(60/a) - 18), log(60/a)], so the rule starts at least 18
-    units of s below the damping scale 1/a of e^{-at}."""
-    top = np.log(60.0 / a)
-    return np.exp(np.arange(min(-14.0, top - 18.0), top, LOG_T_STEP))
-
-
-def _md(y, z, a):
-    """Weighted L2 distance of the sample Laplace transform L = mean E from
-    the V-empirical transform D = sum w E^2 of 2 min(Y_i, Y_j), E = exp(-tZ):
-    the integral of (L - D)^2 t e^{-at} over s = log t by the trapezoid rule
-    on _log_t_nodes.  L - D cancels only at small t, where t (L - D)^2 = O(t^3)."""
-    t = _log_t_nodes(a)
+def _md(z, t, a):
+    """MD's transform: the sample Laplace transform L = mean E less the
+    V-empirical transform D = sum w E^2 of 2 min(Y_i, Y_j), E = exp(-tZ).
+    L - D cancels only at small t, where (L - D)^2 = O(t^2)."""
     e = np.multiply.outer(z, -t)  # (rows, n, nodes): t contiguous
     np.exp(e, out=e)
     diff = np.full(z.shape[1], 1.0 / z.shape[1]) @ e
     e *= e
     diff -= min_pair_weights(z.shape[1]) @ e
-    return LOG_T_STEP * (diff * diff * (t * np.exp(-a * t))).sum(axis=1)
+    return diff
 
 
 def _vn(z, a, t, derivatives=False):
@@ -226,38 +226,31 @@ def _ks(y, z, a):
 
 
 # ---------------------------------------------------------------------------
-# Laplace-transform competitors (order-2 kernels and closed forms)
+# Laplace-transform competitors (Henze & Meintanis 2005, Metrika 61).  BH, HE
+# and W are _laplace_l2 of the sample mean of their projections f(x, t, a),
+# each a transform minus its null value, written in expm1 form so that no O(1)
+# terms cancel in the sample mean.
 # ---------------------------------------------------------------------------
 
-def kernel_bh(x, y, a=1.0):
-    u, v = np.asarray(x), np.asarray(y)
-    s = a + u + v
-    return (1 - u) * (1 - v) / s - (u + v - 2 * u * v) / s**2 + 2 * u * v / s**3
+def proj_bh(x, t, a):
+    """(1 + t) L'(t) + L(t) of one point: (1 - x (1 + t)) e^{-tx}."""
+    return (1.0 - x * (1.0 + t)) * np.exp(-t * x)
 
 
-def kernel_he(x, y, a=1.0):
-    """HE's kernel 1/(a+u+v) + g(u) + g(v) + 1 + a e^a Ei(-a), with
-    g(u) = e^{a+u} Ei(-(a+u)) = -e^{a+u} E1(a+u)."""
-    u, v = np.asarray(x), np.asarray(y)
-    return (1.0 / (a + u + v) - np.exp(a + u) * exp1(a + u)
-            - np.exp(a + v) * exp1(a + v) + 1.0 - a * np.exp(a) * exp1(a))
+def proj_he(x, t, a):
+    """L(t) - 1/(1 + t) of one point: expm1(-tx) + t/(1 + t)."""
+    return np.expm1(-t * x) + t / (1.0 + t)
 
 
-def _he(y, z, a):
-    """Pair mean of kernel_he: g depends on one point, so it is taken once per
-    point and enters as 2 mean_i g(Y_i)."""
-    s = y + a
-    pair = s[:, :, None] + y[:, None, :]
-    np.reciprocal(pair, out=pair)
-    return (pair.mean(axis=(1, 2)) - 2.0 * np.mean(np.exp(s) * exp1(s), axis=1)
-            + 1.0 - a * np.exp(a) * exp1(a))
+def proj_w(x, t, a):
+    """(1 + t) L(t) - 1 of one point: (1 + t) expm1(-tx) + t."""
+    return (1.0 + t) * np.expm1(-t * x) + t
 
 
-def kernel_w(x, y, a=1.0):
-    u, v = np.asarray(x), np.asarray(y)
-    s = a + u + v
-    return (1.0 / a - (1 / (a + u) + 1 / (a + u)**2) - (1 / (a + v) + 1 / (a + v)**2)
-            + 1 / s + 2 / s**2 + 2 / s**3)
+def _sample_mean(proj, z, t, a):
+    """The transform mean_i proj(Z_i, t, a) of each row, from one
+    (rows, n, nodes) array of the projection."""
+    return proj(z[:, :, None], t, a).mean(axis=1)
 
 
 def kernel_hm1(x, y, a=1.0):
@@ -312,27 +305,24 @@ def kernel_hm2(x, y, a=1.0):
                    * np.exp(-s * s / (4 * a)))
 
 
-def _mp(y, z, a):
-    """Weighted L2 distance of the V-empirical transform D of |Y_i - Y_j| from the
-    sample transform L: the integral of (D - L)^2 t e^{-at} over s = log t by the
-    trapezoid rule on _log_t_nodes, which converges geometrically
-    (Trefethen & Weideman 2014, SIAM Rev. 56; about 1e-8 at step 0.35).
-    With S_j = sum_{i<j} e^{-t(Z_j - Z_i)} for j = 0, ..., n-1,
+def _mp(z, t, a):
+    """MP's transform: the V-empirical transform D of |Y_i - Y_j| less the
+    sample transform L.  MP on laplace_t_rule is within 5e-15 relative of its
+    closed form in 40 digits on exponential rows for a from 0.2 to 10^6.  With
+    S_j = sum_{i<j} e^{-t(Z_j - Z_i)} for j = 0, ..., n-1,
     D = (n + 2 sum_j S_j) / n^2 and L = mean e^{-tZ} are both near 1 where
     D - L = O(t), so both are taken in expm1 form:
     D - L = 2 sum_j E_j / n^2 - mean expm1(-tZ) with E_j = S_j - j, and
     E_j = e^{-t Delta_j} E_{j-1} + expm1(-t Delta_j) j
         = E_{j-1} + expm1(-t Delta_j) (E_{j-1} + j),  Delta_j = Z_j - Z_{j-1}."""
     n = z.shape[1]
-    t = _log_t_nodes(a)
     lap, e, pairs = np.expm1(np.multiply.outer(z[:, 0], -t)), 0.0, 0.0
     for j in range(1, n):  # (rows, nodes) arrays, one column of z at a time
         lap += np.expm1(np.multiply.outer(z[:, j], -t))
         step = np.expm1(np.multiply.outer(z[:, j] - z[:, j - 1], -t))
         e = e + step * (e + j)
         pairs = pairs + e
-    diff = 2.0 * pairs / (n * n) - lap / n
-    return LOG_T_STEP * np.sum(diff * diff * (t * np.exp(-a * t)), axis=1)
+    return 2.0 * pairs / (n * n) - lap / n
 
 
 def _jp(y, z, a):
@@ -346,7 +336,7 @@ def _jp(y, z, a):
 # name -> batched kernel(y, z, a) of the scaled rows y (r, n), their ascending
 # sort z and the tuning parameter (None for plain statistics) -> (r,) values
 _KERNELS = {
-    "MD": _md,
+    "MD": partial(_laplace_l2, _md),
     "LD": _ld,
     "EP": lambda y, z, a: np.sqrt(48.0) * (np.mean(np.exp(-y), axis=1) - 0.5),
     "CO": lambda y, z, a: 1.0 + np.mean((1.0 - y) * np.log(y), axis=1),
@@ -355,18 +345,21 @@ _KERNELS = {
     "KS": _ks,
     "CVM": _cvm,
     "AD": _ad,
-    "BH": _pair_mean(kernel_bh),
-    "HE": _he,
-    "W": _pair_mean(kernel_w),
+    "BH": partial(_laplace_l2, partial(_sample_mean, proj_bh)),
+    "HE": partial(_laplace_l2, partial(_sample_mean, proj_he)),
+    "W": partial(_laplace_l2, partial(_sample_mean, proj_w)),
     "HM1": _pair_mean(kernel_hm1),
     "HM2": _pair_mean(kernel_hm2),
     "JD": lambda y, z, a: (np.mean(1.0 / (y + a), axis=1)
                            - np.sum(min_pair_weights(y.shape[1]) / (2.0 * z + a), axis=1)),
     "JP": _jp,
-    "MP": _mp,
+    "MP": partial(_laplace_l2, _mp),
 }
-# kernels with (rows, n, n), MD's (rows, n, nodes) or MP's (rows, nodes) arrays
-CACHE_SIZED = frozenset({"MD", "JP", "BH", "HE", "W", "HM1", "HM2", "MP"})
+# the kernels that take CACHE_BUDGET chunks -> elements per row of their
+# temporaries, (n, nodes), MP's (nodes,) or (n, n), from n and the node count k
+# of laplace_t_rule(a, n)
+CACHE_SIZED = {**dict.fromkeys(("MD", "BH", "HE", "W"), lambda n, k: n * k), "MP": lambda n, k: k,
+               **dict.fromkeys(("JP", "HM1", "HM2"), lambda n, k: n * n)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +372,13 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     Every entry must be a positive finite real; the first one that is not is
     named by row and column.  The rows are scaled to unit means and sorted,
     and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // n^2 rows for the kernels in CACHE_SIZED (MD: // (n nodes),
-    MP: // nodes) and of
-    ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not depend
-    on the chunking, except for LD: its scan and refine gather the chunk's
-    rows into one matrix-vector product, whose rounding depends on which rows
-    share the chunk, so LD rows agree across chunkings (and with `evaluate`)
-    to rounding only, below 1e-13 relative.
+    CACHE_BUDGET // (n nodes) rows for MD, BH, HE and W, CACHE_BUDGET // nodes
+    for MP (nodes of laplace_t_rule(a, n)), CACHE_BUDGET // n^2 for JP, HM1
+    and HM2, and ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does
+    not depend on the chunking, except for LD: its scan and refine gather the
+    chunk's rows into one matrix-vector product, whose rounding depends on
+    which rows share the chunk, so LD rows agree across chunkings (and with
+    `evaluate`) to rounding only, below 1e-13 relative.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -393,9 +386,10 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     check_positive(x)
     kernel = _KERNELS[stat.name]
     r, n = x.shape
-    budget = CACHE_BUDGET if stat.name in CACHE_SIZED else ELEMENT_BUDGET
-    nodes = _log_t_nodes(stat.a).size if stat.name in ("MD", "MP") else n
-    rows = max(1, budget // (nodes if stat.name == "MP" else n * nodes))
+    rows = ELEMENT_BUDGET // (n * n)
+    if stat.name in CACHE_SIZED:
+        rows = CACHE_BUDGET // CACHE_SIZED[stat.name](n, laplace_t_rule(stat.a, n)[0].size)
+    rows = max(1, rows)
     mean = x.mean(axis=1, keepdims=True)
     # sorted whole, then scaled: the sorted copy is freed before the chunk
     # loop, and glibc, which sizes its heap trimming by the largest block it

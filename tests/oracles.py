@@ -1,19 +1,22 @@
 """Independent oracles for the integral-type statistics.
 
 The package computes each statistic through a closed form, an O(n^2) kernel
-sum, a sorted-sample formula or (MD and MP) a trapezoid rule in log t; the
-functions here instead evaluate the defining integrals by adaptive
-quadrature on the empirical transforms, so agreement is a genuine
+sum, a sorted-sample formula or (MD, MP, BH, HE and W) a double-exponential
+t-rule; the functions here instead evaluate the defining integrals by
+adaptive quadrature on the empirical transforms, so agreement is a genuine
 cross-check rather than a re-run of the same code path.  `md_mpmath`,
 `mp_mpmath`, `hm1_mpmath` and `h2_tilde_mpmath` evaluate MD's and MP's
 double sums of 1/(a + c_p + c_q), HM1's published kernel and h2_tilde's
 closed form in 40-digit arithmetic, where their cancellation does not
-matter; `vn_mpmath` is LD's process vn in that arithmetic and `ld_mpmath`
-its supremum by a dense scan and golden-section refine.
+matter; `mp_quad_mpmath` is MP's defining integral by quadrature in that
+arithmetic; `laplace_pair_mpmath` is the pair mean of BH's, HE's or W's
+published kernel in that arithmetic; `vn_mpmath` is LD's process vn there
+and `ld_mpmath` its supremum by a dense scan and golden-section refine.
 
 The references at the end check the slopes: the pair-grid double integrals
-of the MD and L2 battery numerators (the kernel against the family scores,
-with the mu-derivatives of a battery kernel by central differences), MP's
+of the MD and L2 battery numerators (the kernel, such as W's published one
+in float64, `kernel_w`, against the family scores, with the mu-derivatives
+of a battery kernel by central differences), MP's
 second-projection kernel in closed form, the CVM and AD slope numerators as
 the defining limit b_T(theta)/theta^2 in 40-digit arithmetic, and the top
 eigenvalue of the CVM and AD covariance from the Brownian bridge's
@@ -128,6 +131,35 @@ def mp_mpmath(sample, a, dps=40):
                                  for ck, wk in terms for cl, wl in terms))
 
 
+def mp_quad_mpmath(sample, a, dps=40):
+    """MP of a raw sample in `dps`-digit arithmetic by Gauss-Legendre
+    quadrature of int (D(t) - L(t))^2 e^{-at} dt, split at 1/n, 1/a, 10/a
+    and 100/a, for n where mp_mpmath's O(n^4) double sum is too slow: with
+    the sorted scaled sample Z and S_j = sum_{i<j} e^{-t(Z_j - Z_i)}
+    = e^{-t(Z_j - Z_{j-1})} (S_{j-1} + 1), D = (n + 2 sum S_j)/n^2 takes
+    O(n) exponentials per t."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        n, mean = len(x), mpmath.fsum(x) / len(x)
+        z = sorted(v / mean for v in x)
+        a = mpmath.mpf(a)
+
+        def integrand(t):
+            lap = power = mpmath.exp(-t * z[0])
+            s = pairs = mpmath.mpf(0)
+            for j in range(1, n):
+                e = mpmath.exp(-t * (z[j] - z[j - 1]))
+                s = e * (s + 1)
+                power *= e
+                pairs += s
+                lap += power
+            diff = (n + 2 * pairs) / n**2 - lap / n
+            return diff * diff * mpmath.exp(-a * t)
+
+        splits = sorted({mpmath.mpf(0), mpmath.mpf(1) / n, 1 / a, 10 / a, 100 / a})
+        return float(mpmath.quad(integrand, splits + [mpmath.inf], method="gauss-legendre"))
+
+
 def _transform_terms(sample):
     """The 2n terms (s_p, c_p) of L(t) - M(t) = sum c_p e^{-t s_p}: the
     observations Y_i (weight 1/n) and twice the order statistics 2 Z_i
@@ -211,6 +243,44 @@ def hm1_mpmath(sample, a, dps=40):
                 float(mpmath.fsum(abs(t) for t in terms) / len(terms)))
 
 
+def _bh_kernel_mp(u, v, a, g):
+    s = a + u + v
+    return (1 - u) * (1 - v) / s - (u + v - 2 * u * v) / s**2 + 2 * u * v / s**3
+
+
+def _he_kernel_mp(u, v, a, g):
+    return 1 / (a + u + v) + g[u] + g[v] + 1 + a * mpmath.exp(a) * mpmath.ei(-a)
+
+
+def _w_kernel_mp(u, v, a, g):
+    s = a + u + v
+    return (1 / a - (1 / (a + u) + 1 / (a + u)**2) - (1 / (a + v) + 1 / (a + v)**2)
+            + 1 / s + 2 / s**2 + 2 / s**3)
+
+
+_LAPLACE_KERNELS_MP = {"BH": _bh_kernel_mp, "HE": _he_kernel_mp, "W": _w_kernel_mp}
+
+
+def laplace_pair_mpmath(name, sample, a, dps=40):
+    """BH, HE or W of a raw sample in `dps`-digit arithmetic: the pair mean
+    of the statistic's published kernel (Henze & Meintanis 2005, Metrika 61),
+    with s = a + u + v,
+
+        BH: (1-u)(1-v)/s - (u+v-2uv)/s^2 + 2uv/s^3,
+        HE: 1/s + g(u) + g(v) + 1 + a e^a Ei(-a),  g(u) = e^{a+u} Ei(-(a+u)),
+        W:  1/a - 1/(a+u) - 1/(a+u)^2 - 1/(a+v) - 1/(a+v)^2 + 1/s + 2/s^2 + 2/s^3,
+
+    whose O(1) terms cancel to a value of order 1/n."""
+    kernel = _LAPLACE_KERNELS_MP[name]
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        mean = mpmath.fsum(x) / len(x)
+        y = [v / mean for v in x]
+        a = mpmath.mpf(a)
+        g = {u: mpmath.exp(a + u) * mpmath.ei(-(a + u)) for u in y}
+        return float(mpmath.fsum(kernel(u, v, a, g) for u in y for v in y) / len(y) ** 2)
+
+
 def h2_tilde_mpmath(u, v, a, dps=40):
     """nulldist.h2_tilde's closed form in `dps`-digit arithmetic."""
     with mpmath.workdps(dps):
@@ -275,6 +345,14 @@ def pair_score_integral(kernel, a, fam, grid=None):
     xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0
     return float(np.sum(kernel(xg, yg, a) * gp(xg) * gp(yg) * wg))
+
+
+def kernel_w(x, y, a=1.0):
+    """W's published kernel in float64 (the L2 numerator reference of the slopes)."""
+    u, v = np.asarray(x), np.asarray(y)
+    s = a + u + v
+    return (1.0 / a - (1 / (a + u) + 1 / (a + u)**2) - (1 / (a + v) + 1 / (a + v)**2)
+            + 1 / s + 2 / s**2 + 2 / s**3)
 
 
 def l2_numerator_reference(kernel, a, fam, grid, h=1e-4):

@@ -90,8 +90,8 @@ for name in sorted(ALL_STATISTICS):
 
 
 def test_he_in_thread_pool_loads_no_scipy():
-    # HE's kernel calls numeric.exp1 from the pool's threads: the pooled
-    # result is the serial one, and no scipy module is loaded
+    # HE's kernel on the t-rule from the pool's threads: the pooled result
+    # is the serial one, and no scipy module is loaded
     code = """
 import numpy as np
 from exptests import RngStream, StatisticId

@@ -7,7 +7,7 @@ from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
 from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, EIGEN_LADDER,
                               EIGEN_REL_TOL, LANCZOS_STEPS, ei_scaled, exp1, expi,
-                              largest_eigenvalue, maximize_log_grid,
+                              laplace_t_rule, largest_eigenvalue, maximize_log_grid,
                               newton_maximize_log_grid, operator_eigenvalue,
                               panel_gauss_below, panel_gauss_nodes, t_rule)
 from exptests.slopes import _cov_bh, _cov_edf
@@ -225,6 +225,19 @@ def test_panel_gauss_below_integrates_the_interpolant():
     np.testing.assert_allclose(below @ (w * f), t + t**2 / 2 - t**4 / 8 + t**6 / 60,
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(below + below.T, 1.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 50, 120])
+def test_laplace_t_rule_integrates_every_sample_exponential(n):
+    # sum w e^{-ct} = 1/(a + c) for c in [0, 4n]: the squared transforms of
+    # a scaled sample of n points (max Y <= n) hold e^{-ct} with c up to 4n,
+    # as MD's D holds e^{-2tZ}; on 36 to 74 nodes
+    c = np.linspace(0.0, 4.0 * n, 401)
+    for a in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        t, w = laplace_t_rule(a, n)
+        assert 36 <= t.size <= 74
+        np.testing.assert_allclose(np.exp(-np.outer(c, t)) @ w, 1.0 / (a + c),
+                                   rtol=2e-13, atol=0)
 
 
 EI_ROOT = 0.37250741078136663  # Ei(x) = 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from exptests import numeric, slopes
+from exptests import numeric, slopes, statistics
 from exptests.errors import DomainError, NumericsError
 from exptests.families import LOCAL_FAMILIES, get_family
 from exptests.nulldist import (covariance_K, h2_tilde, largest_eigenvalue_delta1,
@@ -14,10 +14,9 @@ from exptests.numeric import largest_eigenvalue, panel_gauss_nodes
 from exptests.slopes import (EFFICIENCY_SLACK, LRT_STEP, SlopeReport, efficiency,
                              efficiency_curve, lrt_local_coefficient,
                              phi1_tilde, psi_JD, psi_JP, slope_coefficient)
-from exptests.statistics import (ALL_STATISTICS, TUNED_STATISTICS, StatisticId,
-                                 kernel_w)
+from exptests.statistics import ALL_STATISTICS, TUNED_STATISTICS, StatisticId
 from oracles import (edf_eigenvalue, edf_weibull_numerator, graded_halfline_grid,
-                     l2_numerator_reference, mp_projected_kernel,
+                     kernel_w, l2_numerator_reference, mp_projected_kernel,
                      pair_score_integral, psi_jd_scipy, psi_jp_scipy)
 
 # frozen double-integral oracles (adaptive quadrature of the projected kernel
@@ -337,6 +336,12 @@ class TestProjectionReferences:
             np.testing.assert_array_equal(
                 expected, 4.0 * covariance_K(t[:, None], t[None, :], 0.0))
         assert np.abs(gram - expected).max() < 1e-11 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name", ["BH", "HE", "W"])
+    def test_slope_takes_the_kernels_projection(self, name):
+        # one projection f(x, t, a) per statistic: its kernel evaluates the
+        # same function object that its drift and covariance take
+        assert statistics._KERNELS[name].args[0].args == (slopes._SLOPES[name][1],)
 
     @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
     def test_mp_gram_is_the_projected_kernel(self, a):

@@ -12,15 +12,33 @@ from exptests.core import scale_sample
 from exptests.errors import DomainError, NumericsError
 from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
-                                 evaluate_many, kernel_ad, kernel_bh,
-                                 kernel_cvm, kernel_he, kernel_hm1,
-                                 kernel_hm2, kernel_w, ld_upper_bound,
+                                 evaluate_many, kernel_ad, kernel_cvm,
+                                 kernel_hm1, kernel_hm2, ld_upper_bound,
                                  vn_process)
 
-from oracles import (he_scipy, hm1_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
-                     oracle_statistic, plain_reference, vn_mpmath)
+from oracles import (he_scipy, hm1_mpmath, laplace_pair_mpmath, ld_mpmath,
+                     md_mpmath, mp_mpmath, mp_quad_mpmath, oracle_statistic,
+                     plain_reference, vn_mpmath)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
+
+
+def _with_edge_rows(x, a):
+    """The rows x and, up to n = 50, the rows that try the ends of the
+    t-rule: one with half its points at 1e-6, a uniform(0.5, 1.5) one and, at
+    n >= 10 and a <= 1, one with a point at 40, whose scaled value is near
+    its largest possible value n and needs the rule's nodes near t = 1/n."""
+    n = x.shape[1]
+    if n > 50:
+        return x
+    half = x[0].copy()
+    half[:n // 2] = 1e-6
+    rows = [x, half[None], np.random.default_rng(n).uniform(0.5, 1.5, (1, n))]
+    if n >= 10 and a <= 1.0:
+        far = x[1].copy()
+        far[0] = 40.0
+        rows.append(far[None])
+    return np.concatenate(rows)
 
 
 class TestStatisticId:
@@ -73,11 +91,12 @@ class TestMDAndLD:
         x = gen.exponential(size=15)
         assert evaluate(StatisticId("MD", 1.0), x).value > 0
 
-    @pytest.mark.parametrize("n", [5, 20, 50])
+    @pytest.mark.parametrize("n", [5, 20, 50, 120])
     @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
     def test_md_against_mpmath(self, n, a):
-        # the trapezoid rule in log t against MD's double sum in 40 digits
-        x = np.random.default_rng(0).standard_exponential((4, n))
+        # the t-rule against MD's double sum in 40 digits
+        rows = 4 if n <= 50 else 2
+        x = _with_edge_rows(np.random.default_rng(0).standard_exponential((rows, n)), a)
         ref = np.array([md_mpmath(row, a) for row in x])
         np.testing.assert_allclose(evaluate_many(StatisticId("MD", a), x),
                                    ref, rtol=5e-12, atol=0)
@@ -197,12 +216,16 @@ class TestMDAndLD:
 
 
 class TestBatteryForms:
-    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("n", [5, 20, 120])
     @pytest.mark.parametrize("a", [0.2, 1.0, 10.0])
     def test_mp_against_mpmath(self, n, a):
-        # the trapezoid rule in log t against MP's closed form in 40 digits
-        x = np.random.default_rng(n).standard_exponential((4, n))
-        ref = np.array([mp_mpmath(row, a) for row in x])
+        # the t-rule against MP's closed form in 40 digits, at n = 120 against
+        # its 40-digit quadrature, which reproduces the closed form at n = 5
+        rows = 4 if n <= 50 else 1
+        x = _with_edge_rows(np.random.default_rng(n).standard_exponential((rows, n)), a)
+        ref = np.array([(mp_mpmath if n <= 20 else mp_quad_mpmath)(row, a) for row in x])
+        if n == 5:
+            assert mp_quad_mpmath(x[0], a) == pytest.approx(ref[0], rel=1e-15, abs=0)
         np.testing.assert_allclose(evaluate_many(StatisticId("MP", a), x),
                                    ref, rtol=1e-12, atol=0)
 
@@ -228,12 +251,23 @@ class TestBatteryForms:
         eps = np.finfo(float).eps
         assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
 
+    @pytest.mark.parametrize("name", ["BH", "HE", "W"])
+    @pytest.mark.parametrize("a", [1.0, 10.0])
+    def test_laplace_battery_against_mpmath(self, name, a):
+        # the t-rule on the expm1-form projection against the 40-digit pair
+        # mean of the published kernel, whose O(1) terms cancel to O(1/n): in
+        # float64 that pair mean was 5.9e-9 (HE) and 1.4e-10 (W) off at a = 10
+        x = np.random.default_rng(0).standard_exponential((4, 50))
+        ref = np.array([laplace_pair_mpmath(name, row, a) for row in x])
+        np.testing.assert_allclose(evaluate_many(StatisticId(name, a), x),
+                                   ref, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("n", [5, 20, 50])
     @pytest.mark.parametrize("a", [0.2, 1.0, 5.0])
     def test_he_against_scipy_pair_mean(self, n, a):
-        # HE takes its Ei term once per point, from numeric.exp1; the pair mean
-        # of its kernel with scipy's Ei cancels O(1) terms to HE = O(1/n), so
-        # the two agree to a few eps of the sum of |terms| (3.9 eps measured)
+        # the pair mean of HE's kernel with scipy's Ei cancels O(1) terms to
+        # HE = O(1/n), so it agrees with the t-rule to a few eps of the sum
+        # of |terms| (2.0 eps measured)
         x = np.random.default_rng(100 + n).standard_exponential((400, n))
         ref, scale = he_scipy(x, a)
         err = np.abs(evaluate_many(StatisticId("HE", a), x) - ref)
@@ -241,7 +275,7 @@ class TestBatteryForms:
 
     def test_mp_chunks_sized_by_nodes(self, monkeypatch):
         # 10^4 rows at n = 5: chunks of CACHE_BUDGET // n^2 rows would hold
-        # (2621, 73) arrays; chunking by MP's node count keeps the peak low
+        # (2621, 44) arrays; chunking by MP's node count keeps the peak low
         # and leaves every value unchanged
         x = np.random.default_rng(5).standard_exponential((10_000, 5))
         stat = StatisticId("MP", 1.0)
@@ -252,7 +286,7 @@ class TestBatteryForms:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
-        nodes = statistics._log_t_nodes(1.0).size
+        nodes = numeric.laplace_t_rule(1.0, 5)[0].size
         for rows in (7, 1000):
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * nodes)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
@@ -275,8 +309,7 @@ class TestKernels:
     def test_edf_kernel_symmetry(self, kernel, x, y):
         assert abs(kernel(x, y) - kernel(y, x)) < 1e-12
 
-    @pytest.mark.parametrize("kernel", [kernel_bh, kernel_he, kernel_w,
-                                        kernel_hm1, kernel_hm2])
+    @pytest.mark.parametrize("kernel", [kernel_hm1, kernel_hm2])
     @given(x=st.floats(0.05, 30.0), y=st.floats(0.05, 30.0),
            a=st.floats(0.2, 10.0))
     @settings(max_examples=25)
@@ -319,7 +352,8 @@ class TestEvaluateMany:
         np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
 
     def test_chunking_does_not_change_results(self, gen):
-        # n = 150 gives chunks of 2 rows (CACHE_SIZED) or 44.  LD's scan
+        # n = 150 gives chunks of 2 rows ((rows, n, n) temporaries), 7
+        # ((rows, n, nodes)), 1074 (MP) or 44.  LD's scan
         # gathers the chunk's rows into one matrix product, so LD agrees to
         # rounding only
         x = gen.exponential(size=(100, 150))
@@ -333,7 +367,8 @@ class TestEvaluateMany:
 
     @pytest.mark.parametrize("name", sorted(ALL_STATISTICS - {"LD"}))
     def test_pair_kernel_chunking_is_exact_at_n50(self, name, gen):
-        # chunks of 26 (CACHE_SIZED) or 400 rows against chunks of 7
+        # chunks of 26 ((rows, n, n) temporaries), 23 ((rows, n, nodes)) or
+        # all 60 rows against chunks of 7
         stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
         x = gen.exponential(size=(60, 50))
         parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
