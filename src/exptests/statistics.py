@@ -18,9 +18,10 @@ use closed forms, O(n^2) pair sums, sorted-sample formulas or one
 double-exponential t-rule, numeric.laplace_t_rule, applied by one helper
 (_laplace_l2) to an O(n)-per-node transform: MD and MP have transform bodies
 of their own, BH, HE and W take the sample mean of one projection f(x, t, a)
-each, which the slopes take too.  LD takes both transforms, and the t-derivatives of
-its Newton refine, from one expm1 per sorted point; HM1's kernel is written in
-reciprocals of a^2 + (u -+ v)^2 so that no two nearly equal terms are subtracted.
+each, which the slopes take too.  LD takes both transforms, and the
+t-derivatives of its Newton refine, from one expm1 per sorted point; HM1's
+kernel is written in reciprocals of a^2 + (u -+ v)^2 so that no two nearly
+equal terms are subtracted.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 def _with_edge_rows(x, a):
     """The rows x and, up to n = 50, the rows that try the ends of the
     t-rule: one with half its points at 1e-6, a uniform(0.5, 1.5) one and, at
-    n >= 10 and a <= 1, one with a point at 40, whose scaled value is near
-    its largest possible value n and needs the rule's nodes near t = 1/n."""
+    n >= 10 and a <= 1, one with a point at 40, far out in the scaled
+    sample, whose transform needs the rule's nodes near t = 1/n."""
     n = x.shape[1]
     if n > 50:
         return x
