@@ -165,14 +165,17 @@ def maximize_log_grid(f, lo, hi, ngrid=512, tol=1e-8):
 def newton_maximize_log_grid(f, df, lo, hi, ngrid, tol=1e-8):
     """maximize_log_grid by Newton steps on df(t, rows) = (f, f', f'') at the probes'
     points t, in a bracket the slope's sign shrinks (its midpoint where a step leaves
-    it or f'' >= 0), until a step moves by tol or less; NumericsError after NEWTON_STEPS."""
+    it or f'' >= 0, and at every step from NEWTON_BISECT_FROM on: on rounding noise
+    Newton steps can crawl), until a step moves by tol or less; NumericsError after
+    NEWTON_STEPS."""
     def newton(rows, a, t, b):
         probe_v, probe_t, live = np.empty(rows.size), t.copy(), np.arange(rows.size)
-        for _ in range(NEWTON_STEPS + 1):
+        for k in range(NEWTON_STEPS + 1):
             probe_v[live], g1, g2 = df(t, rows[live])
             a, b = np.where(g1 > 0, t, a), np.where(g1 > 0, b, t)
             step = t - np.divide(g1, g2, out=np.full_like(t, np.inf), where=g2 < 0)
-            step = np.where((step >= a) & (step <= b), step, 0.5 * (a + b))
+            inside = (step >= a) & (step <= b) & (k < NEWTON_BISECT_FROM)
+            step = np.where(inside, step, 0.5 * (a + b))
             moving = np.abs(step - t) > tol
             if not moving.any():
                 return probe_v, probe_t
@@ -190,7 +193,10 @@ def special():
     return module
 
 
-NEWTON_STEPS = 60  # most steps of a newton_maximize_log_grid probe (bisection alone: <= 53)
+# most steps of a newton_maximize_log_grid probe: NEWTON_BISECT_FROM Newton
+# steps, then halvings of its bracket (bisection alone: <= 53)
+NEWTON_STEPS = 80
+NEWTON_BISECT_FROM = 25
 LANCZOS_STEPS = 300  # most Lanczos steps of largest_eigenvalue
 LANCZOS_TOL = 1e-13  # residual norm, relative to the eigenvalue, that stops it
 

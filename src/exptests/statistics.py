@@ -18,10 +18,14 @@ use closed forms, O(n^2) pair sums, sorted-sample formulas or one
 double-exponential t-rule, numeric.laplace_t_rule, applied by one helper
 (_laplace_l2) to an O(n)-per-node transform: MD and MP have transform bodies
 of their own, BH, HE and W take the sample mean of one projection f(x, t, a)
-each, which the slopes take too.  LD takes both transforms, and the
-t-derivatives of its Newton refine, from one expm1 per sorted point; HM1's
-kernel is written in reciprocals of a^2 + (u -+ v)^2 so that no two nearly
-equal terms are subtracted.
+each, which the slopes take too.  MD, BH, HE and W fill the transform's
+column k from one contiguous (n, rows) pass of the sorted rows at the node
+t_k; MP keeps its recursion over the sorted points, vectorised over the
+nodes.  LD takes both transforms, and the t-derivatives of its Newton
+refine, from one expm1 per sorted point, and scans its grid one point per
+(n, rows) pass.  Every sum over n runs down the columns of such a pass, in
+the same order for every row.  HM1's kernel is written in reciprocals of
+a^2 + (u -+ v)^2 so that no two nearly equal terms are subtracted.
 """
 
 from __future__ import annotations
@@ -39,15 +43,15 @@ from .numeric import laplace_t_rule, newton_maximize_log_grid
 EULER_GAMMA = float(np.euler_gamma)
 
 # elements (512 KiB) per temporary of a CACHE_SIZED kernel's evaluate_many
-# chunk ((rows, n, nodes), MP's (rows, nodes) or (rows, n, n)) and per
-# (rows, points, n) temporary of an LD scan step, so that they stay in a
-# per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator returned each freed
+# chunk (the (n, rows) pass at one t-node of MD, BH, HE and W, the two of
+# LD's scan at one grid point, E = expm1(-tz) and E (E + 2), MP's
+# (rows, nodes) arrays or the (rows, n, n) pair arrays), so that they stay in
+# a per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator returned each freed
 # temporary to the OS and every chunk paid its page faults again.  MD and JP
-# update one temporary in place; LD's vn keeps two, E = expm1(-tz) and
-# E (E + 2); HM1's kernel keeps three.
+# update one temporary in place; HM1's kernel keeps three.
 CACHE_BUDGET = 65_536
-# elements per evaluate_many chunk of the other kernels and per nulldist.eigen_matrix
-# row block (LD's Newton refine: 0.28 s per 3e4 rows at n = 20, 0.47 s at CACHE_BUDGET)
+# elements per evaluate_many chunk of the other kernels and per
+# nulldist.eigen_matrix row block
 ELEMENT_BUDGET = 1_000_000
 
 TUNED_STATISTICS = frozenset({"MD", "LD", "BH", "HE", "W", "HM1", "HM2",
@@ -97,50 +101,64 @@ def _laplace_l2(transform, y, z, a):
     the kernel of MD, MP, BH, HE and W."""
     t, w = laplace_t_rule(a, z.shape[1])
     d = transform(z, t, a)
-    return (d * d * w).sum(axis=1)
+    d *= d  # in place: at small n the transform is larger than CACHE_BUDGET
+    d *= w
+    return d.sum(axis=1)
 
 
 def _md(z, t, a):
     """MD's transform: the sample Laplace transform L = mean E less the
     V-empirical transform D = sum w E^2 of 2 min(Y_i, Y_j), E = exp(-tZ).
-    L - D cancels only at small t, where (L - D)^2 = O(t^2)."""
-    e = np.multiply.outer(z, -t)  # (rows, n, nodes): t contiguous
-    np.exp(e, out=e)
-    diff = np.full(z.shape[1], 1.0 / z.shape[1]) @ e
-    e *= e
-    diff -= min_pair_weights(z.shape[1]) @ e
-    return diff
+    Both are 1 + a weighted sum of F = E - 1 (the pair weights sum to 1), so
+    n (L - D) = sum (1 - 2nw) F - sum nw F^2 adds numbers of the size of F
+    and cancels no two near 1; F is exact where E >= 1/2.  Column k comes
+    from one contiguous (n, rows) pass at the node t_k; the sums over n run
+    down its columns, in the same order for every row."""
+    n = z.shape[1]
+    nw = n * min_pair_weights(n)
+    c = 1.0 - 2.0 * nw
+    zt = z.T.copy()
+    f = np.empty_like(zt)
+    out = np.empty((t.size, z.shape[0]))
+    for k, tk in enumerate(t.tolist()):
+        np.exp(np.multiply(zt, -tk, out=f), out=f)
+        f -= 1.0
+        diff = np.einsum("n,nr->r", c, f, out=out[k])
+        f *= f
+        diff -= np.einsum("n,nr->r", nw, f)
+    out /= n
+    return out.T
 
 
-def _vn(z, a, t, derivatives=False):
-    """Difference of the two empirical transforms of each sorted row z at t,
-    which broadcasts against (rows, k); damped by e^{-at}.
+def _vn(zt, a, t, derivatives=False):
+    """Difference of the two empirical transforms of the sorted rows at t,
+    damped by e^{-at}: zt holds the rows as its columns, (n, rows), and t
+    broadcasts against (rows,).
 
     Each transform is 1 + a weighted mean of expm1 (the pair weights sum to
     1), so the difference subtracts no two numbers near 1.  Both come from
     one E = expm1(-tz): expm1(-2tz) = E (E + 2), exactly and without
     cancellation (E lies in (-1, 0]).  derivatives=True stacks vn and its
-    t-derivatives as (3, rows, k) from the same E: with P = E + 1, E' = -zP,
+    t-derivatives as (3, rows) from the same E: with P = E + 1, E' = -zP,
     E'' = z^2 P, (E (E + 2))' = -2zP^2 and (E (E + 2))'' = 4z^2 P^2.
     """
-    t = t[..., None]
-    e = -t * z[:, None, :]
+    n = zt.shape[0]
+    w = min_pair_weights(n)
+    e = np.multiply(zt, -t)
     np.expm1(e, out=e)
     e2 = e + 2.0
     e2 *= e
-    w = min_pair_weights(z.shape[1])
-    # one 2-D product: a stacked matmul rounds differently
-    u = e.mean(axis=-1) - (e2.reshape(-1, z.shape[1]) @ w).reshape(e2.shape[:-1])
+    u = np.add.reduce(e, axis=0) / n - np.einsum("n,nr->r", w, e2)
     if derivatives:
         e += 1.0
-        zp = np.multiply(e, z[:, None, :], out=e2)
+        zp = np.multiply(e, zt, out=e2)
         e *= zp  # z P^2
-        du = 2.0 * (e @ w) - zp.mean(axis=-1)
-        zp *= z[:, None, :]
-        e *= z[:, None, :]
-        d2u = zp.mean(axis=-1) - 4.0 * (e @ w)
+        du = 2.0 * np.einsum("n,nr->r", w, e) - np.add.reduce(zp, axis=0) / n
+        zp *= zt
+        e *= zt
+        d2u = np.add.reduce(zp, axis=0) / n - 4.0 * np.einsum("n,nr->r", w, e)
         u = np.stack([u, du - a * u, d2u - 2.0 * a * du + a * a * u])
-    return u * np.exp(-a * t[..., 0])
+    return u * np.exp(-a * t)
 
 
 def vn_process(s: ScaledSample, a: float, t) -> float:
@@ -149,7 +167,7 @@ def vn_process(s: ScaledSample, a: float, t) -> float:
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise DomainError(f"t must be non-negative finite reals, got {t}")
-    out = _vn(s.sorted_values[None, :], a, t.reshape(1, -1))[0].reshape(t.shape)
+    out = _vn(s.sorted_values[:, None], a, t.reshape(-1)).reshape(t.shape)
     return out if out.ndim else float(out)
 
 
@@ -162,15 +180,20 @@ def ld_upper_bound(a: float) -> float:
 def _ld(y, z, a):
     """Supremum over t > 0 of |vn|: a 64-point log-spaced grid scan, then a
     bracketed Newton refine of every local maximum of the scan on vn's
-    analytic t-derivatives to |dt| < 1e-8 (`newton_maximize_log_grid`)."""
-    step = max(1, CACHE_BUDGET // z.size)  # grid points per scan step
-
+    analytic t-derivatives to |dt| < 1e-8 (`newton_maximize_log_grid`).
+    The scan takes one grid point per pass over a contiguous (n, rows) copy,
+    whose sums over n run down the columns in order; the refine takes the
+    transposed (probes, n) gather of the probes' rows, whose sums run along
+    each probe's row, so a probe's value does not depend on its company."""
     def value(t, rows):
-        return np.concatenate([np.abs(_vn(z, a, t[:, k:k + step]))
-                               for k in range(0, t.shape[1], step)], axis=1)
+        zt = z.T.copy()
+        out = np.empty((t.size, z.shape[0]))
+        for k, tk in enumerate(t.ravel().tolist()):  # one grid point per pass
+            out[k] = _vn(zt, a, tk)
+        return np.abs(out, out=out).T
 
     def terms(t, rows):
-        v = _vn(z[rows], a, t[:, None], derivatives=True)[..., 0]
+        v = _vn(z[rows].T, a, t, derivatives=True)
         return v * np.sign(v[0])
 
     return newton_maximize_log_grid(value, terms, 1e-4, ld_upper_bound(a), 64)[0]
@@ -179,20 +202,6 @@ def _ld(y, z, a):
 # ---------------------------------------------------------------------------
 # Classical battery; GINI, CVM and AD from the sorted sample (Stephens 1974)
 # ---------------------------------------------------------------------------
-
-def kernel_cvm(x, y, a=None):
-    """Lilliefors Cramer-von Mises kernel of the scaled sample."""
-    u, v = np.asarray(x), np.asarray(y)
-    return 1.0 / 3.0 + 0.5 * (np.exp(-2 * u) + np.exp(-2 * v)) - np.exp(-np.minimum(u, v))
-
-
-def kernel_ad(x, y, a=None):
-    """Lilliefors Anderson-Darling kernel of the scaled sample."""
-    u, v = np.asarray(x), np.asarray(y)
-    mx = np.maximum(u, v)
-    # u+v-1-log(e^max - 1), written to avoid overflow for large max
-    return u + v - 1.0 - (mx + np.log1p(-np.exp(-mx)))
-
 
 def _pair_mean(kernel):
     """Batched V-statistic mean of an order-2 kernel(x, y, a)."""
@@ -208,13 +217,15 @@ def _gini(y, z, a):
 
 
 def _cvm(y, z, a):
-    """Pair mean of kernel_cvm: 1/(12n^2) + mean (F(Z_i) - (2i - 1)/(2n))^2, F(z) = 1 - e^{-z}."""
+    """Pair mean of the Cramer-von Mises kernel (tests/oracles.py kernel_cvm):
+    1/(12n^2) + mean (F(Z_i) - (2i - 1)/(2n))^2, F(z) = 1 - e^{-z}."""
     d = -np.expm1(-z) - (np.arange(z.shape[1]) + 0.5) / z.shape[1]
     return 1.0 / (12.0 * z.shape[1] ** 2) + np.mean(d * d, axis=1)
 
 
 def _ad(y, z, a):
-    """Pair mean of kernel_ad: -1 - sum_i (2i - 1) [log F(Z_i) - Z_{n+1-i}] / n^2."""
+    """Pair mean of the Anderson-Darling kernel (tests/oracles.py kernel_ad):
+    -1 - sum_i (2i - 1) [log F(Z_i) - Z_{n+1-i}] / n^2."""
     terms = (2.0 * np.arange(z.shape[1]) + 1) * (np.log(-np.expm1(-z)) - z[:, ::-1])
     return -1.0 - np.sum(terms, axis=1) / z.shape[1] ** 2
 
@@ -249,9 +260,14 @@ def proj_w(x, t, a):
 
 
 def _sample_mean(proj, z, t, a):
-    """The transform mean_i proj(Z_i, t, a) of each row, from one
-    (rows, n, nodes) array of the projection."""
-    return proj(z[:, :, None], t, a).mean(axis=1)
+    """The transform mean_i proj(Z_i, t, a) of each row: column k from one
+    contiguous (n, rows) array of the projection at the node t_k."""
+    zt = z.T.copy()
+    out = np.empty((t.size, z.shape[0]))
+    for k, tk in enumerate(t.tolist()):
+        np.add.reduce(proj(zt, tk, a), axis=0, out=out[k])
+    out /= z.shape[1]
+    return out.T
 
 
 def kernel_hm1(x, y, a=1.0):
@@ -357,9 +373,13 @@ _KERNELS = {
     "MP": partial(_laplace_l2, _mp),
 }
 # the kernels that take CACHE_BUDGET chunks -> elements per row of their
-# temporaries, (n, nodes), MP's (nodes,) or (n, n), from n and the node count k
-# of laplace_t_rule(a, n)
-CACHE_SIZED = {**dict.fromkeys(("MD", "BH", "HE", "W"), lambda n, k: n * k), "MP": lambda n, k: k,
+# temporaries, from n and the node count k of laplace_t_rule(a, n): n for the
+# one-node passes of MD, BH, HE and W (their (rows, nodes) transform is k/n
+# times larger: 8.8 times at n = 5, a = 1, where bigger passes still win
+# over smaller chunks), 2n for the two of LD's scan, k for MP's
+# (rows, nodes) arrays, n^2 for the pairs
+CACHE_SIZED = {**dict.fromkeys(("MD", "BH", "HE", "W"), lambda n, k: n),
+               "LD": lambda n, k: 2 * n, "MP": lambda n, k: k,
                **dict.fromkeys(("JP", "HM1", "HM2"), lambda n, k: n * n)}
 
 
@@ -373,13 +393,15 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     Every entry must be a positive finite real; the first one that is not is
     named by row and column.  The rows are scaled to unit means and sorted,
     and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // (n nodes) rows for MD, BH, HE and W, CACHE_BUDGET // nodes
-    for MP (nodes of laplace_t_rule(a, n)), CACHE_BUDGET // n^2 for JP, HM1
-    and HM2, and ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does
-    not depend on the chunking, except for LD: its scan and refine gather the
-    chunk's rows into one matrix-vector product, whose rounding depends on
-    which rows share the chunk, so LD rows agree across chunkings (and with
-    `evaluate`) to rounding only, below 1e-13 relative.
+    CACHE_BUDGET // n rows for MD, BH, HE and W, CACHE_BUDGET // 2n for LD,
+    CACHE_BUDGET // nodes for MP (nodes of laplace_t_rule(a, n)),
+    CACHE_BUDGET // n^2 for JP, HM1 and HM2, and ELEMENT_BUDGET // n^2 rows
+    for the rest.  A row's value does not depend on the chunking as long as
+    its chunk holds two rows or more.  A one-row chunk, and so `evaluate`,
+    sums pairwise where a larger chunk sums in order (numpy reduces a lone
+    row along its contiguous axis): the nodes of MD, BH, HE and W, which then
+    agree with it to rounding only, and the points of LD's scan, which moves
+    LD's value only where a grid point beats every refined probe.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:

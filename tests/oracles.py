@@ -12,6 +12,9 @@ matter; `mp_quad_mpmath` is MP's defining integral by quadrature in that
 arithmetic; `laplace_pair_mpmath` is the pair mean of BH's, HE's or W's
 published kernel in that arithmetic; `vn_mpmath` is LD's process vn there
 and `ld_mpmath` its supremum by a dense scan and golden-section refine.
+`kernel_cvm` and `kernel_ad` are the Lilliefors Cramer-von Mises and
+Anderson-Darling pair kernels, whose pair means the package's sorted-sample
+forms of CVM and AD must equal.
 
 The references at the end check the slopes: the pair-grid double integrals
 of the MD and L2 battery numerators (the kernel, such as W's published one
@@ -345,6 +348,22 @@ def pair_score_integral(kernel, a, fam, grid=None):
     xg, yg, wg = _pair_grid(grid)
     gp = fam.deriv0
     return float(np.sum(kernel(xg, yg, a) * gp(xg) * gp(yg) * wg))
+
+
+def kernel_cvm(x, y, a=None):
+    """Lilliefors Cramer-von Mises kernel of the scaled sample, whose pair
+    mean is CVM (statistics._cvm takes it from the sorted sample)."""
+    u, v = np.asarray(x), np.asarray(y)
+    return 1.0 / 3.0 + 0.5 * (np.exp(-2 * u) + np.exp(-2 * v)) - np.exp(-np.minimum(u, v))
+
+
+def kernel_ad(x, y, a=None):
+    """Lilliefors Anderson-Darling kernel of the scaled sample, whose pair
+    mean is AD (statistics._ad takes it from the sorted sample)."""
+    u, v = np.asarray(x), np.asarray(y)
+    mx = np.maximum(u, v)
+    # u+v-1-log(e^max - 1), written to avoid overflow for large max
+    return u + v - 1.0 - (mx + np.log1p(-np.exp(-mx)))
 
 
 def kernel_w(x, y, a=1.0):

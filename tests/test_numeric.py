@@ -67,6 +67,22 @@ def test_newton_refine_capped_below_convergence_raises(monkeypatch):
         newton_maximize_log_grid(f, df, 1e-4, 40.0, 64)
 
 
+def test_newton_probe_that_crawls_falls_back_to_bisection():
+    # a slope that Newton steps follow by 1e-6 at a time, as they can on
+    # rounding noise: without the bisection fallback the probe was still
+    # moving after NEWTON_STEPS and raised NumericsError
+    f, _ = _log_parabolas(np.array([[0.5]]))
+
+    def crawl(t, rows):
+        return np.array([f(t[:, None], rows)[:, 0], np.full_like(t, 1e-6), -np.ones_like(t)])
+
+    (value,), (argmax,) = newton_maximize_log_grid(f, crawl, 1e-4, 40.0, 64)
+    ts = np.geomspace(1e-4, 40.0, 64)
+    peak = np.argmax(f(ts[None, :], slice(None))[0])
+    assert ts[peak] <= argmax <= ts[peak + 1]
+    assert value == f(np.array([[argmax]]), slice(None))[0, 0]
+
+
 def test_one_row_case_and_grid_floor():
     # a spike between grid points: the result never falls below the grid
     ts = np.geomspace(1e-3, 10.0, 64)

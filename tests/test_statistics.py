@@ -12,13 +12,13 @@ from exptests.core import scale_sample
 from exptests.errors import DomainError, NumericsError
 from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
-                                 evaluate_many, kernel_ad, kernel_cvm,
-                                 kernel_hm1, kernel_hm2, ld_upper_bound,
-                                 vn_process)
+                                 evaluate_many, kernel_hm1, kernel_hm2,
+                                 ld_upper_bound, vn_process)
 
-from oracles import (he_scipy, hm1_mpmath, laplace_pair_mpmath, ld_mpmath,
-                     md_mpmath, mp_mpmath, mp_quad_mpmath, oracle_statistic,
-                     plain_reference, vn_mpmath)
+from oracles import (he_scipy, hm1_mpmath, kernel_ad, kernel_cvm,
+                     laplace_pair_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
+                     mp_quad_mpmath, oracle_statistic, plain_reference,
+                     vn_mpmath)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
 
@@ -134,8 +134,8 @@ class TestMDAndLD:
         # of the 40-digit vn, relative to each one's largest value
         x = np.random.default_rng(3).standard_exponential(20)
         ts = np.geomspace(1e-4, ld_upper_bound(a), 8)
-        got = statistics._vn(scale_sample(x).sorted_values[None, :], a, ts[None, :],
-                             derivatives=True)[:, 0]
+        got = statistics._vn(scale_sample(x).sorted_values[:, None], a, ts,
+                             derivatives=True)
         with mpmath.workdps(40):
             f = vn_mpmath(x, a)
             ref = np.array([[float(mpmath.diff(f, mpmath.mpf(t), k)) for t in ts]
@@ -291,10 +291,24 @@ class TestBatteryForms:
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * nodes)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
 
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("name", ["MD", "BH", "HE", "W", "MP"])
+    def test_laplace_rows_do_not_depend_on_cache_budget(self, name, n, monkeypatch):
+        # chunks of 7, 64 and 1000 rows (every chunk holds two rows or more):
+        # each t-node's pass over n and the node sum run in the same order
+        # for every row of a chunk, so every value is bit-identical
+        x = np.random.default_rng(50 + n).standard_exponential((1000, n))
+        stat = StatisticId(name, 1.0)
+        whole = evaluate_many(stat, x)
+        per_row = statistics.CACHE_SIZED[name](n, numeric.laplace_t_rule(1.0, n)[0].size)
+        for rows in (7, 64, 1000):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
+            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
     @pytest.mark.parametrize("name,kernel", [("CVM", kernel_cvm),
                                              ("AD", kernel_ad)])
     def test_sorted_forms_match_pair_means(self, name, kernel, gen):
-        # the V-statistic means of the kernels that the slopes use
+        # the V-statistic means of the published pair kernels
         x = gen.exponential(size=(30, 17)) * 2.0
         y = x / x.mean(axis=1, keepdims=True)
         pair = kernel(y[:, :, None], y[:, None, :]).mean(axis=(1, 2))
@@ -352,23 +366,21 @@ class TestEvaluateMany:
         np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
 
     def test_chunking_does_not_change_results(self, gen):
-        # n = 150 gives chunks of 2 rows ((rows, n, n) temporaries), 7
-        # ((rows, n, nodes)), 1074 (MP) or 44.  LD's scan
-        # gathers the chunk's rows into one matrix product, so LD agrees to
-        # rounding only
+        # n = 150 gives chunks of 2 rows ((rows, n, n) temporaries), 436
+        # ((n, rows) passes), 218 (LD), 1074 (MP) or 44, against chunks of 7
+        # (the last one of 2 rows)
         x = gen.exponential(size=(100, 150))
         for name in sorted(ALL_STATISTICS):
             stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
             whole = evaluate_many(stat, x)
             parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
                                     for k in range(0, 100, 7)])
-            np.testing.assert_allclose(whole, parts, atol=0,
-                                       rtol=1e-12 if name == "LD" else 0)
+            np.testing.assert_array_equal(whole, parts)
 
-    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS - {"LD"}))
+    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
     def test_pair_kernel_chunking_is_exact_at_n50(self, name, gen):
-        # chunks of 26 ((rows, n, n) temporaries), 23 ((rows, n, nodes)) or
-        # all 60 rows against chunks of 7
+        # chunks of 26 ((rows, n, n) temporaries) or all 60 rows against
+        # chunks of 7
         stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
         x = gen.exponential(size=(60, 50))
         parts = np.concatenate([evaluate_many(stat, x[k:k + 7])
@@ -377,21 +389,28 @@ class TestEvaluateMany:
 
     @pytest.mark.parametrize("n", [20, 50])
     def test_ld_scan_step_does_not_change_results(self, n, gen, monkeypatch):
-        # one grid point per scan step up to the whole 64-point grid at once
+        # the scan takes one grid point per pass, so the chunk's rows are what
+        # can vary: chunks of 2, 5 and 10 rows against all 40 at once.  The
+        # scan's sums over n and the refine's per-probe sums run in the same
+        # order for every row, so each row's supremum is bit-identical
         x = gen.exponential(size=(40, n))
         stat = StatisticId("LD", 1.0)
         whole = evaluate_many(stat, x)
-        for budget in (1, 3 * x.size, 10 * x.size, 64 * x.size):
-            monkeypatch.setattr(statistics, "CACHE_BUDGET", budget)
+        for rows in (2, 5, 10):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * 2 * n)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
 
-    @pytest.mark.parametrize("name,a", [("MD", 1.0), ("AD", None),
-                                        ("HM1", 1.0), ("LD", 1.0),
-                                        ("MP", 1.0)])
-    def test_temporaries_stay_cache_sized(self, name, a, gen):
-        # 2000 rows at n = 50: one (400, 50, 50) temporary is 7.6 MiB; here
-        # the sorted rows take 0.8 MB and each CACHE_BUDGET temporary 0.5 MiB
-        x = gen.exponential(size=(2000, 50))
+    @pytest.mark.parametrize("name,a,n", [("MD", 1.0, 50), ("AD", None, 50),
+                                          ("HM1", 1.0, 50), ("LD", 1.0, 50),
+                                          ("MP", 1.0, 50), ("BH", 1.0, 50),
+                                          ("W", 1.0, 50), ("LD", 1.0, 20)],
+                             ids=["MD-1.0", "AD-None", "HM1-1.0", "LD-1.0",
+                                  "MP-1.0", "BH-1.0", "W-1.0", "LD-1.0-n20"])
+    def test_temporaries_stay_cache_sized(self, name, a, n, gen):
+        # 2000 rows: one (400, 50, 50) temporary is 7.6 MiB; here the sorted
+        # rows take 0.8 MB at n = 50 and each CACHE_BUDGET temporary 0.5 MiB;
+        # LD's 64-point scan of a 1638-row chunk at n = 20 keeps 0.8 MB
+        x = gen.exponential(size=(2000, n))
         tracemalloc.start()
         try:
             evaluate_many(StatisticId(name, a), x)
