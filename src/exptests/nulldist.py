@@ -321,12 +321,28 @@ def check_calibration_inputs(n: int, alpha, replicates: int) -> tuple:
 def null_critical_values(null_values: np.ndarray, alphas) -> Tuple[dict, dict]:
     """Upper critical values and their standard errors from simulated nulls.
 
-    Quantiles are type-7 (linear interpolation); the standard error per alpha
-    is the binomial SE sqrt(alpha(1-alpha)/B) of the rejection frequency at
-    the threshold, B = len(null_values).
+    Quantiles are type-7, bit for bit np.quantile's default: at h = (B-1)q
+    the order statistics a = X_(j), b = X_(j+1) with j = floor(h) and g = h - j
+    give a + (b - a) g, or b - (b - a)(1 - g) when g >= 1/2, from one
+    np.partition (np.quantile would import numpy.ma).  The standard error
+    per alpha is the binomial SE sqrt(alpha(1-alpha)/B) of the rejection
+    frequency at the threshold, B = len(null_values).  A NaN null value
+    raises NumericsError.
     """
-    reps = null_values.size
-    crit = {al: float(np.quantile(null_values, 1.0 - al)) for al in alphas}
+    values = np.asarray(null_values, dtype=float).reshape(-1)
+    reps = values.size
+    nan = np.count_nonzero(np.isnan(values))
+    if nan:
+        raise NumericsError(f"{nan} of {reps} null statistic values are NaN")
+    h = {al: (reps - 1) * (1.0 - al) for al in alphas}
+    order = np.partition(values, sorted({min(int(hk) + d, reps - 1)
+                                         for hk in h.values() for d in (0, 1)}))
+    crit = {}
+    for al, hk in h.items():
+        j = int(hk)  # floor(h) <= B - 1; j + 1 = B only where g = 0
+        lo, hi = order[j], order[min(j + 1, reps - 1)]
+        g, diff = hk - j, hi - lo
+        crit[al] = float(hi - diff * (1.0 - g) if g >= 0.5 else lo + diff * g)
     ses = {al: float(math.sqrt(al * (1 - al) / reps)) for al in alphas}
     return crit, ses
 

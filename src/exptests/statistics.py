@@ -24,8 +24,11 @@ t_k; MP keeps its recursion over the sorted points, vectorised over the
 nodes.  LD takes both transforms, and the t-derivatives of its Newton
 refine, from one expm1 per sorted point, and scans its grid one point per
 (n, rows) pass.  Every sum over n runs down the columns of such a pass, in
-the same order for every row.  HM1's kernel is written in reciprocals of
-a^2 + (u -+ v)^2 so that no two nearly equal terms are subtracted.
+the same order for every row.  HM1 and HM2 evaluate their symmetric pair
+kernels once per unordered pair, along the n//2 + 1 circular diagonals of
+each sorted row (_pair_mean), and sum each diagonal along its own row.
+HM1's kernel is written in reciprocals of a^2 + (u -+ v)^2 so that no two
+nearly equal terms are subtracted.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
 from .errors import DomainError
@@ -45,10 +49,11 @@ EULER_GAMMA = float(np.euler_gamma)
 # elements (512 KiB) per temporary of a CACHE_SIZED kernel's evaluate_many
 # chunk (the (n, rows) pass at one t-node of MD, BH, HE and W, the two of
 # LD's scan at one grid point, E = expm1(-tz) and E (E + 2), MP's
-# (rows, nodes) arrays or the (rows, n, n) pair arrays), so that they stay in
-# a per-core L2.  At ELEMENT_BUDGET (8 MB) the allocator returned each freed
-# temporary to the OS and every chunk paid its page faults again.  MD and JP
-# update one temporary in place; HM1's kernel keeps three.
+# (rows, nodes) arrays, JP's (rows, n, n) pairs or the (rows, n//2 + 1, n)
+# circular diagonals of HM1 and HM2), so that they stay in a per-core L2.  At
+# ELEMENT_BUDGET (8 MB) the allocator returned each freed temporary to the OS
+# and every chunk paid its page faults again.  MD and JP update one temporary
+# in place; HM1's kernel keeps three.
 CACHE_BUDGET = 65_536
 # elements per evaluate_many chunk of the other kernels and per
 # nulldist.eigen_matrix row block
@@ -204,8 +209,26 @@ def _ld(y, z, a):
 # ---------------------------------------------------------------------------
 
 def _pair_mean(kernel):
-    """Batched V-statistic mean of an order-2 kernel(x, y, a)."""
-    return lambda y, z, a: kernel(y[:, :, None], y[:, None, :], a).mean(axis=(1, 2))
+    """Batched V-statistic mean of a symmetric order-2 kernel(x, y, a), one
+    evaluation per unordered pair: the sorted rows against their circular
+    diagonals (Z_i, Z_{i+k mod n}), k = 0, ..., n//2, in one (rows, n//2 + 1,
+    n) pass.  Diagonal k > 0 stands for itself and its mirror n - k, so it
+    counts twice, except k = n/2 at even n, which is its own mirror.  Each
+    diagonal sums pairwise along its contiguous axis and the weighted
+    diagonal sums add along each row, so a row's value does not depend on
+    its company."""
+    def mean(y, z, a):
+        n = z.shape[1]
+        h = n // 2
+        v = sliding_window_view(np.concatenate([z, z[:, :h]], axis=1), n, axis=1)
+        sums = kernel(z[:, None, :], v[:, :h + 1], a).sum(axis=2)
+        w = np.full(h + 1, 2.0)
+        w[0] = 1.0
+        if n % 2 == 0:
+            w[h] = 1.0
+        sums *= w
+        return sums.sum(axis=1) / (n * n)
+    return mean
 
 
 def _gini(y, z, a):
@@ -377,10 +400,11 @@ _KERNELS = {
 # one-node passes of MD, BH, HE and W (their (rows, nodes) transform is k/n
 # times larger: 8.8 times at n = 5, a = 1, where bigger passes still win
 # over smaller chunks), 2n for the two of LD's scan, k for MP's
-# (rows, nodes) arrays, n^2 for the pairs
+# (rows, nodes) arrays, n^2 for JP's pairs and n (n//2 + 1) for the circular
+# diagonals of HM1 and HM2
 CACHE_SIZED = {**dict.fromkeys(("MD", "BH", "HE", "W"), lambda n, k: n),
-               "LD": lambda n, k: 2 * n, "MP": lambda n, k: k,
-               **dict.fromkeys(("JP", "HM1", "HM2"), lambda n, k: n * n)}
+               "LD": lambda n, k: 2 * n, "MP": lambda n, k: k, "JP": lambda n, k: n * n,
+               **dict.fromkeys(("HM1", "HM2"), lambda n, k: n * (n // 2 + 1))}
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +419,12 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     and the statistic's batched kernel takes them in chunks of
     CACHE_BUDGET // n rows for MD, BH, HE and W, CACHE_BUDGET // 2n for LD,
     CACHE_BUDGET // nodes for MP (nodes of laplace_t_rule(a, n)),
-    CACHE_BUDGET // n^2 for JP, HM1 and HM2, and ELEMENT_BUDGET // n^2 rows
-    for the rest.  A row's value does not depend on the chunking as long as
-    its chunk holds two rows or more.  A one-row chunk, and so `evaluate`,
-    sums pairwise where a larger chunk sums in order (numpy reduces a lone
-    row along its contiguous axis): the nodes of MD, BH, HE and W, which then
-    agree with it to rounding only, and the points of LD's scan, which moves
-    LD's value only where a grid point beats every refined probe.
+    CACHE_BUDGET // n^2 for JP, CACHE_BUDGET // (n (n//2 + 1)) for HM1 and
+    HM2, and ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not
+    depend on the chunking, bit for bit.  numpy would reduce a lone row along
+    its contiguous axis, pairwise, where a larger chunk sums down its
+    columns in order, so a one-row chunk (the last one, or `evaluate`'s)
+    goes to the kernel as two copies of the row.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -422,7 +445,10 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     out = np.empty(r)
     for k0 in range(0, r, rows):
         part = slice(k0, k0 + rows)
-        out[part] = kernel(x[part] / mean[part], z[part], stat.a)
+        y, zp = x[part] / mean[part], z[part]
+        if len(y) == 1:  # numpy reduces a lone row pairwise: take two copies
+            y, zp = np.repeat(y, 2, axis=0), np.repeat(zp, 2, axis=0)
+        out[part] = kernel(y, zp, stat.a)[:len(out[part])]
     return out
 
 

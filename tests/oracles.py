@@ -5,10 +5,10 @@ sum, a sorted-sample formula or (MD, MP, BH, HE and W) a double-exponential
 t-rule; the functions here instead evaluate the defining integrals by
 adaptive quadrature on the empirical transforms, so agreement is a genuine
 cross-check rather than a re-run of the same code path.  `md_mpmath`,
-`mp_mpmath`, `hm1_mpmath` and `h2_tilde_mpmath` evaluate MD's and MP's
-double sums of 1/(a + c_p + c_q), HM1's published kernel and h2_tilde's
-closed form in 40-digit arithmetic, where their cancellation does not
-matter; `mp_quad_mpmath` is MP's defining integral by quadrature in that
+`mp_mpmath`, `hm1_mpmath`, `hm2_mpmath` and `h2_tilde_mpmath` evaluate MD's
+and MP's double sums of 1/(a + c_p + c_q), HM1's and HM2's published kernels
+and h2_tilde's closed form in 40-digit arithmetic, where their cancellation
+does not matter; `mp_quad_mpmath` is MP's defining integral by quadrature in that
 arithmetic; `laplace_pair_mpmath` is the pair mean of BH's, HE's or W's
 published kernel in that arithmetic; `vn_mpmath` is LD's process vn there
 and `ld_mpmath` its supremum by a dense scan and golden-section refine.
@@ -242,6 +242,28 @@ def hm1_mpmath(sample, a, dps=40):
                              + a * (a * a - 3 * d2) / (a * a + d2) ** 3
                              + a * (a * a - 3 * s * s) / (a * a + s * s) ** 3
                              - 2 * a * s / (a * a + s * s) ** 2)
+        return (float(mpmath.fsum(terms) / len(terms)),
+                float(mpmath.fsum(abs(t) for t in terms) / len(terms)))
+
+
+def hm2_mpmath(sample, a, dps=40):
+    """HM2 of a raw sample in `dps`-digit arithmetic: the pair mean of
+    kernel_hm2's published form (Henze & Meintanis 2005, Metrika 61), with
+    d = u - v and s = u + v, and the pair mean of |kernel|."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(v)) for v in sample]
+        mean = mpmath.fsum(x) / len(x)
+        y = [v / mean for v in x]
+        a = mpmath.mpf(a)
+        pref = mpmath.sqrt(mpmath.pi / a) / 4
+        terms = []
+        for u in y:
+            for v in y:
+                d2, s = (u - v) ** 2, u + v
+                terms.append(pref * ((1 + 1 / (2 * a) - d2 / (4 * a * a))
+                                     * mpmath.exp(-d2 / (4 * a))
+                                     + (1 / (2 * a) - s / a - s * s / (4 * a * a) - 1)
+                                     * mpmath.exp(-s * s / (4 * a))))
         return (float(mpmath.fsum(terms) / len(terms)),
                 float(mpmath.fsum(abs(t) for t in terms) / len(terms)))
 

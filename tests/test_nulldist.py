@@ -12,7 +12,8 @@ from exptests.nulldist import (CALIBRATION_COLUMNS,
                                eigen_matrix, expint_Ei,
                                gl_nystrom_delta1, grid_ladder_delta1, h2_tilde,
                                largest_eigenvalue_delta1, load_calibrations,
-                               matrix_largest_eigenvalue, null_p_value,
+                               matrix_largest_eigenvalue,
+                               null_critical_values, null_p_value,
                                p_value_mc, phi1_tilde,
                                save_calibrations, simulate_null_statistics,
                                sup_variance)
@@ -322,6 +323,22 @@ class TestCalibration:
         assert c[0.1] < c[0.05] < c[0.01]
         assert abs(cal.standard_errors[0.05]
                    - math.sqrt(0.05 * 0.95 / 10_000)) < 1e-12
+
+    @pytest.mark.parametrize("reps", [10_000, 10_001, 12_345, 50_000])
+    def test_critical_values_are_np_quantile_bit_for_bit(self, reps):
+        # type-7 from np.partition and numpy's own lerp (b - (b - a)(1 - g)
+        # for g >= 1/2): equal to np.quantile, not just close
+        values = np.random.default_rng(reps).standard_exponential(reps)
+        alphas = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 0.9)
+        crit, _ = null_critical_values(values, alphas)
+        for al in alphas:
+            assert crit[al] == float(np.quantile(values, 1.0 - al)), al
+
+    def test_nan_null_value_raises(self):
+        values = np.random.default_rng(3).standard_exponential(10_000)
+        values[17] = np.nan
+        with pytest.raises(NumericsError, match="1 of 10000"):
+            null_critical_values(values, (0.05,))
 
     def test_roundtrip_csv(self, tmp_path):
         cal = calibrate_critical_value(StatisticId("LD", 2.0), 10,

@@ -15,7 +15,7 @@ from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  evaluate_many, kernel_hm1, kernel_hm2,
                                  ld_upper_bound, vn_process)
 
-from oracles import (he_scipy, hm1_mpmath, kernel_ad, kernel_cvm,
+from oracles import (he_scipy, hm1_mpmath, hm2_mpmath, kernel_ad, kernel_cvm,
                      laplace_pair_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
                      mp_quad_mpmath, oracle_statistic, plain_reference,
                      vn_mpmath)
@@ -251,6 +251,45 @@ class TestBatteryForms:
         eps = np.finfo(float).eps
         assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
 
+    @pytest.mark.parametrize("a", [0.2, 1.0] + [
+        pytest.param(a, marks=pytest.mark.xfail(strict=True, reason="HM2's kernel cancels"))
+        for a in (5.0, 10.0)])
+    def test_hm2_against_mpmath(self, a):
+        # HM1's bound.  At a = 5 and 10 each kernel value cancels inside: its
+        # leading term sqrt(pi/a)/4 (1 - u)(1 - v)/a has a pair mean that
+        # vanishes at mean(y) = 1, and the float64 kernel is about 16 times
+        # the bound off (the circular-diagonal pass and the full n^2 mean alike)
+        x = np.random.default_rng(0).standard_exponential((4, 50))
+        ref, scale = np.array([hm2_mpmath(row, a) for row in x]).T
+        err = np.abs(evaluate_many(StatisticId("HM2", a), x) - ref)
+        eps = np.finfo(float).eps
+        assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("name,kernel", [("HM1", kernel_hm1), ("HM2", kernel_hm2)])
+    def test_pair_pass_is_the_mean_over_all_pairs(self, name, kernel, n):
+        # n//2 + 1 circular diagonals, weighted 1, 2, ..., 2 and 1 for k = n/2
+        # at even n, cover each of the n^2 ordered pairs once
+        x = np.random.default_rng(n).standard_exponential((20, n))
+        y = x / x.mean(axis=1, keepdims=True)
+        full = kernel(y[:, :, None], y[:, None, :], 1.0).mean(axis=(1, 2))
+        np.testing.assert_allclose(evaluate_many(StatisticId(name, 1.0), x), full,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [5, 20, 21, 50])
+    @pytest.mark.parametrize("name", ["HM1", "HM2"])
+    def test_pair_rows_do_not_depend_on_cache_budget(self, name, n, monkeypatch):
+        # chunks of 7, 64 and 1000 rows: every diagonal sums along its own
+        # row and the weighted diagonal sums along each row, so every value is
+        # bit-identical; odd and even n (the k = n/2 diagonal weighs 1)
+        x = np.random.default_rng(60 + n).standard_exponential((1000, n))
+        stat = StatisticId(name, 1.0)
+        whole = evaluate_many(stat, x)
+        per_row = statistics.CACHE_SIZED[name](n, 0)
+        for rows in (7, 64, 1000):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
+            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
     @pytest.mark.parametrize("name", ["BH", "HE", "W"])
     @pytest.mark.parametrize("a", [1.0, 10.0])
     def test_laplace_battery_against_mpmath(self, name, a):
@@ -358,6 +397,17 @@ class TestEvaluateMany:
         single = np.array([evaluate(stat, row).value for row in x])
         np.testing.assert_allclose(many, single, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 20, 50])
+    def test_evaluate_is_its_row_bit_for_bit(self, n):
+        # a one-row chunk is reduced as two copies of the row, so `evaluate`
+        # sums in the order of every larger chunk
+        x = np.random.default_rng(70 + n).standard_exponential((12, n))
+        for name in sorted(ALL_STATISTICS):
+            stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+            many = evaluate_many(stat, x)
+            single = np.array([evaluate(stat, row).value for row in x])
+            np.testing.assert_array_equal(single, many, err_msg=name)
+
     @pytest.mark.parametrize("name", ["EP", "CO", "GINI", "MO", "KS"])
     def test_plain_rows_match_loop_reference(self, name, gen):
         x = gen.exponential(size=(20, 13)) * 2.5
@@ -403,9 +453,11 @@ class TestEvaluateMany:
     @pytest.mark.parametrize("name,a,n", [("MD", 1.0, 50), ("AD", None, 50),
                                           ("HM1", 1.0, 50), ("LD", 1.0, 50),
                                           ("MP", 1.0, 50), ("BH", 1.0, 50),
-                                          ("W", 1.0, 50), ("LD", 1.0, 20)],
+                                          ("W", 1.0, 50), ("LD", 1.0, 20),
+                                          ("HM2", 1.0, 50)],
                              ids=["MD-1.0", "AD-None", "HM1-1.0", "LD-1.0",
-                                  "MP-1.0", "BH-1.0", "W-1.0", "LD-1.0-n20"])
+                                  "MP-1.0", "BH-1.0", "W-1.0", "LD-1.0-n20",
+                                  "HM2-1.0"])
     def test_temporaries_stay_cache_sized(self, name, a, n, gen):
         # 2000 rows: one (400, 50, 50) temporary is 7.6 MiB; here the sorted
         # rows take 0.8 MB at n = 50 and each CACHE_BUDGET temporary 0.5 MiB;
