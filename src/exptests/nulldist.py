@@ -39,10 +39,9 @@ import numpy as np
 from .core import (STREAM_PARSERS, RngStream, check_positive, check_tuning,
                    float_cell, optional_float, read_csv_rows, write_table)
 from .errors import DomainError, NumericsError
-from .numeric import (expi, largest_eigenvalue, maximize_log_grid, operator_eigenvalue,
-                      panel_gauss_nodes, t_rule)
-from .statistics import (ELEMENT_BUDGET, StatisticId, evaluate, evaluate_many,
-                         ld_upper_bound)
+from .numeric import (CACHE_BUDGET, expi, largest_eigenvalue, maximize_log_grid,
+                      operator_eigenvalue, panel_gauss_nodes, t_rule)
+from .statistics import StatisticId, evaluate, evaluate_many, ld_upper_bound
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +176,11 @@ def eigen_matrix(a: float, m: int, B: float, kernel=h2_tilde) -> EigenApproximat
     """Discretize the kernel operator on L2(Exp(1)) by the (m+1)x(m+1)
     matrix kernel(x_i, x_j; a) on the cell midpoints of _grid_cells (second
     order; left endpoints would be first), with their masses; the kernel is
-    broadcast in blocks of ELEMENT_BUDGET // (m+1) rows, so that its
-    temporaries stay below (m+1)^2 elements."""
+    broadcast in blocks of CACHE_BUDGET // (m+1) rows, so that its
+    temporaries stay cache-sized and only the matrix grows with m^2."""
     check_tuning(a)
     nodes, mass = _grid_cells(m, B)
-    rows = max(1, ELEMENT_BUDGET // (m + 1))
+    rows = max(1, CACHE_BUDGET // (m + 1))
     mat = np.empty((m + 1, m + 1))
     for r0 in range(0, m + 1, rows):
         mat[r0:r0 + rows] = kernel(nodes[r0:r0 + rows, None], nodes[None, :], a)

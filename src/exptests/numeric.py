@@ -20,6 +20,13 @@ import numpy as np
 from .errors import DomainError, NumericsError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# elements (512 KiB) per temporary of every chunked pass of the package: the
+# rows of a statistics.evaluate_many chunk (CACHE_BUDGET // per_row of its
+# kernel), the row blocks of nulldist.eigen_matrix and slopes._drift, and the
+# blocks of an Ei or E1 argument (_piecewise), so that each temporary stays in
+# a per-core L2 cache.  At 8 MB the allocator returned each freed temporary
+# to the OS and every chunk paid its page faults again.
+CACHE_BUDGET = 65_536
 
 
 def panel_gauss_nodes(edges, npts):
@@ -274,13 +281,6 @@ def operator_eigenvalue(kernel, kind: str, a) -> tuple:
 E1_SERIES_END = 1.5  # exp1: power series up to here, continued fraction above
 E1_CF_STEPS = 60  # depth of exp1's continued fraction (1.4e-15 relative at 1.5)
 EI_SERIES_END = 40.0  # expi (x > 0): power series up to here, asymptotic series above
-# elements per block of an array argument, so that the Horner temporaries stay
-# in cache.  It pays on large arrays, such as eigen_matrix's row blocks of up
-# to 10^6 elements or a direct call: h2_tilde broadcast over the 2001 x 2001
-# grid takes 2.1 s in blocks and 2.8 s in whole-array passes (best of 3), and
-# test_row_blocks_match_full_broadcast 4.6 s against 6.3 s (medians of 3; one
-# 2-core x86-64 host).
-EI_BLOCK = 65_536
 # 1/(k k!), k = 1, 2, ...: the power series of Ei (120 terms) and, with
 # alternating signs, of E1 (40 terms); Python's int division rounds once
 _EI_SERIES = [1 / (k * math.factorial(k)) for k in range(1, 121)]
@@ -289,14 +289,15 @@ _E1_SERIES = [c if k % 2 else -c for k, c in enumerate(_EI_SERIES[:40], 1)]
 
 def _piecewise(x, split, below, above):
     """below(x) where x <= split and above(x) elsewhere (nan included), each
-    on its masked part of x, in blocks of EI_BLOCK elements: a float for a
+    on its masked part of x, in blocks of CACHE_BUDGET elements, so that the
+    Horner temporaries stay in cache on a large argument: a float for a
     number, an array of x's shape for an array."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty_like(flat)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(0, flat.size, EI_BLOCK):
-            block = flat[k:k + EI_BLOCK]
+        for k in range(0, flat.size, CACHE_BUDGET):
+            block = flat[k:k + CACHE_BUDGET]
             low = block <= split
             for part, f in ((np.flatnonzero(low), below), (np.flatnonzero(~low), above)):
                 if part.size:

@@ -63,11 +63,10 @@ import numpy as np
 from .core import float_cell
 from .errors import DomainError
 from .families import LOCAL_FAMILIES, get_family
-from .numeric import (ei_scaled, exp1, expi, maximize_log_grid, operator_eigenvalue,
-                      panel_gauss_below, panel_gauss_nodes, t_rule)
+from .numeric import (CACHE_BUDGET, ei_scaled, exp1, expi, maximize_log_grid,
+                      operator_eigenvalue, panel_gauss_below, panel_gauss_nodes, t_rule)
 from .nulldist import covariance_K, largest_eigenvalue_delta1, phi1_tilde, sup_variance
-from .statistics import (CACHE_BUDGET, EULER_GAMMA, StatisticId, ld_upper_bound, proj_bh,
-                         proj_he, proj_w)
+from .statistics import EULER_GAMMA, StatisticId, ld_upper_bound, proj_bh, proj_he, proj_w
 
 EFFICIENCY_SLACK = 1.02
 

@@ -12,19 +12,20 @@ Two groups live here:
 Every statistic is scale-free: it is computed from Y_i = X_i / mean(X).
 Each one has a single batched kernel in the `_KERNELS` table, mapping the
 scaled rows y (r, n), their ascending sort z and the tuning parameter a to
-the r statistic values.  `evaluate_many` feeds it row chunks under an
-element budget and `evaluate` is its one-row case.  Integral-type statistics
-use closed forms, O(n^2) pair sums, sorted-sample formulas or one
-double-exponential t-rule, numeric.laplace_t_rule, applied by one helper
-(_laplace_l2) to an O(n)-per-node transform: MD and MP have transform bodies
-of their own, BH, HE and W take the sample mean of one projection f(x, t, a)
-each, which the slopes take too.  MD, BH, HE and W fill the transform's
-column k from one contiguous (n, rows) pass of the sorted rows at the node
-t_k; MP keeps its recursion over the sorted points, vectorised over the
-nodes.  LD takes both transforms, and the t-derivatives of its Newton
-refine, from one expm1 per sorted point, and scans its grid one point per
-(n, rows) pass.  Every sum over n runs down the columns of such a pass, in
-the same order for every row.  HM1 and HM2 evaluate their symmetric pair
+the r statistic values, next to the elements per row of its temporaries.
+`evaluate_many` feeds it chunks of numeric.CACHE_BUDGET // per_row rows and
+`evaluate` is its one-row case.  Integral-type statistics use closed forms,
+O(n^2) pair sums, sorted-sample formulas or one double-exponential t-rule,
+numeric.laplace_t_rule, applied by one helper (_laplace_l2) to an
+O(n)-per-node transform: MD and MP have transform bodies of their own, BH,
+HE and W take the sample mean of one projection f(x, t, a) each, which the
+slopes take too.  MD, BH, HE and W fill the transform's column k, and LD's
+grid scan its grid point k, from one per-node pass (_node_pass) over a
+contiguous (n, rows) copy of the sorted rows; MP keeps its recursion over
+the sorted points, vectorised over the nodes.  LD takes both transforms,
+and the t-derivatives of its Newton refine, from one expm1 per sorted
+point.  Every sum over n runs down the columns of such a pass, in the same
+order for every row.  HM1 and HM2 evaluate their symmetric pair
 kernels once per unordered pair, along the n//2 + 1 circular diagonals of
 each sorted row (_pair_mean), and sum each diagonal along its own row.
 HM1's kernel is written in reciprocals of a^2 + (u -+ v)^2 so that no two
@@ -42,22 +43,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
 from .errors import DomainError
-from .numeric import laplace_t_rule, newton_maximize_log_grid
+from .numeric import CACHE_BUDGET, laplace_t_rule, newton_maximize_log_grid
 
 EULER_GAMMA = float(np.euler_gamma)
-
-# elements (512 KiB) per temporary of a CACHE_SIZED kernel's evaluate_many
-# chunk (the (n, rows) pass at one t-node of MD, BH, HE and W, the two of
-# LD's scan at one grid point, E = expm1(-tz) and E (E + 2), MP's
-# (rows, nodes) arrays, JP's (rows, n, n) pairs or the (rows, n//2 + 1, n)
-# circular diagonals of HM1 and HM2), so that they stay in a per-core L2.  At
-# ELEMENT_BUDGET (8 MB) the allocator returned each freed temporary to the OS
-# and every chunk paid its page faults again.  MD and JP update one temporary
-# in place; HM1's kernel keeps three.
-CACHE_BUDGET = 65_536
-# elements per evaluate_many chunk of the other kernels and per
-# nulldist.eigen_matrix row block
-ELEMENT_BUDGET = 1_000_000
 
 TUNED_STATISTICS = frozenset({"MD", "LD", "BH", "HE", "W", "HM1", "HM2",
                               "MP", "JP", "JD"})
@@ -111,28 +99,42 @@ def _laplace_l2(transform, y, z, a):
     return d.sum(axis=1)
 
 
+def _node_pass(node, z, t):
+    """The (rows, nodes) array whose column k is node(zt, t_k, out[k]), which
+    writes its (rows,) values at the Python-float node t_k into out[k]: zt is
+    one contiguous (n, rows) copy of the sorted rows z, shared by every node,
+    so each sum over n runs down its columns, in the same order for every
+    row of the chunk.  The per-node pass of MD, BH, HE and W and of LD's grid
+    scan."""
+    zt = z.T.copy()
+    out = np.empty((t.size, z.shape[0]))
+    for k, tk in enumerate(t.ravel().tolist()):
+        node(zt, tk, out[k])
+    return out.T
+
+
 def _md(z, t, a):
     """MD's transform: the sample Laplace transform L = mean E less the
     V-empirical transform D = sum w E^2 of 2 min(Y_i, Y_j), E = exp(-tZ).
     Both are 1 + a weighted sum of F = E - 1 (the pair weights sum to 1), so
     n (L - D) = sum (1 - 2nw) F - sum nw F^2 adds numbers of the size of F
-    and cancels no two near 1; F is exact where E >= 1/2.  Column k comes
-    from one contiguous (n, rows) pass at the node t_k; the sums over n run
-    down its columns, in the same order for every row."""
+    and cancels no two near 1; F is exact where E >= 1/2.  One _node_pass,
+    which forms F in place in one scratch (n, rows) array."""
     n = z.shape[1]
     nw = n * min_pair_weights(n)
     c = 1.0 - 2.0 * nw
-    zt = z.T.copy()
-    f = np.empty_like(zt)
-    out = np.empty((t.size, z.shape[0]))
-    for k, tk in enumerate(t.tolist()):
+    f = np.empty(z.shape[::-1])
+
+    def node(zt, tk, out):
         np.exp(np.multiply(zt, -tk, out=f), out=f)
-        f -= 1.0
-        diff = np.einsum("n,nr->r", c, f, out=out[k])
-        f *= f
-        diff -= np.einsum("n,nr->r", nw, f)
-    out /= n
-    return out.T
+        np.subtract(f, 1.0, out=f)
+        np.einsum("n,nr->r", c, f, out=out)
+        np.multiply(f, f, out=f)
+        out -= np.einsum("n,nr->r", nw, f)
+
+    d = _node_pass(node, z, t)
+    d /= n
+    return d
 
 
 def _vn(zt, a, t, derivatives=False):
@@ -186,16 +188,11 @@ def _ld(y, z, a):
     """Supremum over t > 0 of |vn|: a 64-point log-spaced grid scan, then a
     bracketed Newton refine of every local maximum of the scan on vn's
     analytic t-derivatives to |dt| < 1e-8 (`newton_maximize_log_grid`).
-    The scan takes one grid point per pass over a contiguous (n, rows) copy,
-    whose sums over n run down the columns in order; the refine takes the
+    The scan is one _node_pass over the grid points; the refine takes the
     transposed (probes, n) gather of the probes' rows, whose sums run along
     each probe's row, so a probe's value does not depend on its company."""
     def value(t, rows):
-        zt = z.T.copy()
-        out = np.empty((t.size, z.shape[0]))
-        for k, tk in enumerate(t.ravel().tolist()):  # one grid point per pass
-            out[k] = _vn(zt, a, tk)
-        return np.abs(out, out=out).T
+        return _node_pass(lambda zt, tk, out: np.abs(_vn(zt, a, tk), out=out), z, t)
 
     def terms(t, rows):
         v = _vn(z[rows].T, a, t, derivatives=True)
@@ -283,14 +280,10 @@ def proj_w(x, t, a):
 
 
 def _sample_mean(proj, z, t, a):
-    """The transform mean_i proj(Z_i, t, a) of each row: column k from one
-    contiguous (n, rows) array of the projection at the node t_k."""
-    zt = z.T.copy()
-    out = np.empty((t.size, z.shape[0]))
-    for k, tk in enumerate(t.tolist()):
-        np.add.reduce(proj(zt, tk, a), axis=0, out=out[k])
-    out /= z.shape[1]
-    return out.T
+    """The transform mean_i proj(Z_i, t, a) of each row, by one _node_pass."""
+    d = _node_pass(lambda zt, tk, out: np.add.reduce(proj(zt, tk, a), axis=0, out=out), z, t)
+    d /= z.shape[1]
+    return d
 
 
 def kernel_hm1(x, y, a=1.0):
@@ -373,38 +366,41 @@ def _jp(y, z, a):
             - np.divide(1.0, pair, out=pair).sum(axis=(1, 2)) / y.shape[1]**2)
 
 
-# name -> batched kernel(y, z, a) of the scaled rows y (r, n), their ascending
-# sort z and the tuning parameter (None for plain statistics) -> (r,) values
+def _per_point(n, a):
+    return n
+
+
+# name -> (kernel, per_row): the batched kernel(y, z, a) of the scaled rows
+# y (r, n), their ascending sort z and the tuning parameter (None for plain
+# statistics) -> (r,) values, and per_row(n, a), the elements per row of its
+# temporaries: n for the O(n) kernels and for the one-node passes of MD, BH,
+# HE and W (their (rows, nodes) transform is nodes/n times larger: 8.8 times
+# at n = 5, a = 1, where bigger passes still win over smaller chunks), 2n for
+# the two of LD's scan, E = expm1(-tz) and E (E + 2), the node count of
+# laplace_t_rule(a, n) for MP's (rows, nodes) arrays, n^2 for JP's pairs and
+# n (n//2 + 1) for the circular diagonals of HM1 and HM2.  MD and JP update
+# one temporary in place; HM1's kernel keeps three.
 _KERNELS = {
-    "MD": partial(_laplace_l2, _md),
-    "LD": _ld,
-    "EP": lambda y, z, a: np.sqrt(48.0) * (np.mean(np.exp(-y), axis=1) - 0.5),
-    "CO": lambda y, z, a: 1.0 + np.mean((1.0 - y) * np.log(y), axis=1),
-    "GINI": _gini,
-    "MO": lambda y, z, a: np.abs(EULER_GAMMA + np.mean(np.log(y), axis=1)),
-    "KS": _ks,
-    "CVM": _cvm,
-    "AD": _ad,
-    "BH": partial(_laplace_l2, partial(_sample_mean, proj_bh)),
-    "HE": partial(_laplace_l2, partial(_sample_mean, proj_he)),
-    "W": partial(_laplace_l2, partial(_sample_mean, proj_w)),
-    "HM1": _pair_mean(kernel_hm1),
-    "HM2": _pair_mean(kernel_hm2),
-    "JD": lambda y, z, a: (np.mean(1.0 / (y + a), axis=1)
-                           - np.sum(min_pair_weights(y.shape[1]) / (2.0 * z + a), axis=1)),
-    "JP": _jp,
-    "MP": partial(_laplace_l2, _mp),
+    "MD": (partial(_laplace_l2, _md), _per_point),
+    "LD": (_ld, lambda n, a: 2 * n),
+    "EP": (lambda y, z, a: np.sqrt(48.0) * (np.mean(np.exp(-y), axis=1) - 0.5), _per_point),
+    "CO": (lambda y, z, a: 1.0 + np.mean((1.0 - y) * np.log(y), axis=1), _per_point),
+    "GINI": (_gini, _per_point),
+    "MO": (lambda y, z, a: np.abs(EULER_GAMMA + np.mean(np.log(y), axis=1)), _per_point),
+    "KS": (_ks, _per_point),
+    "CVM": (_cvm, _per_point),
+    "AD": (_ad, _per_point),
+    "BH": (partial(_laplace_l2, partial(_sample_mean, proj_bh)), _per_point),
+    "HE": (partial(_laplace_l2, partial(_sample_mean, proj_he)), _per_point),
+    "W": (partial(_laplace_l2, partial(_sample_mean, proj_w)), _per_point),
+    "HM1": (_pair_mean(kernel_hm1), lambda n, a: n * (n // 2 + 1)),
+    "HM2": (_pair_mean(kernel_hm2), lambda n, a: n * (n // 2 + 1)),
+    "JD": (lambda y, z, a: (np.mean(1.0 / (y + a), axis=1)
+                            - np.sum(min_pair_weights(y.shape[1]) / (2.0 * z + a), axis=1)),
+           _per_point),
+    "JP": (_jp, lambda n, a: n * n),
+    "MP": (partial(_laplace_l2, _mp), lambda n, a: laplace_t_rule(a, n)[0].size),
 }
-# the kernels that take CACHE_BUDGET chunks -> elements per row of their
-# temporaries, from n and the node count k of laplace_t_rule(a, n): n for the
-# one-node passes of MD, BH, HE and W (their (rows, nodes) transform is k/n
-# times larger: 8.8 times at n = 5, a = 1, where bigger passes still win
-# over smaller chunks), 2n for the two of LD's scan, k for MP's
-# (rows, nodes) arrays, n^2 for JP's pairs and n (n//2 + 1) for the circular
-# diagonals of HM1 and HM2
-CACHE_SIZED = {**dict.fromkeys(("MD", "BH", "HE", "W"), lambda n, k: n),
-               "LD": lambda n, k: 2 * n, "MP": lambda n, k: k, "JP": lambda n, k: n * n,
-               **dict.fromkeys(("HM1", "HM2"), lambda n, k: n * (n // 2 + 1))}
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +413,20 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     Every entry must be a positive finite real; the first one that is not is
     named by row and column.  The rows are scaled to unit means and sorted,
     and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // n rows for MD, BH, HE and W, CACHE_BUDGET // 2n for LD,
-    CACHE_BUDGET // nodes for MP (nodes of laplace_t_rule(a, n)),
-    CACHE_BUDGET // n^2 for JP, CACHE_BUDGET // (n (n//2 + 1)) for HM1 and
-    HM2, and ELEMENT_BUDGET // n^2 rows for the rest.  A row's value does not
-    depend on the chunking, bit for bit.  numpy would reduce a lone row along
-    its contiguous axis, pairwise, where a larger chunk sums down its
-    columns in order, so a one-row chunk (the last one, or `evaluate`'s)
-    goes to the kernel as two copies of the row.
+    CACHE_BUDGET // per_row rows (at least one), per_row(n, a) of its
+    _KERNELS entry.  A row's value does not depend on the chunking, bit for
+    bit.  numpy would reduce a lone row along its contiguous axis, pairwise,
+    where a larger chunk sums down its columns in order, so a one-row chunk
+    (the last one, or `evaluate`'s) goes to the kernel as two copies of the
+    row.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DomainError("evaluate_many expects a 2-D (replicates, n) array")
     check_positive(x)
-    kernel = _KERNELS[stat.name]
+    kernel, per_row = _KERNELS[stat.name]
     r, n = x.shape
-    rows = ELEMENT_BUDGET // (n * n)
-    if stat.name in CACHE_SIZED:
-        rows = CACHE_BUDGET // CACHE_SIZED[stat.name](n, laplace_t_rule(stat.a, n)[0].size)
-    rows = max(1, rows)
+    rows = max(1, CACHE_BUDGET // per_row(n, stat.a))
     mean = x.mean(axis=1, keepdims=True)
     # sorted whole, then scaled: the sorted copy is freed before the chunk
     # loop, and glibc, which sizes its heap trimming by the largest block it

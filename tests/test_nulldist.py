@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,17 @@ class TestEigenMachinery:
         # must give the top eigenvalue of the grid matrix of h2_tilde itself
         ref = matrix_largest_eigenvalue(eigen_matrix(a, m, B))
         assert abs(nulldist._grid_delta1(a, m, B) - ref) < 1e-12 * ref
+
+    def test_row_block_temporaries_stay_cache_sized(self):
+        # blocks of CACHE_BUDGET // (m+1) rows: h2_tilde's temporaries stay
+        # cache-sized, and only the (m+1)^2 matrix (30.5 MiB) grows with m
+        tracemalloc.start()
+        try:
+            approx = eigen_matrix(1.0, 2000, 30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - approx.matrix.nbytes < 10 * 2**20
 
     def test_validation(self):
         with pytest.raises(DomainError):

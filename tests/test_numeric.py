@@ -5,7 +5,7 @@ import pytest
 from exptests import expint_Ei, numeric
 from exptests.errors import DomainError, NumericsError
 from exptests.nulldist import eigen_matrix, h2_tilde
-from exptests.numeric import (E1_SERIES_END, EI_BLOCK, EI_SERIES_END, EIGEN_LADDER,
+from exptests.numeric import (CACHE_BUDGET, E1_SERIES_END, EI_SERIES_END, EIGEN_LADDER,
                               EIGEN_REL_TOL, LANCZOS_STEPS, ei_scaled, exp1, expi,
                               laplace_t_rule, largest_eigenvalue, maximize_log_grid,
                               newton_maximize_log_grid, operator_eigenvalue,
@@ -300,14 +300,14 @@ def test_expi_against_mpmath(ei_points):
 def test_ei_edges_and_shapes():
     # the poles, the domain of E1, overflow, infinity and nan; a number gives
     # a float, an array its shape, and both take the same route to the same
-    # bits, in blocks of EI_BLOCK elements that change no value
+    # bits, in blocks of CACHE_BUDGET elements that change no value
     assert exp1(0.0) == np.inf and expi(0.0) == -np.inf
     assert np.isnan(exp1(-1.0)) and np.isnan(expi(np.nan))
     assert expi(710.0) == np.inf and exp1(800.0) == 0.0
     assert expi(np.inf) == np.inf and expint_Ei(np.inf) == np.inf
     assert exp1(np.inf) == 0.0 and ei_scaled(np.inf) == 0.0 and expi(-np.inf) == 0.0
     assert isinstance(exp1(2.0), float) and isinstance(expi(np.float64(-2.0)), float)
-    x = np.random.default_rng(4).uniform(-60.0, 60.0, (3, EI_BLOCK // 2 + 7))
+    x = np.random.default_rng(4).uniform(-60.0, 60.0, (3, CACHE_BUDGET // 2 + 7))
     for f in (expi, exp1):
         got = f(x)
         assert got.shape == x.shape

@@ -341,7 +341,7 @@ class TestProjectionReferences:
     def test_slope_takes_the_kernels_projection(self, name):
         # one projection f(x, t, a) per statistic: its kernel evaluates the
         # same function object that its drift and covariance take
-        assert statistics._KERNELS[name].args[0].args == (slopes._SLOPES[name][1],)
+        assert statistics._KERNELS[name][0].args[0].args == (slopes._SLOPES[name][1],)
 
     @pytest.mark.parametrize("a", [0.5, 2.0, 10.0])
     def test_mp_gram_is_the_projected_kernel(self, a):

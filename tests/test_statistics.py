@@ -21,6 +21,9 @@ from oracles import (he_scipy, hm1_mpmath, hm2_mpmath, kernel_ad, kernel_cvm,
                      vn_mpmath)
 
 positive_samples = st.lists(st.floats(0.05, 20.0), min_size=5, max_size=25)
+# every statistic at n = 50, at a = 1 where it takes a tuning parameter
+_EVERY_STAT_AT_N50 = [(name, 1.0 if name in TUNED_STATISTICS else None, 50)
+                      for name in sorted(ALL_STATISTICS)]
 
 
 def _with_edge_rows(x, a):
@@ -285,7 +288,7 @@ class TestBatteryForms:
         x = np.random.default_rng(60 + n).standard_exponential((1000, n))
         stat = StatisticId(name, 1.0)
         whole = evaluate_many(stat, x)
-        per_row = statistics.CACHE_SIZED[name](n, 0)
+        per_row = statistics._KERNELS[name][1](n, 1.0)
         for rows in (7, 64, 1000):
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
@@ -312,23 +315,17 @@ class TestBatteryForms:
         err = np.abs(evaluate_many(StatisticId("HE", a), x) - ref)
         assert np.all(err <= 8 * np.finfo(float).eps * scale)
 
-    def test_mp_chunks_sized_by_nodes(self, monkeypatch):
+    def test_mp_chunks_sized_by_nodes(self):
         # 10^4 rows at n = 5: chunks of CACHE_BUDGET // n^2 rows would hold
         # (2621, 44) arrays; chunking by MP's node count keeps the peak low
-        # and leaves every value unchanged
         x = np.random.default_rng(5).standard_exponential((10_000, 5))
-        stat = StatisticId("MP", 1.0)
         tracemalloc.start()
         try:
-            whole = evaluate_many(stat, x)
+            evaluate_many(StatisticId("MP", 1.0), x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
-        nodes = numeric.laplace_t_rule(1.0, 5)[0].size
-        for rows in (7, 1000):
-            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * nodes)
-            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
 
     @pytest.mark.parametrize("n", [5, 20])
     @pytest.mark.parametrize("name", ["MD", "BH", "HE", "W", "MP"])
@@ -339,7 +336,7 @@ class TestBatteryForms:
         x = np.random.default_rng(50 + n).standard_exponential((1000, n))
         stat = StatisticId(name, 1.0)
         whole = evaluate_many(stat, x)
-        per_row = statistics.CACHE_SIZED[name](n, numeric.laplace_t_rule(1.0, n)[0].size)
+        per_row = statistics._KERNELS[name][1](n, 1.0)
         for rows in (7, 64, 1000):
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
@@ -415,10 +412,26 @@ class TestEvaluateMany:
         reference = [plain_reference(name, row) for row in x]
         np.testing.assert_allclose(many, reference, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [5, 20, 21, 50])
+    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
+    def test_rows_do_not_depend_on_cache_budget(self, name, n, monkeypatch):
+        # chunks of 7, 64 and 1000 rows, from CACHE_BUDGET set to that many
+        # rows of the kernel's per_row elements: every sum over n, the nodes
+        # or the circular diagonals runs in the same order for every row of a
+        # chunk, so every value is bit-identical; odd and even n (the
+        # k = n/2 diagonal of HM1 and HM2 weighs 1 at even n)
+        x = np.random.default_rng(80 + n).standard_exponential((1000, n))
+        stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+        whole = evaluate_many(stat, x)
+        per_row = statistics._KERNELS[name][1](n, stat.a)
+        for rows in (7, 64, 1000):
+            monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
+            np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
     def test_chunking_does_not_change_results(self, gen):
-        # n = 150 gives chunks of 2 rows ((rows, n, n) temporaries), 436
-        # ((n, rows) passes), 218 (LD), 1074 (MP) or 44, against chunks of 7
-        # (the last one of 2 rows)
+        # n = 150 gives chunks of 2 rows (JP's (rows, n, n) temporaries), 5
+        # (HM1 and HM2), 218 (LD), 1074 (MP) or 436 (n per row), against
+        # chunks of 7 (the last one of 2 rows)
         x = gen.exponential(size=(100, 150))
         for name in sorted(ALL_STATISTICS):
             stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
@@ -450,18 +463,14 @@ class TestEvaluateMany:
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * 2 * n)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
 
-    @pytest.mark.parametrize("name,a,n", [("MD", 1.0, 50), ("AD", None, 50),
-                                          ("HM1", 1.0, 50), ("LD", 1.0, 50),
-                                          ("MP", 1.0, 50), ("BH", 1.0, 50),
-                                          ("W", 1.0, 50), ("LD", 1.0, 20),
-                                          ("HM2", 1.0, 50)],
-                             ids=["MD-1.0", "AD-None", "HM1-1.0", "LD-1.0",
-                                  "MP-1.0", "BH-1.0", "W-1.0", "LD-1.0-n20",
-                                  "HM2-1.0"])
+    @pytest.mark.parametrize("name,a,n", _EVERY_STAT_AT_N50 + [("LD", 1.0, 20)],
+                             ids=[f"{name}-{a}" for name, a, _ in _EVERY_STAT_AT_N50]
+                             + ["LD-1.0-n20"])
     def test_temporaries_stay_cache_sized(self, name, a, n, gen):
-        # 2000 rows: one (400, 50, 50) temporary is 7.6 MiB; here the sorted
-        # rows take 0.8 MB at n = 50 and each CACHE_BUDGET temporary 0.5 MiB;
-        # LD's 64-point scan of a 1638-row chunk at n = 20 keeps 0.8 MB
+        # 2000 rows of every statistic: one (400, 50, 50) temporary would be
+        # 7.6 MiB; here the sorted rows take 0.8 MB at n = 50 and each
+        # CACHE_BUDGET temporary 0.5 MiB; LD's 64-point scan of a 1638-row
+        # chunk at n = 20 keeps 0.8 MB
         x = gen.exponential(size=(2000, n))
         tracemalloc.start()
         try:
