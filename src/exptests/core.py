@@ -1,10 +1,9 @@
 """Sample handling and reproducible random number streams.
 
-All test statistics in this package operate on the scaled sample
-Y_i = X_i / mean(X), which makes them invariant to the unknown rate of the
-exponential null.  The pair-minimum Laplace transform used by several
-statistics only depends on the order statistics, so the scaled sample also
-carries its sorted values together with the weights
+All test statistics in this package operate on the scaled order statistics
+Z_i = X_(i) / mean(X) of sort_and_scale, invariant to the unknown rate of the
+exponential null and, bit for bit, to the order of the data.  The
+pair-minimum Laplace transform weighs them with
 
     w_i = (2(n - i) + 1) / n**2        (ascending order, 1-based i)
 
@@ -119,13 +118,22 @@ def check_tuning(a: float) -> None:
         raise DomainError(f"tuning parameter a must be a positive finite real, got {a}")
 
 
+def sort_and_scale(x: np.ndarray) -> np.ndarray:
+    """The samples along the last axis of x sorted, each divided by the mean
+    of its sorted values, summed in that order: the one scaling rule of every
+    statistic, so a permuted sample gives the same result, bit for bit."""
+    z = np.sort(x, axis=-1)
+    return z / z.mean(axis=-1, keepdims=True)
+
+
 def scale_sample(raw) -> ScaledSample:
-    """Scale a raw positive sample to unit mean (checked by check_positive)."""
+    """Scale a raw positive sample (checked by check_positive) by
+    sort_and_scale; values holds sorted_values in the order of the data."""
     x = check_positive(np.asarray(raw, dtype=float).reshape(-1))
-    y = x / x.mean()
-    order = np.argsort(y, kind="stable")
-    return ScaledSample(values=y, sorted_values=y[order],
-                        min_weights=min_pair_weights(y.size))
+    z = sort_and_scale(x)
+    y = np.empty_like(z)
+    y[np.argsort(x, kind="stable")] = z
+    return ScaledSample(values=y, sorted_values=z, min_weights=min_pair_weights(z.size))
 
 
 def read_sample(path) -> np.ndarray:

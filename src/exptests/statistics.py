@@ -9,27 +9,23 @@ Two groups live here:
   MO, KS, CVM, AD, BH, HE, W, HM1, HM2, MP, JP, JD) used for power and
   efficiency comparisons (Henze & Meintanis 2005, Metrika 61).
 
-Every statistic is scale-free: it is computed from Y_i = X_i / mean(X).
-Each one has a single batched kernel in the `_KERNELS` table, mapping the
-scaled rows y (r, n), their ascending sort z and the tuning parameter a to
-the r statistic values, next to the elements per row of its temporaries.
-`evaluate_many` feeds it chunks of numeric.CACHE_BUDGET // per_row rows and
-`evaluate` is its one-row case.  Integral-type statistics use closed forms,
-O(n^2) pair sums, sorted-sample formulas or one double-exponential t-rule,
-numeric.laplace_t_rule, applied by one helper (_laplace_l2) to an
-O(n)-per-node transform: MD and MP have transform bodies of their own, BH,
-HE and W take the sample mean of one projection f(x, t, a) each, which the
-slopes take too.  MD, BH, HE and W fill the transform's column k, and LD's
-grid scan its grid point k, from one per-node pass (_node_pass) over a
-contiguous (n, rows) copy of the sorted rows; MP keeps its recursion over
-the sorted points, vectorised over the nodes.  LD takes both transforms,
-and the t-derivatives of its Newton refine, from one expm1 per sorted
-point.  Every sum over n runs down the columns of such a pass, in the same
-order for every row.  HM1 and HM2 evaluate their symmetric pair
-kernels once per unordered pair, along the n//2 + 1 circular diagonals of
-each sorted row (_pair_mean), and sum each diagonal along its own row.
-HM1's kernel is written in reciprocals of a^2 + (u -+ v)^2 so that no two
-nearly equal terms are subtracted.
+Every statistic is a scale-free, symmetric function of the sample, computed
+from its sorted, scaled row z alone (core.sort_and_scale), so its value does
+not depend on the order of the data, bit for bit.  Each one has a single
+batched kernel in the `_KERNELS` table, mapping the rows z (r, n) and the
+tuning parameter a to the r statistic values, next to the elements per row
+of its temporaries.  `evaluate_many` feeds it chunks of
+numeric.CACHE_BUDGET // per_row rows and `evaluate` is its one-row case.
+Integral-type statistics use closed forms, sorted-sample formulas, O(n^2)
+pair sums or one double-exponential t-rule, numeric.laplace_t_rule, applied
+by one helper (_laplace_l2) to an O(n)-per-node transform: MD and MP have
+transform bodies of their own, BH, HE and W take the sample mean of one
+projection f(x, t, a) each, which the slopes take too.  MD, BH, HE and W
+fill the transform's column k, and LD's grid scan its grid point k, from
+one per-node pass over the sorted rows (_node_pass); MP keeps its recursion
+over the sorted points, vectorised over the nodes.  HM1, HM2 and JP evaluate
+their symmetric pair kernels once per unordered pair (_pair_mean).  Every
+sum over n runs in the same order for every row of a chunk.
 """
 
 from __future__ import annotations
@@ -41,7 +37,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ScaledSample, check_positive, check_tuning, min_pair_weights
+from .core import (ScaledSample, check_positive, check_tuning, min_pair_weights,
+                   sort_and_scale)
 from .errors import DomainError
 from .numeric import CACHE_BUDGET, laplace_t_rule, newton_maximize_log_grid
 
@@ -81,14 +78,13 @@ class StatisticId:
 class StatValue:
     value: float
     n: int
-    rejection_side: str = "upper"
 
 
 # ---------------------------------------------------------------------------
 # MD / LD: pair-minimum Laplace transform statistics
 # ---------------------------------------------------------------------------
 
-def _laplace_l2(transform, y, z, a):
+def _laplace_l2(transform, z, a):
     """int transform(t)^2 e^{-at} dt of each row on laplace_t_rule(a, n),
     from the (rows, nodes) array transform(z, t, a) at the rule's nodes t:
     the kernel of MD, MP, BH, HE and W."""
@@ -142,28 +138,28 @@ def _vn(zt, a, t, derivatives=False):
     damped by e^{-at}: zt holds the rows as its columns, (n, rows), and t
     broadcasts against (rows,).
 
-    Each transform is 1 + a weighted mean of expm1 (the pair weights sum to
-    1), so the difference subtracts no two numbers near 1.  Both come from
-    one E = expm1(-tz): expm1(-2tz) = E (E + 2), exactly and without
-    cancellation (E lies in (-1, 0]).  derivatives=True stacks vn and its
-    t-derivatives as (3, rows) from the same E: with P = E + 1, E' = -zP,
-    E'' = z^2 P, (E (E + 2))' = -2zP^2 and (E (E + 2))'' = 4z^2 P^2.
+    Both transforms come from one E = expm1(-tz), E in (-1, 0], as in
+    _md: expm1(-2tz) = E (E + 2) and the pair weights sum to 1, so
+    n vn = sum (1 - 2nw) E - sum nw E^2 subtracts no two numbers near 1, and
+    its two sums are smaller than the transforms less 1.  derivatives=True
+    stacks vn and its t-derivatives as (3, rows) from the same E: with
+    P = E + 1, E' = -zP, E'' = z^2 P, (E (E + 2))' = -2zP^2 and
+    (E (E + 2))'' = 4z^2 P^2.
     """
     n = zt.shape[0]
-    w = min_pair_weights(n)
+    nw = n * min_pair_weights(n)
     e = np.multiply(zt, -t)
     np.expm1(e, out=e)
-    e2 = e + 2.0
-    e2 *= e
-    u = np.add.reduce(e, axis=0) / n - np.einsum("n,nr->r", w, e2)
+    e2 = e * e
+    u = (np.einsum("n,nr->r", 1.0 - 2.0 * nw, e) - np.einsum("n,nr->r", nw, e2)) / n
     if derivatives:
         e += 1.0
         zp = np.multiply(e, zt, out=e2)
         e *= zp  # z P^2
-        du = 2.0 * np.einsum("n,nr->r", w, e) - np.add.reduce(zp, axis=0) / n
+        du = (2.0 * np.einsum("n,nr->r", nw, e) - np.add.reduce(zp, axis=0)) / n
         zp *= zt
         e *= zt
-        d2u = np.add.reduce(zp, axis=0) / n - 4.0 * np.einsum("n,nr->r", w, e)
+        d2u = (np.add.reduce(zp, axis=0) - 4.0 * np.einsum("n,nr->r", nw, e)) / n
         u = np.stack([u, du - a * u, d2u - 2.0 * a * du + a * a * u])
     return u * np.exp(-a * t)
 
@@ -184,7 +180,7 @@ def ld_upper_bound(a: float) -> float:
     return max(40.0 / a, 4.0)
 
 
-def _ld(y, z, a):
+def _ld(z, a):
     """Supremum over t > 0 of |vn|: a 64-point log-spaced grid scan, then a
     bracketed Newton refine of every local maximum of the scan on vn's
     analytic t-derivatives to |dt| < 1e-8 (`newton_maximize_log_grid`).
@@ -205,7 +201,7 @@ def _ld(y, z, a):
 # Classical battery; GINI, CVM and AD from the sorted sample (Stephens 1974)
 # ---------------------------------------------------------------------------
 
-def _pair_mean(kernel):
+def _pair_mean(kernel, z, a):
     """Batched V-statistic mean of a symmetric order-2 kernel(x, y, a), one
     evaluation per unordered pair: the sorted rows against their circular
     diagonals (Z_i, Z_{i+k mod n}), k = 0, ..., n//2, in one (rows, n//2 + 1,
@@ -213,45 +209,40 @@ def _pair_mean(kernel):
     counts twice, except k = n/2 at even n, which is its own mirror.  Each
     diagonal sums pairwise along its contiguous axis and the weighted
     diagonal sums add along each row, so a row's value does not depend on
-    its company."""
-    def mean(y, z, a):
-        n = z.shape[1]
-        h = n // 2
-        v = sliding_window_view(np.concatenate([z, z[:, :h]], axis=1), n, axis=1)
-        sums = kernel(z[:, None, :], v[:, :h + 1], a).sum(axis=2)
-        w = np.full(h + 1, 2.0)
-        w[0] = 1.0
-        if n % 2 == 0:
-            w[h] = 1.0
-        sums *= w
-        return sums.sum(axis=1) / (n * n)
-    return mean
+    its company.  The kernel of HM1 and HM2 and JP's pair term."""
+    n = z.shape[1]
+    h = n // 2
+    v = sliding_window_view(np.concatenate([z, z[:, :h]], axis=1), n, axis=1)
+    sums = kernel(z[:, None, :], v[:, :h + 1], a).sum(axis=2)
+    k = np.arange(h + 1)
+    sums *= np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    return sums.sum(axis=1) / (n * n)
 
 
-def _gini(y, z, a):
-    """|sum_{i,j} |Y_i - Y_j| / (2n(n - 1)) - 1/2|; the sum is 2 sum_i (2i - n - 1) Z_i."""
-    n = y.shape[1]
+def _gini(z, a):
+    """|sum_{i,j} |Z_i - Z_j| / (2n(n - 1)) - 1/2|; the sum is 2 sum_i (2i - n - 1) Z_i."""
+    n = z.shape[1]
     if n < 2:
         raise DomainError("GINI requires n >= 2")
     return np.abs(np.sum(z * (2.0 * np.arange(1, n + 1) - n - 1), axis=1) / (n * (n - 1.0)) - 0.5)
 
 
-def _cvm(y, z, a):
+def _cvm(z, a):
     """Pair mean of the Cramer-von Mises kernel (tests/oracles.py kernel_cvm):
     1/(12n^2) + mean (F(Z_i) - (2i - 1)/(2n))^2, F(z) = 1 - e^{-z}."""
     d = -np.expm1(-z) - (np.arange(z.shape[1]) + 0.5) / z.shape[1]
     return 1.0 / (12.0 * z.shape[1] ** 2) + np.mean(d * d, axis=1)
 
 
-def _ad(y, z, a):
+def _ad(z, a):
     """Pair mean of the Anderson-Darling kernel (tests/oracles.py kernel_ad):
     -1 - sum_i (2i - 1) [log F(Z_i) - Z_{n+1-i}] / n^2."""
     terms = (2.0 * np.arange(z.shape[1]) + 1) * (np.log(-np.expm1(-z)) - z[:, ::-1])
     return -1.0 - np.sum(terms, axis=1) / z.shape[1] ** 2
 
 
-def _ks(y, z, a):
-    n = y.shape[1]
+def _ks(z, a):
+    n = z.shape[1]
     f0 = -np.expm1(-z)
     i = np.arange(1, n + 1, dtype=float)
     return np.maximum(np.max(i / n - f0, axis=1), np.max(f0 - (i - 1) / n, axis=1))
@@ -358,47 +349,48 @@ def _mp(z, t, a):
     return 2.0 * pairs / (n * n) - lap / n
 
 
-def _jp(y, z, a):
-    pair = y[:, :, None] - y[:, None, :]
-    np.abs(pair, out=pair)
-    pair += a
-    return (np.mean(1.0 / (y + a), axis=1)
-            - np.divide(1.0, pair, out=pair).sum(axis=(1, 2)) / y.shape[1]**2)
+def kernel_jp(x, y, a=1.0):
+    """JP's pair kernel 1/(|u - v| + a)."""
+    return 1.0 / (np.abs(np.subtract(x, y)) + a)
 
 
 def _per_point(n, a):
     return n
 
 
-# name -> (kernel, per_row): the batched kernel(y, z, a) of the scaled rows
-# y (r, n), their ascending sort z and the tuning parameter (None for plain
-# statistics) -> (r,) values, and per_row(n, a), the elements per row of its
-# temporaries: n for the O(n) kernels and for the one-node passes of MD, BH,
-# HE and W (their (rows, nodes) transform is nodes/n times larger: 8.8 times
-# at n = 5, a = 1, where bigger passes still win over smaller chunks), 2n for
-# the two of LD's scan, E = expm1(-tz) and E (E + 2), the node count of
-# laplace_t_rule(a, n) for MP's (rows, nodes) arrays, n^2 for JP's pairs and
-# n (n//2 + 1) for the circular diagonals of HM1 and HM2.  MD and JP update
-# one temporary in place; HM1's kernel keeps three.
+def _per_diagonal(n, a):
+    return n * (n // 2 + 1)
+
+
+# name -> (kernel, per_row): the batched kernel(z, a) of the sorted, scaled
+# rows z (r, n) and the tuning parameter (None for plain statistics) -> (r,)
+# values, and per_row(n, a), the elements per row of its temporaries: n for
+# the O(n) kernels and for the one-node passes of MD, BH, HE and W (their
+# (rows, nodes) transform is nodes/n times larger: 8.8 times at n = 5,
+# a = 1, where bigger passes still win over smaller chunks), 2n for the two
+# of LD's scan, E = expm1(-tz) and E^2, the node count of
+# laplace_t_rule(a, n) for MP's (rows, nodes) arrays and n (n//2 + 1) for the
+# circular diagonals of HM1, HM2 and JP.
 _KERNELS = {
     "MD": (partial(_laplace_l2, _md), _per_point),
     "LD": (_ld, lambda n, a: 2 * n),
-    "EP": (lambda y, z, a: np.sqrt(48.0) * (np.mean(np.exp(-y), axis=1) - 0.5), _per_point),
-    "CO": (lambda y, z, a: 1.0 + np.mean((1.0 - y) * np.log(y), axis=1), _per_point),
+    "EP": (lambda z, a: np.sqrt(48.0) * (np.mean(np.exp(-z), axis=1) - 0.5), _per_point),
+    "CO": (lambda z, a: 1.0 + np.mean((1.0 - z) * np.log(z), axis=1), _per_point),
     "GINI": (_gini, _per_point),
-    "MO": (lambda y, z, a: np.abs(EULER_GAMMA + np.mean(np.log(y), axis=1)), _per_point),
+    "MO": (lambda z, a: np.abs(EULER_GAMMA + np.mean(np.log(z), axis=1)), _per_point),
     "KS": (_ks, _per_point),
     "CVM": (_cvm, _per_point),
     "AD": (_ad, _per_point),
     "BH": (partial(_laplace_l2, partial(_sample_mean, proj_bh)), _per_point),
     "HE": (partial(_laplace_l2, partial(_sample_mean, proj_he)), _per_point),
     "W": (partial(_laplace_l2, partial(_sample_mean, proj_w)), _per_point),
-    "HM1": (_pair_mean(kernel_hm1), lambda n, a: n * (n // 2 + 1)),
-    "HM2": (_pair_mean(kernel_hm2), lambda n, a: n * (n // 2 + 1)),
-    "JD": (lambda y, z, a: (np.mean(1.0 / (y + a), axis=1)
-                            - np.sum(min_pair_weights(y.shape[1]) / (2.0 * z + a), axis=1)),
+    "HM1": (partial(_pair_mean, kernel_hm1), _per_diagonal),
+    "HM2": (partial(_pair_mean, kernel_hm2), _per_diagonal),
+    "JD": (lambda z, a: (np.mean(1.0 / (z + a), axis=1)
+                         - np.sum(min_pair_weights(z.shape[1]) / (2.0 * z + a), axis=1)),
            _per_point),
-    "JP": (_jp, lambda n, a: n * n),
+    "JP": (lambda z, a: np.mean(1.0 / (z + a), axis=1) - _pair_mean(kernel_jp, z, a),
+           _per_diagonal),
     "MP": (partial(_laplace_l2, _mp), lambda n, a: laplace_t_rule(a, n)[0].size),
 }
 
@@ -411,14 +403,14 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     """Evaluate a statistic on each row of a (replicates, n) array.
 
     Every entry must be a positive finite real; the first one that is not is
-    named by row and column.  The rows are scaled to unit means and sorted,
-    and the statistic's batched kernel takes them in chunks of
-    CACHE_BUDGET // per_row rows (at least one), per_row(n, a) of its
-    _KERNELS entry.  A row's value does not depend on the chunking, bit for
-    bit.  numpy would reduce a lone row along its contiguous axis, pairwise,
-    where a larger chunk sums down its columns in order, so a one-row chunk
-    (the last one, or `evaluate`'s) goes to the kernel as two copies of the
-    row.
+    named by row and column.  The rows are sorted and divided by the means of
+    the sorted rows (core.sort_and_scale), and the statistic's batched
+    kernel takes these rows alone in chunks of CACHE_BUDGET // per_row rows
+    (at least one), per_row(n, a) of its _KERNELS entry.  A row's value does
+    not depend on the order of its entries or on the chunking, bit for bit.
+    numpy would reduce a lone row along its contiguous axis, pairwise, where
+    a larger chunk sums down its columns in order, so a one-row chunk (the
+    last one, or `evaluate`'s) goes to the kernel as two copies of the row.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
@@ -427,19 +419,18 @@ def evaluate_many(stat: StatisticId, samples) -> np.ndarray:
     kernel, per_row = _KERNELS[stat.name]
     r, n = x.shape
     rows = max(1, CACHE_BUDGET // per_row(n, stat.a))
-    mean = x.mean(axis=1, keepdims=True)
     # sorted whole, then scaled: the sorted copy is freed before the chunk
     # loop, and glibc, which sizes its heap trimming by the largest block it
     # has unmapped, then keeps the temporaries of the pair battery (several
     # alive per chunk) instead of returning them to the OS after every chunk
-    z = np.sort(x, axis=1) / mean
+    z = sort_and_scale(x)
     out = np.empty(r)
     for k0 in range(0, r, rows):
-        part = slice(k0, k0 + rows)
-        y, zp = x[part] / mean[part], z[part]
-        if len(y) == 1:  # numpy reduces a lone row pairwise: take two copies
-            y, zp = np.repeat(y, 2, axis=0), np.repeat(zp, 2, axis=0)
-        out[part] = kernel(y, zp, stat.a)[:len(out[part])]
+        part = z[k0:k0 + rows]
+        m = len(part)
+        if m == 1:  # numpy reduces a lone row pairwise: take two copies
+            part = np.repeat(part, 2, axis=0)
+        out[k0:k0 + m] = kernel(part, stat.a)[:m]
     return out
 
 

@@ -40,6 +40,20 @@ class TestTestSubcommand:
         assert 0.0 < float(row["p_value"]) <= 1.0
         assert float(row["value"]) > 0
 
+    @pytest.mark.parametrize("name", ["MD", "LD", "JP"])
+    def test_reversed_data_file_gives_the_same_row(self, sample_file, tmp_path,
+                                                   capsys, name):
+        # a statistic reads the sorted, scaled sample alone, so the value, the
+        # critical value and the p-value do not depend on the order of the data
+        lines = open(sample_file).read().splitlines()
+        reversed_file = tmp_path / "reversed.txt"
+        reversed_file.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        rows = [run(["test", "--stat", name, "--a", "1", "--input", path,
+                     "--seed", "5", "--threads", "1"], capsys)
+                for path in (sample_file, str(reversed_file))]
+        assert rows[0][0] == rows[1][0] == 0
+        assert rows[0][1] == rows[1][1]
+
     def test_requires_input(self, capsys):
         code, _, err = run(["test", "--stat", "MD", "--a", "1"], capsys)
         assert code == 1

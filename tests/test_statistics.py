@@ -13,7 +13,7 @@ from exptests.errors import DomainError, NumericsError
 from exptests.statistics import (ALL_STATISTICS, PLAIN_STATISTICS,
                                  TUNED_STATISTICS, StatisticId, evaluate,
                                  evaluate_many, kernel_hm1, kernel_hm2,
-                                 ld_upper_bound, vn_process)
+                                 kernel_jp, ld_upper_bound, vn_process)
 
 from oracles import (he_scipy, hm1_mpmath, hm2_mpmath, kernel_ad, kernel_cvm,
                      laplace_pair_mpmath, ld_mpmath, md_mpmath, mp_mpmath,
@@ -269,18 +269,22 @@ class TestBatteryForms:
         assert np.all(err <= np.maximum(5e-13 * np.abs(ref), 0.25 * eps * scale))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
-    @pytest.mark.parametrize("name,kernel", [("HM1", kernel_hm1), ("HM2", kernel_hm2)])
+    @pytest.mark.parametrize("name,kernel", [("HM1", kernel_hm1), ("HM2", kernel_hm2),
+                                             ("JP", kernel_jp)])
     def test_pair_pass_is_the_mean_over_all_pairs(self, name, kernel, n):
         # n//2 + 1 circular diagonals, weighted 1, 2, ..., 2 and 1 for k = n/2
-        # at even n, cover each of the n^2 ordered pairs once
+        # at even n, cover each of the n^2 ordered pairs once; JP is the mean
+        # of 1/(Y + a) less the pair mean of its kernel
         x = np.random.default_rng(n).standard_exponential((20, n))
         y = x / x.mean(axis=1, keepdims=True)
         full = kernel(y[:, :, None], y[:, None, :], 1.0).mean(axis=(1, 2))
+        if name == "JP":
+            full = np.mean(1.0 / (y + 1.0), axis=1) - full
         np.testing.assert_allclose(evaluate_many(StatisticId(name, 1.0), x), full,
                                    rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", [5, 20, 21, 50])
-    @pytest.mark.parametrize("name", ["HM1", "HM2"])
+    @pytest.mark.parametrize("name", ["HM1", "HM2", "JP"])
     def test_pair_rows_do_not_depend_on_cache_budget(self, name, n, monkeypatch):
         # chunks of 7, 64 and 1000 rows: every diagonal sums along its own
         # row and the weighted diagonal sums along each row, so every value is
@@ -427,6 +431,24 @@ class TestEvaluateMany:
         for rows in (7, 64, 1000):
             monkeypatch.setattr(statistics, "CACHE_BUDGET", rows * per_row)
             np.testing.assert_array_equal(evaluate_many(stat, x), whole)
+
+    @pytest.mark.parametrize("n", [5, 20, 21, 50])
+    @pytest.mark.parametrize("name", sorted(ALL_STATISTICS))
+    def test_values_do_not_depend_on_sample_order(self, name, n):
+        # every statistic is a function of the sorted row scaled by the mean
+        # of that sorted row, so shuffled and reversed rows give the same
+        # values, bit for bit, from evaluate_many and from evaluate, and
+        # scale_sample the same sorted values
+        x = np.random.default_rng(90 + n).standard_exponential((40, n))
+        stat = StatisticId(name, 1.0 if name in TUNED_STATISTICS else None)
+        whole = evaluate_many(stat, x)
+        orders = [np.random.default_rng(k).permuted(x, axis=1) for k in range(2)]
+        for xp in orders + [x[:, ::-1]]:
+            np.testing.assert_array_equal(evaluate_many(stat, xp), whole)
+            np.testing.assert_array_equal([evaluate(stat, row).value for row in xp], whole)
+            for row, ref in zip(xp, x):
+                np.testing.assert_array_equal(scale_sample(row).sorted_values,
+                                              scale_sample(ref).sorted_values)
 
     def test_chunking_does_not_change_results(self, gen):
         # n = 150 gives chunks of 2 rows (JP's (rows, n, n) temporaries), 5
